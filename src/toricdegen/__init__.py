@@ -43,10 +43,9 @@ from .errors import (
 from .family import (
     ExclusionSet,
     FamilyPoint,
-    Generator,
     RedundancyReport,
-    differential_generators,
     differential_rank,
+    excluded_block,
     excluded_exponents,
     key_matrix,
     redundancy_check,

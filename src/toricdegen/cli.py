@@ -104,18 +104,14 @@ def cmd_verify_lemma(args) -> int:
     cfg = _config(args)
     n, d = args.n, args.d
     _require(n >= 2 and d >= 2, f"need n >= 2 and d >= 2, got n={n}, d={d}")
+    _require(cfg.samples >= 1, f"samples must be positive, got {cfg.samples}")
     rng = Random(cfg.seed)
     expected_min = min(d - 1, 2 * n - 2)
     expected_codim = (d - 1) - expected_min
-    best_key = -1
-    best: RankReport | None = None
-    for _ in range(cfg.samples):
-        point = sample_family(n, d, rng, cfg.bound)
-        best_key = max(best_key, rank(key_matrix(point), "exact"))
-        report = differential_rank(point, "probabilistic", rng)
-        if best is None or report.rank > best.rank:
-            best = report
-    assert best is not None
+    points = [sample_family(n, d, rng, cfg.bound) for _ in range(cfg.samples)]
+    best_key = max(rank(key_matrix(point)) for point in points)
+    best = max((differential_rank(point) for point in points),
+               key=lambda report: report.rank)
     payload = {
         "n": n,
         "d": d,

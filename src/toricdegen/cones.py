@@ -21,7 +21,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .binomials import BinomialPattern
-from .errors import DimensionMismatchError, DomainError, SupportMismatchError
+from .errors import (CertificateError, DimensionMismatchError, DomainError,
+                     SupportMismatchError)
 from .poly import HomogPoly, RatLike
 
 Functional = tuple[Fraction, ...]
@@ -255,7 +256,8 @@ def solve(system: LinearSystem) -> FeasibilityResult:
     scale = reduce(lambda a, b: a * b // gcd(a, b),
                    (v.denominator for v in witness), 1)
     witness = tuple(v * scale for v in witness)
-    assert satisfies(system, witness), "feasible witness failed self-check"
+    if not satisfies(system, witness):
+        raise CertificateError(f"feasible witness {witness} failed self-check")
     return FeasibilityResult(True, witness=witness)
 
 

@@ -7,12 +7,14 @@ The d excluded exponents are x0^d, x0^(d-1)*x1, ..., x0*x1^(d-1).
 For a point c of the family, the tangent space to the orbit of f_c under
 linear changes of coordinates, taken together with the family directions, is
 spanned by two groups of generators: the non-excluded monomials themselves,
-and the (n+1)^2 products (df_c/dx_i) * x_j.  Their span inside the full
-degree-d coefficient space is what differential_rank measures.  Restricted to
-the excluded coordinates, all products collapse onto a single spike at
-x0*x1^(d-1) plus a banded (2n-2) x (d-1) block of shifted coefficient rows
-(key_matrix); this yields the structural rank bound used to confirm modular
-rank computations.
+and the (n+1)^2 products (df_c/dx_i) * x_j.  The monomial generators are unit
+vectors on every non-excluded exponent, so the rank of the whole span is
+(ambient - d) plus the rank of the products' coefficients on the d excluded
+exponents: the (n+1)^2 x d block built by excluded_block.  That identity
+holds at every point, not only at generic ones.  Rows with j >= 2 vanish,
+since no excluded exponent contains x2..xn.  At a family point the rows
+(i, 0) and (i, 1) for i >= 2 carry the banded key matrix, the row (1, 0)
+carries a single spike at x0*x1^(d-1), and every other row is zero.
 """
 
 from __future__ import annotations
@@ -20,20 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from random import Random
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import DomainError
-from .linalg import (
-    QMatrix,
-    RankReport,
-    _BadPrime,
-    basis,
-    random_prime,
-    rank_sparse_exact,
-    rank_sparse_mod_p,
-)
-from .poly import Exponent, HomogPoly, multiply, partial_derivative
+from .linalg import QMatrix, RankReport, basis, rank
+from .poly import Exponent, HomogPoly
+
+# Largest ambient dimension C(n+d, d) accepted.  Sampling a point builds the
+# monomial basis and one coefficient per monomial, O(ambient) in time and
+# memory.
+MAX_AMBIENT = 500_000
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,10 @@ class ExclusionSet:
 def _check_domain(n: int, d: int) -> None:
     if n < 2 or d < 2:
         raise DomainError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+    if comb(n + d, d) > MAX_AMBIENT:
+        raise DomainError(
+            f"ambient dimension C({n + d}, {d}) = {comb(n + d, d)} at n={n}, "
+            f"d={d} exceeds the limit of {MAX_AMBIENT}")
 
 
 @lru_cache(maxsize=None)
@@ -117,39 +121,30 @@ def sample_family(n: int, d: int, rng: Random, bound: int = 1000) -> FamilyPoint
     return FamilyPoint(n, d, coeffs, validate=False)
 
 
-class Generator(NamedTuple):
-    """A spanning element of the differential image, tagged with its origin."""
+def excluded_block(point: FamilyPoint) -> QMatrix:
+    """The (n+1)^2 x d coefficients of the products (df/dx_i) * x_j on the
+    excluded exponents; rows in row-major (i, j) order, columns in
+    excluded-set order.
 
-    kind: str                      # "monomial" or "product"
-    origin: Exponent | tuple[int, int]
-    poly: HomogPoly
-
-
-def differential_generators(point: FamilyPoint) -> list[Generator]:
-    """Monomial generators for every non-excluded exponent, then the
-    (n+1)^2 products (df/dx_i) * x_j in row-major (i, j) order."""
-    n, d = point.n, point.d
-    excluded = excluded_exponents(n, d)
-    gens: list[Generator] = []
-    for u in basis(n, d).exponents:
-        if u not in excluded:
-            gens.append(Generator("monomial", u, HomogPoly.monomial(u)))
-    f = point.to_poly()
-    partials = [partial_derivative(f, i) for i in range(n + 1)]
+    Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
+    and 0 otherwise.
+    """
+    n = point.n
+    members = excluded_exponents(n, point.d).members
+    rows = []
     for i in range(n + 1):
         for j in range(n + 1):
-            xj = HomogPoly.monomial(tuple(1 if t == j else 0 for t in range(n + 1)))
-            gens.append(Generator("product", (i, j), multiply(partials[i], xj)))
-    return gens
-
-
-def _shift_exponent(n: int, d: int, i: int, m: int) -> Exponent:
-    """Exponent with entry 1 at i, m at 0, and d-m-1 at 1."""
-    u = [0] * (n + 1)
-    u[0] = m
-    u[1] = d - m - 1
-    u[i] += 1
-    return tuple(u)
+            row = []
+            for w in members:
+                if not w[j]:
+                    row.append(0)
+                    continue
+                u = list(w)
+                u[j] -= 1
+                u[i] += 1
+                row.append(u[i] * point.coeff(u))
+            rows.append(row)
+    return QMatrix(rows)
 
 
 def key_matrix(point: FamilyPoint) -> QMatrix:
@@ -160,56 +155,31 @@ def key_matrix(point: FamilyPoint) -> QMatrix:
     product with x0, then the same run shifted right once for the product
     with x1.  Columns follow x0^d, x0^(d-1)*x1, ..., x0^2*x1^(d-2).
     """
-    n, d = point.n, point.d
-    rows = []
-    for i in range(2, n + 1):
-        run = [point.coeff(_shift_exponent(n, d, i, m))
-               for m in range(d - 1, 0, -1)]
-        rows.append(run)
-        rows.append([Fraction(0)] + run[:-1])
-    return QMatrix(rows)
+    n = point.n
+    block = excluded_block(point)
+    return QMatrix(block.row(i * (n + 1) + j)[:-1]
+                   for i in range(2, n + 1) for j in (0, 1))
 
 
 def structural_rank_bound(n: int, d: int) -> int:
     """Upper bound for the differential rank, exact at generic points."""
-    ambient = len(basis(n, d))
-    return ambient - d + 1 + min(d - 1, 2 * n - 2)
+    return comb(n + d, d) - d + 1 + min(d - 1, 2 * n - 2)
 
 
-def _sparse_rows(point: FamilyPoint) -> Iterator[dict[int, Fraction]]:
-    B = basis(point.n, point.d)
-    for gen in differential_generators(point):
-        yield {B.index_of(u): c for u, c in gen.poly.terms()}
-
-
-def differential_rank(point: FamilyPoint, mode: str = "probabilistic",
+def differential_rank(point: FamilyPoint, mode: str = "exact",
                       rng: Random | None = None) -> RankReport:
-    """Rank of the differential-image span inside the full monomial basis.
+    """Rank of the differential-image span inside the full monomial basis,
+    computed exactly as (ambient - d) + rank(excluded_block(point)).
 
-    Probabilistic mode computes the rank modulo a random large prime, which
-    can only undershoot; if it meets the structural bound the answer is
-    certified and reported as modular+exact-confirmed, otherwise the exact
-    sparse elimination runs instead.
+    Both accepted modes, "exact" and "probabilistic", run this one exact
+    computation; rng is never drawn from.
     """
-    ambient = len(basis(point.n, point.d))
-    if mode == "exact":
-        r = rank_sparse_exact(_sparse_rows(point))
-        return RankReport.of(r, ambient, "exact")
-    if mode != "probabilistic":
+    if mode not in ("exact", "probabilistic"):
         raise ValueError(f"unknown rank mode {mode!r}")
-    if rng is None:
-        raise ValueError("probabilistic mode needs an explicit random source")
-    while True:
-        p = random_prime(rng)
-        try:
-            r = rank_sparse_mod_p(_sparse_rows(point), p)
-            break
-        except _BadPrime:
-            continue
-    if r == structural_rank_bound(point.n, point.d):
-        return RankReport.of(r, ambient, "modular+exact-confirmed")
-    r = rank_sparse_exact(_sparse_rows(point))
-    return RankReport.of(r, ambient, "exact")
+    n, d = point.n, point.d
+    ambient = comb(n + d, d)
+    return RankReport.of(ambient - d + rank(excluded_block(point)), ambient,
+                         "exact")
 
 
 @dataclass(frozen=True)
@@ -229,17 +199,10 @@ def redundancy_check(point: FamilyPoint) -> RedundancyReport:
     the excluded exponents other than x0*x1^(d-1); offenders are reported
     per (i, j) pair.
     """
-    n, d = point.n, point.d
-    blocked = excluded_exponents(n, d).members[:-1]
-    f = point.to_poly()
-    partials = [partial_derivative(f, i) for i in range(n + 1)]
-    failures = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if not (i == 0 or (i == 1 and j == 1) or j > 1):
-                continue
-            xj = HomogPoly.monomial(tuple(1 if t == j else 0 for t in range(n + 1)))
-            prod = multiply(partials[i], xj)
-            if any(prod.coeff(u) for u in blocked):
-                failures.append((i, j))
-    return RedundancyReport(ok=not failures, failures=tuple(failures))
+    n = point.n
+    block = excluded_block(point)
+    failures = tuple(
+        (i, j) for i in range(n + 1) for j in range(n + 1)
+        if (i == 0 or (i, j) == (1, 1) or j > 1)
+        and any(block.row(i * (n + 1) + j)[:-1]))
+    return RedundancyReport(ok=not failures, failures=failures)

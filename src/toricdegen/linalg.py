@@ -1,15 +1,8 @@
 """Exact rational matrices: rank, span membership, coefficient vectors.
 
-Two rank routes are provided.  Exact mode runs fraction-free (Bareiss)
-elimination on an integer-scaled copy of the matrix, so intermediate entries
-stay integral.  Probabilistic mode reduces the matrix modulo a random prime
-above 2^30 and eliminates over the prime field; the result is a lower bound
-on the true rank, with equality off a small bad set of primes.  Callers that
-know a structural upper bound may accept a modular rank that meets it.
-
-Sparse row variants back the large structured rank computations elsewhere in
-the package; they use ordinary exact elimination, which stays cheap because
-those rows are mostly unit vectors.
+Rank runs fraction-free (Bareiss) elimination on an integer-scaled copy of
+the matrix, so intermediate entries stay integral.  Span membership reduces
+sparse rows (column -> value) against an echelon pivot set, exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
-from random import Random
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -162,106 +154,13 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-class _BadPrime(Exception):
-    pass
-
-
-def _rows_mod_p(M: QMatrix | Sequence[Sequence[RatLike]], p: int) -> list[list[int]]:
-    entries = M.entries if isinstance(M, QMatrix) else M
-    out = []
-    for row in entries:
-        r = []
-        for e in row:
-            e = Fraction(e)
-            den = e.denominator % p
-            if den == 0:
-                raise _BadPrime
-            r.append(e.numerator % p * pow(den, -1, p) % p)
-        out.append(r)
-    return out
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rank = 0
-    pr = 0
-    for pc in range(nc):
-        piv = next((i for i in range(pr, nr) if m[i][pc] % p), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        inv = pow(m[pr][pc], -1, p)
-        for i in range(pr + 1, nr):
-            f = m[i][pc] % p
-            if f:
-                f = f * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[pr])]
-        pr += 1
-        rank += 1
-        if pr == nr:
-            break
-    return rank
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d = m - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(rng: Random, low: int = 2**30) -> int:
-    while True:
-        candidate = rng.randrange(low | 1, 2 * low, 2)
-        if _is_prime(candidate):
-            return candidate
-
-
-def rank(M: QMatrix | Sequence[Sequence[RatLike]], mode: str = "exact",
-         rng: Random | None = None) -> int:
-    """Rank over the rationals (exact) or modulo a random prime.
-
-    The probabilistic result never exceeds the exact rank.
-    """
-    if mode == "exact":
-        return _rank_bareiss(_integer_rows(M))
-    if mode == "probabilistic":
-        if rng is None:
-            raise ValueError("probabilistic mode needs an explicit random source")
-        while True:
-            p = random_prime(rng)
-            try:
-                return _rank_mod_p(_rows_mod_p(M, p), p)
-            except _BadPrime:
-                continue
-    raise ValueError(f"unknown rank mode {mode!r}")
+def rank(M: QMatrix | Sequence[Sequence[RatLike]]) -> int:
+    """Exact rank over the rationals."""
+    return _rank_bareiss(_integer_rows(M))
 
 
 # ---------------------------------------------------------------------------
-# sparse rows (dict col -> value); used for the big structured matrices
+# sparse rows (dict col -> value)
 
 SparseRow = dict[int, Fraction]
 
@@ -290,61 +189,6 @@ def _reduce_sparse(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
             else:
                 r.pop(cc, None)
     return r
-
-
-def rank_sparse_exact(rows: Iterable[SparseRow]) -> int:
-    pivots: dict[int, SparseRow] = {}
-    count = 0
-    for row in rows:
-        reduced = _reduce_sparse(row, pivots)
-        if reduced:
-            pivots[min(reduced)] = reduced
-            count += 1
-    return count
-
-
-def rank_sparse_mod_p(rows: Iterable[SparseRow], p: int) -> int:
-    pivots: dict[int, dict[int, int]] = {}
-    count = 0
-    for row in rows:
-        r = {}
-        for c, v in row.items():
-            v = Fraction(v)
-            den = v.denominator % p
-            if den == 0:
-                raise _BadPrime
-            vm = v.numerator % p * pow(den, -1, p) % p
-            if vm:
-                r[c] = vm
-        heap = list(r)
-        heapq.heapify(heap)
-        placed = False
-        while heap:
-            c = heapq.heappop(heap)
-            val = r.get(c)
-            if not val:
-                r.pop(c, None)
-                continue
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = r
-                count += 1
-                placed = True
-                break
-            factor = val * pow(piv[c], -1, p) % p
-            for cc, vv in piv.items():
-                nv = (r.get(cc, 0) - factor * vv) % p
-                if nv:
-                    if cc not in r and cc != c:
-                        heapq.heappush(heap, cc)
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
-        if not placed and r:
-            # exhausted heap with leftovers cannot happen: every nonzero
-            # leading column either has a pivot or terminates the loop
-            raise AssertionError("sparse elimination invariant violated")
-    return count
 
 
 def span_contains(v: Sequence[RatLike], rows: Iterable[Sequence[RatLike]]) -> bool:

@@ -391,11 +391,9 @@ def apply_linear_change(f: HomogPoly, matrix: Sequence[Sequence[RatLike]]) -> Ho
 
     total = HomogPoly.zero(f.n, f.d)
     for u, c in f.terms():
-        piece: HomogPoly | None = None
+        piece = HomogPoly.monomial((0,) * size)
         for i, e in enumerate(u):
-            if e == 0:
-                continue
-            piece = power(i, e) if piece is None else multiply(piece, power(i, e))
-        assert piece is not None
+            if e:
+                piece = multiply(piece, power(i, e))
         total = total + piece.scale(c)
     return total

@@ -45,8 +45,10 @@ def witness_weight(n: int, d: int) -> WeightVector:
     """
     _check_domain(n, d)
     w = weight_vector([d, d - 1] + [-k for k in range(n - 1)])
-    assert all(a > b for a, b in zip(w, w[1:]))
-    assert (d - 1) * w[0] + w[2] == d * w[1]
+    if not all(a > b for a, b in zip(w, w[1:])):
+        raise CertificateError(f"witness weight {w} is not strictly decreasing")
+    if (d - 1) * w[0] + w[2] != d * w[1]:
+        raise CertificateError(f"witness weight {w} breaks (d-1)*w0 + w2 = d*w1")
     return w
 
 
@@ -71,8 +73,8 @@ def _spike_exponents(n: int, d: int) -> tuple[Exponent, Exponent]:
 _RESAMPLE_BUDGET = 5
 
 
-def existence_witness(n: int, d: int, rng: Random, bound: int = 1000,
-                      mode: str = "probabilistic") -> WitnessBundle:
+def existence_witness(n: int, d: int, rng: Random,
+                      bound: int = 1000) -> WitnessBundle:
     """Sampled family member whose initial form is a prime binomial.
 
     The initial form is recomputed from scratch and must be supported on
@@ -89,11 +91,13 @@ def existence_witness(n: int, d: int, rng: Random, bound: int = 1000,
         if set(init.support()) != expected:
             continue
         pattern = pattern_from_poly(init)
-        assert pattern is not None
+        if pattern is None:
+            raise CertificateError(
+                f"initial form on {init.support()} is not a binomial pattern")
         verdict = classify(pattern)
         if not verdict.is_prime:
             continue
-        report = differential_rank(point, mode, rng)
+        report = differential_rank(point)
         if report.rank != structural_rank_bound(n, d):
             continue
         return WitnessBundle(n=n, d=d, point=point, omega=omega,
@@ -103,8 +107,7 @@ def existence_witness(n: int, d: int, rng: Random, bound: int = 1000,
 
 
 def dominance_certificate(n: int, d: int, samples: int, rng: Random,
-                          bound: int = 1000,
-                          mode: str = "probabilistic") -> RankReport:
+                          bound: int = 1000) -> RankReport:
     """Best differential-rank report over sampled family members.
 
     The maximum sampled rank is a lower bound for the generic rank, so a
@@ -114,14 +117,8 @@ def dominance_certificate(n: int, d: int, samples: int, rng: Random,
     _check_domain(n, d)
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
-    best: RankReport | None = None
-    for _ in range(samples):
-        point = sample_family(n, d, rng, bound)
-        report = differential_rank(point, mode, rng)
-        if best is None or report.rank > best.rank:
-            best = report
-    assert best is not None
-    return best
+    return max((differential_rank(sample_family(n, d, rng, bound))
+                for _ in range(samples)), key=lambda report: report.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,9 @@ def _normalize(g: BinomialPattern) -> BinomialPattern:
 def _check_relabeled(n: int, d: int, g0: BinomialPattern) -> bool:
     """Run the reduction checks on an identity-ordered pattern."""
     lead, other, _p, q = _split_terms(g0)
-    assert q > 0
+    if q == 0:
+        raise CertificateError(
+            f"pattern {g0.u} / {g0.v} has x0 in both terms")
     if max(_support(lead)) < q:
         g0 = _normalize(g0)
         lead, other, _p, q = _split_terms(g0)
@@ -332,13 +331,13 @@ class NonexistenceReport:
     strata_reduced: bool
 
 
-def _generic_point(n: int, d: int, rng: Random, bound: int,
-                   mode: str) -> tuple[FamilyPoint, RankReport]:
+def _generic_point(n: int, d: int, rng: Random,
+                   bound: int) -> tuple[FamilyPoint, RankReport]:
     """Sample until the differential rank meets the structural bound."""
     target = structural_rank_bound(n, d)
     for _ in range(1 + _RESAMPLE_BUDGET):
         point = sample_family(n, d, rng, bound)
-        report = differential_rank(point, mode, rng)
+        report = differential_rank(point)
         if report.rank == target:
             return point, report
     raise GenericityError(
@@ -346,8 +345,7 @@ def _generic_point(n: int, d: int, rng: Random, bound: int,
 
 
 def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
-                             bound: int = 1000,
-                             mode: str = "probabilistic") -> NonexistenceReport:
+                             bound: int = 1000) -> NonexistenceReport:
     """Certificate that past the threshold no dense open set degenerates.
 
     Records the positive codimension bound d - 2n + 1, confirms the sampled
@@ -365,7 +363,7 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     sampled = []
     points = []
     for _ in range(samples):
-        point, report = _generic_point(n, d, rng, bound, mode)
+        point, report = _generic_point(n, d, rng, bound)
         if report.codim != codim_bound:
             raise CertificateError(
                 f"sampled codim {report.codim} != bound {codim_bound}")
@@ -404,8 +402,7 @@ def sweep_row_matches(row: SweepRow) -> bool:
 
 
 def threshold_sweep(n_max: int, d_max: int, rng: Random, samples: int = 3,
-                    bound: int = 1000, mode: str = "probabilistic",
-                    strict: bool = True) -> list[SweepRow]:
+                    bound: int = 1000, strict: bool = True) -> list[SweepRow]:
     """Dominance certificates over the grid 2 <= n <= n_max, 2 <= d <= d_max.
 
     Each row is degenerable exactly when the dominance report is surjective;
@@ -414,10 +411,11 @@ def threshold_sweep(n_max: int, d_max: int, rng: Random, samples: int = 3,
     """
     if n_max < 2 or d_max < 2:
         raise DomainError("need n_max >= 2 and d_max >= 2")
+    _check_domain(n_max, d_max)  # the largest grid point bounds all others
     rows = []
     for n in range(2, n_max + 1):
         for d in range(2, d_max + 1):
-            report = dominance_certificate(n, d, samples, rng, bound, mode)
+            report = dominance_certificate(n, d, samples, rng, bound)
             row = SweepRow(n=n, d=d, ambient=report.ambient,
                            generic_rank=report.rank, codim=report.codim,
                            degenerable=report.surjective)

@@ -1,4 +1,4 @@
-"""Shared generators and property suites for the tests.
+"""Shared generators, oracles and property suites for the tests.
 
 The property runners take a case count so the unit tests can run quick
 passes while the acceptance suite runs the full counts.
@@ -10,18 +10,24 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from random import Random
+from typing import Iterable, NamedTuple
 
 from toricdegen import (
+    FamilyPoint,
     HomogPoly,
     LinearSystem,
+    basis,
+    excluded_exponents,
     format_poly,
     initial_form,
     multiply,
     parse_poly,
+    partial_derivative,
     satisfies,
     solve,
     verify_certificate,
 )
+from toricdegen.linalg import SparseRow, _reduce_sparse
 from toricdegen.poly import iter_exponents
 
 
@@ -178,3 +184,51 @@ def roundtrip_text(f: HomogPoly) -> None:
     again = parse_poly(text, f.n, f.d)
     assert again == f
     assert format_poly(again) == text
+
+
+# ---------------------------------------------------------------------------
+# full-span oracle for the differential rank
+
+class Generator(NamedTuple):
+    """A spanning element of the differential image, tagged with its origin."""
+
+    kind: str                      # "monomial" or "product"
+    origin: tuple[int, ...]        # an exponent, or the pair (i, j)
+    poly: HomogPoly
+
+
+def differential_generators(point: FamilyPoint) -> list[Generator]:
+    """Monomial generators for every non-excluded exponent, then the
+    (n+1)^2 products (df/dx_i) * x_j in row-major (i, j) order."""
+    n, d = point.n, point.d
+    excluded = excluded_exponents(n, d)
+    gens: list[Generator] = []
+    for u in basis(n, d).exponents:
+        if u not in excluded:
+            gens.append(Generator("monomial", u, HomogPoly.monomial(u)))
+    f = point.to_poly()
+    partials = [partial_derivative(f, i) for i in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            xj = HomogPoly.monomial(tuple(1 if t == j else 0 for t in range(n + 1)))
+            gens.append(Generator("product", (i, j), multiply(partials[i], xj)))
+    return gens
+
+
+def rank_sparse_exact(rows: Iterable[SparseRow]) -> int:
+    pivots: dict[int, SparseRow] = {}
+    count = 0
+    for row in rows:
+        reduced = _reduce_sparse(row, pivots)
+        if reduced:
+            pivots[min(reduced)] = reduced
+            count += 1
+    return count
+
+
+def full_span_rank(point: FamilyPoint) -> int:
+    """Rank of every differential generator over the full monomial basis."""
+    B = basis(point.n, point.d)
+    return rank_sparse_exact(
+        {B.index_of(u): c for u, c in gen.poly.terms()}
+        for gen in differential_generators(point))

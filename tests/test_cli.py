@@ -35,6 +35,19 @@ class TestVerifyLemma:
         assert code == 64
         assert "error" in err
 
+    def test_zero_samples_usage(self, capsys):
+        code, _out, err = run(capsys, "verify-lemma", "--n", "2", "--d", "3",
+                              "--samples", "0")
+        assert code == 64
+        assert "samples" in err
+
+    def test_oversized_rejected_before_basis(self, capsys, monkeypatch):
+        import toricdegen.family
+        monkeypatch.setattr(toricdegen.family, "basis", None)  # never reached
+        code, _out, err = run(capsys, "verify-lemma", "--n", "40", "--d", "40")
+        assert code == 64
+        assert "ambient dimension" in err
+
 
 class TestWitness:
     def test_seeded_bundle(self, capsys):
@@ -77,6 +90,14 @@ class TestSweep:
                            "--seed", "1", "--format", "table")
         assert code == 0
         assert "all_match = True" in out
+
+    def test_oversized_rejected_before_basis(self, capsys, monkeypatch):
+        import toricdegen.family
+        monkeypatch.setattr(toricdegen.family, "basis", None)  # never reached
+        code, out, err = run(capsys, "sweep", "--n-max", "40", "--d-max", "40")
+        assert code == 64
+        assert out == ""
+        assert "ambient dimension" in err
 
 
 class TestClassify:

@@ -3,8 +3,10 @@ from random import Random
 
 import pytest
 
+import toricdegen.cones
 from toricdegen import (
     BinomialPattern,
+    CertificateError,
     DomainError,
     LinearSystem,
     SupportMismatchError,
@@ -136,6 +138,13 @@ class TestSolve:
         feasible, infeasible = run_solver_suite(Random(11), 60)
         assert feasible + infeasible == 60
         assert feasible > 0 and infeasible > 0
+
+    def test_witness_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr(toricdegen.cones, "satisfies",
+                            lambda system, w: False)
+        system = LinearSystem(2, weak_ineqs=(F(1, -1),))
+        with pytest.raises(CertificateError):
+            solve(system)
 
 
 class TestImplies:

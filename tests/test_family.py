@@ -9,8 +9,8 @@ from toricdegen import (
     HomogPoly,
     apply_linear_change,
     basis,
-    differential_generators,
     differential_rank,
+    excluded_block,
     excluded_exponents,
     key_matrix,
     rank,
@@ -20,7 +20,8 @@ from toricdegen import (
     structural_rank_bound,
     to_vector,
 )
-from toricdegen.linalg import rank_sparse_exact
+from toricdegen.family import MAX_AMBIENT
+from helpers import differential_generators, full_span_rank, rank_sparse_exact
 
 
 class TestExclusionSet:
@@ -44,6 +45,12 @@ class TestExclusionSet:
             excluded_exponents(1, 3)
         with pytest.raises(DomainError):
             excluded_exponents(2, 1)
+
+    def test_oversized_ambient_rejected(self):
+        # C(24, 17) = 346,104 is accepted; C(25, 17) = 1,081,575 is not
+        assert len(excluded_exponents(7, 17)) == 17
+        with pytest.raises(DomainError, match=str(MAX_AMBIENT)):
+            sample_family(8, 17, Random(1))
 
 
 class TestSampling:
@@ -161,13 +168,43 @@ class TestDifferentialRank:
         assert report.codim == 2
 
     def test_exact_mode_agrees(self):
+        # the excluded-face rank against the full-span oracle, at sampled
+        # points and at sparse {-1, 0, 1} points that fall below the bound
         rng = Random(15)
-        point = sample_family(2, 5, rng)
-        prob = differential_rank(point, "probabilistic", rng)
-        exact = differential_rank(point, "exact")
-        assert prob.rank == exact.rank
-        assert exact.method == "exact"
-        assert prob.method in ("modular+exact-confirmed", "exact")
+        below = 0
+        grid = [(2, d) for d in range(2, 7)] + [(3, d) for d in range(3, 9)] \
+            + [(4, d) for d in range(4, 7)]
+        for n, d in grid:
+            excl = excluded_exponents(n, d)
+            points = [sample_family(n, d, rng)]
+            for _ in range(3):
+                points.append(FamilyPoint(n, d, {
+                    u: Fraction(0) if u in excl else Fraction(rng.choice((-1, 0, 0, 1)))
+                    for u in basis(n, d).exponents}))
+            for point in points:
+                report = differential_rank(point)
+                assert report.rank == full_span_rank(point), (n, d)
+                assert report.method == "exact"
+                below += report.rank < structural_rank_bound(n, d)
+        assert below >= 10
+
+    def test_modes_agree_without_drawing(self):
+        rng = Random(22)
+        point = sample_family(3, 5, rng)
+        state = rng.getstate()
+        assert differential_rank(point, "probabilistic", rng) == \
+            differential_rank(point, "exact")
+        assert rng.getstate() == state
+        with pytest.raises(ValueError):
+            differential_rank(point, "modular")
+
+    def test_excluded_block_shape_and_zero_rows(self):
+        n, d = 3, 5
+        block = excluded_block(sample_family(n, d, Random(23)))
+        assert (block.rows, block.cols) == ((n + 1) ** 2, d)
+        for i in range(n + 1):
+            for j in range(2, n + 1):
+                assert not any(block.row(i * (n + 1) + j))
 
     def test_decomposition_identity(self):
         # rank = (ambient - d) + 1 + key_matrix_rank at sampled points

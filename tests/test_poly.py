@@ -186,6 +186,11 @@ class TestLinearChange:
         with pytest.raises(SingularMatrixError):
             apply_linear_change(mono((1, 1)), [[1, 1], [1, 1]])
 
+    def test_constant_maps_to_itself(self):
+        const = HomogPoly(1, 0, {(0, 0): 5})
+        assert apply_linear_change(const, [[1, 0], [0, 1]]) == const
+        assert apply_linear_change(const, [[2, 1], [1, 1]]) == const
+
     def test_expands_substitution(self):
         # x0 <- x0 + x1 in x0^2 gives x0^2 + 2 x0 x1 + x1^2
         out = apply_linear_change(mono((2, 0)), [[1, 1], [0, 1]])
