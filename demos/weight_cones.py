@@ -3,7 +3,8 @@
 The solver eliminates equalities by substitution and inequalities by
 Fourier-Motzkin, tracking strictness; feasible systems come back with an
 exact rational witness, infeasible ones with a nonnegative combination of
-constraints deriving 0 > 0.  Run:
+constraints deriving 0 > 0.  Implications over a chain of weights cut by
+one balance equation have a closed form (chain_implies).  Run:
 
     python demos/weight_cones.py
 """
@@ -12,8 +13,7 @@ from fractions import Fraction
 
 from toricdegen import (
     LinearSystem,
-    compatible_cone,
-    implies,
+    chain_implies,
     parse_poly,
     pattern_from_poly,
     satisfies,
@@ -38,8 +38,8 @@ print("\nw0 > w1 and w1 > w0 feasible?", result.feasible)
 print("certificate:", result.certificate)
 print("certificate expands to 0 > 0:", verify_certificate(bad, result.certificate))
 
-# implied inequalities over the compatible cone of a pattern
-cone = compatible_cone(g, (0, 1, 2))
-print("\ncone of g under 0 > 1 > 2 has equality", cone.equalities[0])
-print("w0 - w2 >= 0 implied:", implies(cone, (1, 0, -1)))
-print("w2 - w0 >= 0 implied:", implies(cone, (-1, 0, 1)))
+# implied inequalities over the cone w0 >= w1 >= w2 cut by g's balance
+h = tuple(a - b for a, b in zip(g.u, g.v))
+print("\ncone of g under 0 > 1 > 2 has balance functional", h)
+print("w0 - w2 >= 0 implied:", chain_implies(h, (1, 0, -1)))
+print("w2 - w0 >= 0 implied:", chain_implies(h, (-1, 0, 1)))

@@ -19,9 +19,8 @@ from .binomials import (
 from .cones import (
     FeasibilityResult,
     LinearSystem,
-    compatible_cone,
+    chain_implies,
     difference_functional,
-    implies,
     satisfies,
     solve,
     stratum_system,

@@ -13,15 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import comb, gcd
 
-from .errors import DegreeError, DimensionMismatchError
+from .errors import DegreeError, DimensionMismatchError, DomainError
 from .poly import Exponent, HomogPoly, iter_exponents
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
 SHARED_VARIABLE = "SharedVariable"
 PROPER_POWER = "ProperPower"
+
+# Largest number of unordered monomial pairs C(C(n+d, d), 2) that pattern
+# enumeration will filter: (5, 10) has 4,507,503, (5, 11) has 9,537,528.
+MAX_PAIRS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -102,17 +107,30 @@ def classify_poly(f: HomogPoly) -> PrimeVerdict:
     return classify(g)
 
 
+def check_pair_budget(n: int, d: int) -> None:
+    """Reject (n, d) whose C(C(n+d, d), 2) monomial pairs exceed MAX_PAIRS."""
+    pairs = comb(comb(n + d, d), 2)
+    if pairs > MAX_PAIRS:
+        raise DomainError(
+            f"{pairs} monomial pairs at n={n}, d={d} exceed the limit of "
+            f"{MAX_PAIRS}")
+
+
 def enumerate_patterns(n: int, d: int) -> list[BinomialPattern]:
     """All prime support patterns of degree d in n+1 variables.
 
     Each unordered pair appears once, with the graded-lex earlier exponent
-    first and symbolic coefficients 1 and -1.
+    first and symbolic coefficients 1 and -1.  A pair is tested on support
+    bit masks and exponent gcds; only prime pairs become patterns.
     """
+    check_pair_budget(n, d)
     exps = tuple(iter_exponents(n, d))
+    masks = [sum(1 << i for i, e in enumerate(u) if e) for u in exps]
+    gcds = [reduce(gcd, u) for u in exps]
     out: list[BinomialPattern] = []
     for i, u in enumerate(exps):
-        for v in exps[i + 1:]:
-            g = BinomialPattern(u, v, Fraction(1), Fraction(-1))
-            if classify(g).is_prime:
-                out.append(g)
+        mu, gu = masks[i], gcds[i]
+        for j in range(i + 1, len(exps)):
+            if not mu & masks[j] and gcd(gu, gcds[j]) == 1:
+                out.append(BinomialPattern(u, exps[j], Fraction(1), Fraction(-1)))
     return out

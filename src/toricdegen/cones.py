@@ -10,6 +10,9 @@ bound+1 on an unbounded side, denominators cleared at the end); an
 infeasible one yields a certificate: a signed rational combination of the
 original constraints summing to the zero functional while using at least
 one strict inequality positively, i.e. deriving 0 > 0.
+
+Implications over a chain cut by one balance equation, all the strata
+survey asks, have a closed form: chain_implies.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -27,10 +31,6 @@ from .poly import HomogPoly, RatLike
 
 Functional = tuple[Fraction, ...]
 CertEntry = tuple[str, int, Fraction]  # (kind, index, multiplier)
-
-
-def functional(entries: Iterable[RatLike]) -> Functional:
-    return tuple(Fraction(e) for e in entries)
 
 
 def difference_functional(u: Sequence[int], v: Sequence[int]) -> Functional:
@@ -262,38 +262,28 @@ def solve(system: LinearSystem) -> FeasibilityResult:
 
 
 # ---------------------------------------------------------------------------
-# cone builders
+# implied inequalities and cone builders
 
-def implies(cone: LinearSystem, func: Sequence[RatLike]) -> bool:
-    """True iff <func, w> >= 0 holds on every point of the cone.
+def chain_implies(h: Sequence[RatLike], f: Sequence[RatLike]) -> bool:
+    """True iff <f, w> >= 0 on the cone w0 >= w1 >= ... >= wn, <h, w> = 0.
 
-    Decided as infeasibility of the cone together with <func, w> < 0.
-    The cone must not contain strict inequalities.
+    With t_k = w_k - w_(k+1) >= 0 and prefix sums H_k, F_k (k < n), both
+    functionals summing to zero, <f, w> = sum F_k t_k on the cone.  By Farkas
+    the implication holds exactly when some lam has F_k - lam*H_k >= 0 for
+    every k, i.e. f = lam*h + sum mu_k (e_k - e_(k+1)) with mu_k >= 0.  The
+    candidate lam is the tightest bound from one side; the n inequalities are
+    then re-checked exactly, which certifies a True answer.
     """
-    if cone.strict_ineqs:
-        raise DomainError("implication cone must not contain strict inequalities")
-    test = functional(-Fraction(e) for e in func)
-    augmented = LinearSystem(cone.dim, cone.equalities, cone.weak_ineqs, (test,))
-    return not solve(augmented).feasible
-
-
-def compatible_cone(g: BinomialPattern, ordering: Sequence[int]) -> LinearSystem:
-    """Weight vectors weakly decreasing along the ordering that balance g.
-
-    The ordering lists variable indices from most to least dominant; adjacent
-    pairs contribute w_i >= w_j, and the two monomials of g are forced to
-    share a weight.
-    """
-    dim = g.n + 1
-    if sorted(ordering) != list(range(dim)):
-        raise DomainError(f"ordering must be a permutation of 0..{g.n}")
-    weak = []
-    for i, j in zip(ordering, ordering[1:]):
-        f = [Fraction(0)] * dim
-        f[i] = Fraction(1)
-        f[j] = Fraction(-1)
-        weak.append(tuple(f))
-    return LinearSystem(dim, (difference_functional(g.u, g.v),), tuple(weak), ())
+    if len(h) != len(f):
+        raise DimensionMismatchError(f"lengths {len(h)} vs {len(f)}")
+    if sum(h) != 0 or sum(f) != 0:
+        raise DomainError("chain implication needs functionals summing to zero")
+    H = list(accumulate(h))[:-1]
+    F = list(accumulate(f))[:-1]
+    above = [Fraction(a) / b for a, b in zip(F, H) if b > 0]
+    below = [Fraction(a) / b for a, b in zip(F, H) if b < 0]
+    lam = min(above) if above else max(below, default=Fraction(0))
+    return all(a - lam * b >= 0 for a, b in zip(F, H))
 
 
 def stratum_system(f: HomogPoly, g: BinomialPattern) -> LinearSystem:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial
 from random import Random
 from typing import Sequence
 
-from .binomials import BinomialPattern, PrimeVerdict, classify, enumerate_patterns, pattern_from_poly
-from .cones import LinearSystem, compatible_cone, difference_functional, implies
+from .binomials import (BinomialPattern, PrimeVerdict, check_pair_budget, classify,
+                        enumerate_patterns, pattern_from_poly)
+from .cones import chain_implies
 from .errors import CertificateError, DomainError, GenericityError, NormalizationError
 from .family import (
     FamilyPoint,
@@ -154,8 +155,8 @@ def _is_normalized(g: BinomialPattern) -> bool:
     return max(_support(lead)) > q
 
 
-def _identity_cone(g: BinomialPattern) -> LinearSystem:
-    return compatible_cone(g, tuple(range(g.n + 1)))
+def _diff(u: Exponent, v: Exponent) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def _cone_within(g: BinomialPattern, cand: BinomialPattern) -> bool:
@@ -164,21 +165,18 @@ def _cone_within(g: BinomialPattern, cand: BinomialPattern) -> bool:
     The chain parts coincide, so only cand's balance equality needs to hold
     identically on g's cone (both implied directions).
     """
-    cone = _identity_cone(g)
-    h = difference_functional(cand.u, cand.v)
-    return implies(cone, h) and implies(cone, tuple(-a for a in h))
+    h, hc = _diff(g.u, g.v), _diff(cand.u, cand.v)
+    return chain_implies(h, hc) and chain_implies(h, tuple(-a for a in hc))
 
 
 def _forced_blocks(g: BinomialPattern) -> list[list[int]]:
     """Maximal index runs on which the compatible cone forces equal weights."""
-    cone = _identity_cone(g)
+    h = _diff(g.u, g.v)
     n = g.n
     blocks: list[list[int]] = [[0]]
     for j in range(n):
-        f = [Fraction(0)] * (n + 1)
-        f[j + 1] = Fraction(1)
-        f[j] = Fraction(-1)
-        if implies(cone, tuple(f)):  # cone already gives w_j >= w_{j+1}
+        f = [1 if i == j + 1 else -1 if i == j else 0 for i in range(n + 1)]
+        if chain_implies(h, f):  # w_(j+1) >= w_j, so the chain forces equality
             blocks[-1].append(j + 1)
         else:
             blocks.append([j + 1])
@@ -233,16 +231,13 @@ def _check_relabeled(n: int, d: int, g0: BinomialPattern) -> bool:
             f"pattern {g0.u} / {g0.v} has x0 in both terms")
     if max(_support(lead)) < q:
         g0 = _normalize(g0)
-        lead, other, _p, q = _split_terms(g0)
-    cone = _identity_cone(g0)
+        _lead, other, _p, _q = _split_terms(g0)
     x1d, _ = _spike_exponents(n, d)
-    blocked = excluded_exponents(n, d).members
-    if any(w in (g0.u, g0.v) for w in blocked):
+    blocked = excluded_exponents(n, d)
+    if g0.u in blocked or g0.v in blocked:
         return False
-    for w in blocked:
-        if not implies(cone, difference_functional(w, x1d)):
-            return False
-    return implies(cone, difference_functional(x1d, other))
+    # excluded w - x1^d = a*(e0 - e1), a >= 1, and the chain has w0 >= w1
+    return chain_implies(_diff(g0.u, g0.v), _diff(x1d, other))
 
 
 def strata_reduction_check(n: int, d: int, g: BinomialPattern,
@@ -254,9 +249,10 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     After relabeling the ordering to the identity and, if needed, permuting
     within forced-equal-weight blocks so the leading term reaches past the
     other term's smallest index, the check demands: no excluded exponent
-    coincides with a monomial of g, every excluded exponent weighs at least
-    x1^d on the compatible cone, and x1^d weighs at least the other term.
-    Raises NormalizationError when no block permutation works.
+    coincides with a monomial of g, and x1^d weighs at least the other term
+    on the compatible cone (every excluded exponent outweighs x1^d on any
+    cone with w0 >= w1).  Raises NormalizationError when no block
+    permutation works.
     """
     _check_domain(n, d)
     if not classify(g).is_prime:
@@ -276,44 +272,35 @@ class StrataSurvey:
     failures: tuple[tuple[Exponent, Exponent, tuple[int, ...], str], ...]
 
 
-def strata_survey(n: int, d: int, full: bool = True,
-                  rng: Random | None = None, max_patterns: int = 24,
-                  max_orderings: int = 8) -> StrataSurvey:
-    """Run strata_reduction_check over prime patterns and orderings.
+def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
+    """Run strata_reduction_check on every (prime pattern, ordering) stratum.
 
-    Full mode enumerates every pattern and every ordering; otherwise a
-    seeded random subset is checked (the survey records which).  Results are
-    cached per relabeled pattern, since distinct orderings frequently reduce
-    to the same identity-ordered instance.
+    Relabeling by an ordering maps the prime patterns onto themselves, since
+    disjoint supports and a joint gcd of 1 survive any permutation of the
+    variables, and the check is symmetric in the two monomials.  So the
+    strata under all (n+1)! orderings are the identity-ordered strata of the
+    patterns, each met (n+1)! times: every pattern is checked once, in
+    identity order, and `checked` counts patterns x (n+1)!.  A failure is
+    reported as (u, v, identity ordering, reason).  The survey is always
+    full; `full` is kept for callers that pass True, and any other value
+    raises DomainError.
     """
     _check_domain(n, d)
+    if full is not True:
+        raise DomainError("the strata survey is always full")
     patterns = enumerate_patterns(n, d)
-    orderings = list(itertools.permutations(range(n + 1)))
-    if not full:
-        if rng is None:
-            raise DomainError("sampled survey needs a random source")
-        if len(patterns) > max_patterns:
-            patterns = rng.sample(patterns, max_patterns)
-        if len(orderings) > max_orderings:
-            orderings = rng.sample(orderings, max_orderings)
-    cache: dict[tuple[Exponent, Exponent], tuple[bool, str]] = {}
-    checked = 0
+    identity = tuple(range(n + 1))
     failures = []
     for g in patterns:
-        for ordering in orderings:
-            checked += 1
-            g0 = _relabel_pattern(g, ordering)
-            key = (g0.u, g0.v)
-            if key not in cache:
-                try:
-                    cache[key] = (_check_relabeled(n, d, g0), "")
-                except NormalizationError as exc:
-                    cache[key] = (False, str(exc))
-            ok, reason = cache[key]
-            if not ok:
-                failures.append((g.u, g.v, tuple(ordering), reason))
-    return StrataSurvey(n=n, d=d, checked=checked, full=full,
-                        passed=not failures, failures=tuple(failures))
+        try:
+            ok, reason = _check_relabeled(n, d, g), ""
+        except NormalizationError as exc:
+            ok, reason = False, str(exc)
+        if not ok:
+            failures.append((g.u, g.v, identity, reason))
+    return StrataSurvey(n=n, d=d, checked=len(patterns) * factorial(n + 1),
+                        full=True, passed=not failures,
+                        failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +337,17 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
 
     Records the positive codimension bound d - 2n + 1, confirms the sampled
     differential codimension equals it exactly, confirms generator
-    redundancy, and reduces every checked stratum into a permuted copy of
-    the restricted family (full enumeration for n <= 3 and d <= 6, a seeded
-    subset beyond, as flagged in the report).
+    redundancy, and reduces every (prime pattern, ordering) stratum into a
+    permuted copy of the restricted family with the full strata survey, at
+    every (n, d) the ambient and pair budgets admit.  The random source
+    feeds the family samples only.
     """
     _check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
+    check_pair_budget(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
     points = []
@@ -374,8 +363,7 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
         if not red.ok:
             raise CertificateError(
                 f"redundant generators leak onto excluded monomials: {red.failures}")
-    full = n <= 3 and d <= 6
-    survey = strata_survey(n, d, full=full, rng=rng)
+    survey = strata_survey(n, d)
     if not survey.passed:
         raise CertificateError(
             f"strata reduction failed first at {survey.failures[0]}")
@@ -383,7 +371,7 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
                               sampled_codims=tuple(sampled),
                               redundancy_ok=True,
                               strata_checked=survey.checked,
-                              strata_full=full,
+                              strata_full=survey.full,
                               strata_reduced=True)
 
 

@@ -10,13 +10,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from toricdegen import (
+    BinomialPattern,
+    DomainError,
     FamilyPoint,
     HomogPoly,
     LinearSystem,
     basis,
+    difference_functional,
     excluded_exponents,
     format_poly,
     initial_form,
@@ -177,6 +180,41 @@ def run_solver_suite(rng: Random, cases: int) -> tuple[int, int]:
             infeasible += 1
             assert verify_certificate(system, result.certificate)
     return feasible, infeasible
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin oracle for implied inequalities (chain_implies)
+
+def implies(cone: LinearSystem, func: Sequence) -> bool:
+    """True iff <func, w> >= 0 holds on every point of the cone.
+
+    Decided as infeasibility of the cone together with <func, w> < 0.
+    The cone must not contain strict inequalities.
+    """
+    if cone.strict_ineqs:
+        raise DomainError("implication cone must not contain strict inequalities")
+    test = tuple(-Fraction(e) for e in func)
+    augmented = LinearSystem(cone.dim, cone.equalities, cone.weak_ineqs, (test,))
+    return not solve(augmented).feasible
+
+
+def compatible_cone(g: BinomialPattern, ordering: Sequence[int]) -> LinearSystem:
+    """Weight vectors weakly decreasing along the ordering that balance g.
+
+    The ordering lists variable indices from most to least dominant; adjacent
+    pairs contribute w_i >= w_j, and the two monomials of g are forced to
+    share a weight.
+    """
+    dim = g.n + 1
+    if sorted(ordering) != list(range(dim)):
+        raise DomainError(f"ordering must be a permutation of 0..{g.n}")
+    weak = []
+    for i, j in zip(ordering, ordering[1:]):
+        f = [Fraction(0)] * dim
+        f[i] = Fraction(1)
+        f[j] = Fraction(-1)
+        weak.append(tuple(f))
+    return LinearSystem(dim, (difference_functional(g.u, g.v),), tuple(weak), ())
 
 
 def roundtrip_text(f: HomogPoly) -> None:

@@ -7,6 +7,7 @@ import pytest
 from toricdegen import (
     BinomialPattern,
     DegreeError,
+    DomainError,
     HomogPoly,
     classify,
     classify_poly,
@@ -152,3 +153,12 @@ class TestEnumerate:
                 for e in (*g.u, *g.v):
                     joint = gcd(joint, e)
                 assert joint == 1
+
+    def test_pair_budget(self, monkeypatch):
+        import toricdegen.binomials as binomials
+        binomials.check_pair_budget(5, 10)  # 4,507,503 pairs: admitted
+        monkeypatch.setattr(binomials, "iter_exponents", None)  # never reached
+        with pytest.raises(DomainError, match="9537528 monomial pairs"):
+            enumerate_patterns(5, 11)
+        with pytest.raises(DomainError):
+            enumerate_patterns(40, 40)

@@ -159,6 +159,29 @@ class TestEnumerate:
             frozenset(((0, 0, 2), (1, 1, 0)))}
 
 
+def _forbid_enumeration_and_sampling(monkeypatch):
+    import toricdegen.binomials
+    import toricdegen.family
+    import toricdegen.theorem
+    # None makes any call fail the test; theorem holds its own copy of the name
+    monkeypatch.setattr(toricdegen.binomials, "iter_exponents", None)
+    monkeypatch.setattr(toricdegen.family, "sample_family", None)
+    monkeypatch.setattr(toricdegen.theorem, "sample_family", None)
+
+
+class TestPairBudget:
+    @pytest.mark.parametrize("argv", [
+        ("enumerate-binomials", "--n", "40", "--d", "40"),
+        ("nonexist", "--n", "5", "--d", "11"),
+    ])
+    def test_oversized_rejected_before_work(self, capsys, monkeypatch, argv):
+        _forbid_enumeration_and_sampling(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "monomial pairs" in err
+
+
 class TestNonexist:
     def test_2_4(self, capsys):
         code, out, _ = run(capsys, "nonexist", "--n", "2", "--d", "4",

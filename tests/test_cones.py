@@ -7,12 +7,13 @@ import toricdegen.cones
 from toricdegen import (
     BinomialPattern,
     CertificateError,
+    DimensionMismatchError,
     DomainError,
     LinearSystem,
     SupportMismatchError,
-    compatible_cone,
+    chain_implies,
     difference_functional,
-    implies,
+    iter_exponents,
     parse_poly,
     pattern_from_poly,
     satisfies,
@@ -20,7 +21,7 @@ from toricdegen import (
     stratum_system,
     verify_certificate,
 )
-from helpers import run_solver_suite
+from helpers import compatible_cone, implies, run_solver_suite
 
 
 def F(*entries):
@@ -166,3 +167,53 @@ class TestImplies:
 
     def test_difference_functional(self):
         assert difference_functional((0, 3, 0), (2, 0, 1)) == F(-2, 3, -1)
+
+
+def _differences(n, d):
+    exps = list(iter_exponents(n, d))
+    return sorted({tuple(a - b for a, b in zip(u, v)) for u in exps for v in exps})
+
+
+def _disagreements(g, tests):
+    h = tuple(a - b for a, b in zip(g.u, g.v))
+    cone = compatible_cone(g, tuple(range(g.n + 1)))
+    return [f for f in tests if chain_implies(h, f) != implies(cone, f)]
+
+
+class TestChainImplies:
+    def test_matches_fm_oracle_exhaustively(self):
+        # every pattern's identity cone against every exponent difference
+        for n in (1, 2):
+            for d in range(1, 5):
+                exps = list(iter_exponents(n, d))
+                tests = _differences(n, d)
+                for i, u in enumerate(exps):
+                    for v in exps[i + 1:]:
+                        assert not _disagreements(BinomialPattern(u, v), tests)
+
+    def test_matches_fm_oracle_sampled(self):
+        rng = Random(31)
+        for n in (3, 4):
+            for _ in range(150):
+                exps = list(iter_exponents(n, rng.randint(2, 6)))
+                u, v, a, b = (rng.choice(exps) for _ in range(4))
+                if u == v:
+                    continue
+                f = tuple(x - y for x, y in zip(a, b))
+                assert not _disagreements(BinomialPattern(u, v), [f]), (u, v)
+
+    def test_known_instances(self):
+        # cone of x1^3 - x0^2*x2 under 0 > 1 > 2: 3w1 = 2w0 + w2
+        h = (-2, 3, -1)
+        assert chain_implies(h, (1, 0, -1))
+        assert not chain_implies(h, (-1, 0, 1))
+        assert chain_implies((0, 0, 0), (2, -1, -1))
+        assert not chain_implies((0, 0, 0), (-1, 1, 0))
+
+    def test_rejects_unbalanced_functionals(self):
+        with pytest.raises(DomainError):
+            chain_implies((1, -1, 0), (1, 0, 0))
+        with pytest.raises(DomainError):
+            chain_implies((1, 0, 0), (1, -1, 0))
+        with pytest.raises(DimensionMismatchError):
+            chain_implies((1, -1), (1, -1, 0))

@@ -1,3 +1,5 @@
+import itertools
+import math
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ from toricdegen import (
     DomainError,
     classify,
     dominance_certificate,
+    enumerate_patterns,
     initial_form,
     nonexistence_certificate,
     strata_reduction_check,
@@ -16,7 +19,7 @@ from toricdegen import (
     witness_weight,
     existence_witness,
 )
-from toricdegen.theorem import _split_terms
+from toricdegen.theorem import _relabel_pattern, _split_terms
 
 
 class TestWitnessWeight:
@@ -106,7 +109,6 @@ class TestStrataReduction:
         assert strata_reduction_check(2, 4, g2, (0, 1, 2))
 
     def test_all_orderings_of_an_instance(self):
-        import itertools
         g = BinomialPattern((0, 3, 0), (2, 0, 1), 1, -1)
         for ordering in itertools.permutations(range(3)):
             assert strata_reduction_check(2, 3, g, ordering)
@@ -131,16 +133,29 @@ class TestStrataSurvey:
         assert survey.full and survey.passed
         assert survey.checked == 6 * 6  # 6 prime patterns x 3! orderings
 
-    def test_sampled_mode(self):
-        survey = strata_survey(3, 5, full=False, rng=Random(8),
-                               max_patterns=5, max_orderings=4)
-        assert not survey.full
-        assert survey.checked == 20
-        assert survey.passed
-
-    def test_sampled_mode_needs_rng(self):
+    def test_sampled_mode_removed(self):
         with pytest.raises(DomainError):
             strata_survey(3, 5, full=False)
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (3, 6)])
+    def test_one_check_per_pattern_covers_every_ordering(self, n, d):
+        # relabeling maps the prime patterns onto themselves, and each
+        # (pattern, ordering) stratum passes on its own
+        patterns = enumerate_patterns(n, d)
+        expected = {frozenset((g.u, g.v)) for g in patterns}
+        for ordering in itertools.permutations(range(n + 1)):
+            relabeled = {frozenset((g0.u, g0.v)) for g0 in
+                         (_relabel_pattern(g, ordering) for g in patterns)}
+            assert relabeled == expected, ordering
+            for g in patterns:
+                assert strata_reduction_check(n, d, g, ordering), (g, ordering)
+        survey = strata_survey(n, d)
+        assert survey.passed
+        assert survey.checked == len(patterns) * math.factorial(n + 1)
+
+    def test_pair_budget(self):
+        with pytest.raises(DomainError, match="monomial pairs"):
+            strata_survey(5, 11)
 
 
 class TestNonexistence:
@@ -162,11 +177,11 @@ class TestNonexistence:
         assert report.codim_bound == 1
         assert report.strata_full
 
-    def test_sampled_strata_above_cutoff(self):
+    def test_full_strata_past_old_cutoff(self):
         report = nonexistence_certificate(4, 8, 1, Random(12))
         assert report.codim_bound == 1
-        assert not report.strata_full
-        assert report.strata_reduced
+        assert report.strata_full and report.strata_reduced
+        assert report.strata_checked == 2630 * 120  # patterns x 5!
 
     def test_requires_past_threshold(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Repository checks that guard the library's own conventions."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toricdegen"
@@ -15,3 +16,21 @@ def test_no_assert_statements_in_library():
         found += [f"{path.relative_to(SRC.parent)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the library: " + ", ".join(found)
+
+
+def test_library_imports_only_the_standard_library():
+    # the library is stdlib-only: every import is relative or a stdlib module
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
+                      for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, "non-stdlib imports in the library: " + ", ".join(found)
