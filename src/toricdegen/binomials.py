@@ -56,6 +56,9 @@ class BinomialPattern:
         if len(self.u) != len(self.v):
             raise DimensionMismatchError(
                 f"exponent lengths {len(self.u)} vs {len(self.v)}")
+        for w in (self.u, self.v):
+            if any(e < 0 for e in w):
+                raise DegreeError(f"negative exponent in {w}")
         if self.u == self.v:
             raise DegreeError("the two monomials must be distinct")
         if sum(self.u) != sum(self.v):

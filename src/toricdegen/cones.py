@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
@@ -280,10 +280,14 @@ def chain_implies(h: Sequence[RatLike], f: Sequence[RatLike]) -> bool:
         raise DomainError("chain implication needs functionals summing to zero")
     H = list(accumulate(h))[:-1]
     F = list(accumulate(f))[:-1]
-    above = [Fraction(a) / b for a, b in zip(F, H) if b > 0]
-    below = [Fraction(a) / b for a, b in zip(F, H) if b < 0]
-    lam = min(above) if above else max(below, default=Fraction(0))
-    return all(a - lam * b >= 0 for a, b in zip(F, H))
+    # lam = F_j/H_j kept as a pair with H_j > 0; ratios are compared and the
+    # inequalities checked by cross-multiplying, so integers stay integers
+    above = [(a, b) for a, b in zip(F, H) if b > 0]
+    below = [(-a, -b) for a, b in zip(F, H) if b < 0]
+    ratio = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+    num, den = (min(above, key=ratio) if above
+                else max(below, key=ratio, default=(0, 1)))
+    return all(a * den - num * b >= 0 for a, b in zip(F, H))
 
 
 def stratum_system(f: HomogPoly, g: BinomialPattern) -> LinearSystem:

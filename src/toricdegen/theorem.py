@@ -15,7 +15,6 @@ permutation of the restricted family via implied-inequality certificates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 from random import Random
@@ -169,58 +168,29 @@ def _cone_within(g: BinomialPattern, cand: BinomialPattern) -> bool:
     return chain_implies(h, hc) and chain_implies(h, tuple(-a for a in hc))
 
 
-def _forced_blocks(g: BinomialPattern) -> list[list[int]]:
-    """Maximal index runs on which the compatible cone forces equal weights."""
-    h = _diff(g.u, g.v)
-    n = g.n
-    blocks: list[list[int]] = [[0]]
-    for j in range(n):
-        f = [1 if i == j + 1 else -1 if i == j else 0 for i in range(n + 1)]
-        if chain_implies(h, f):  # w_(j+1) >= w_j, so the chain forces equality
-            blocks[-1].append(j + 1)
-        else:
-            blocks.append([j + 1])
-    return blocks
-
-
-def _block_permutations(blocks: list[list[int]], size: int):
-    """All coordinate permutations moving indices only inside their block."""
-    per_block = [itertools.permutations(block) for block in blocks]
-    for choice in itertools.product(*per_block):
-        perm = list(range(size))
-        for block, image in zip(blocks, choice):
-            for src, dst in zip(block, image):
-                perm[src] = dst
-        yield tuple(perm)
-
-
-def _permute_pattern(g: BinomialPattern, perm: Sequence[int]) -> BinomialPattern:
-    """Relabel variable i as perm[i]."""
-    size = g.n + 1
-    u = [0] * size
-    v = [0] * size
-    for i in range(size):
-        u[perm[i]] = g.u[i]
-        v[perm[i]] = g.v[i]
-    return BinomialPattern(tuple(u), tuple(v), g.a, g.b)
-
-
 def _normalize(g: BinomialPattern) -> BinomialPattern:
-    """Search permutations within forced-equal-weight blocks for a
-    normalized relabeling.
+    """Swap the leading term's last index l with the other term's first index q.
 
-    Such permutations fix every compatible weight vector pointwise (those
-    are constant on each block), so the stratum of g maps into the stratum
-    of the returned pattern; the containment is re-certified by implied
-    equalities rather than assumed.
+    Called when l < q.  On the chain, weight(lead) >= d*w_l >= d*w_q >=
+    weight(other), and the balance makes the two ends equal, so every
+    compatible weight is constant on the run from the smallest index p to
+    the other term's last index.  The swap stays inside that run, fixes every
+    compatible weight, and so maps the stratum of g into the stratum of the
+    swapped pattern.  That pattern is normalized: a leading term with two or
+    more variables keeps p and now reaches q, past the other term's new first
+    index l; a pure power x_p^d hands p to the other term, which primality
+    gives two or more variables, so it reaches past q.  Both facts are
+    re-checked, by _is_normalized and by implied equalities.
     """
-    blocks = _forced_blocks(g)
-    for perm in _block_permutations(blocks, g.n + 1):
-        cand = _permute_pattern(g, perm)
-        if _is_normalized(cand) and _cone_within(g, cand):
-            return cand
-    raise NormalizationError(
-        f"no block permutation normalizes pattern {g.u} / {g.v}")
+    lead, _other, _p, q = _split_terms(g)
+    last = max(_support(lead))
+    swap = list(range(g.n + 1))
+    swap[last], swap[q] = q, last  # a transposition is its own inverse
+    cand = _relabel_pattern(g, swap)
+    if not (_is_normalized(cand) and _cone_within(g, cand)):
+        raise NormalizationError(
+            f"swapping x{last} and x{q} does not normalize pattern {g.u} / {g.v}")
+    return cand
 
 
 def _check_relabeled(n: int, d: int, g0: BinomialPattern) -> bool:
@@ -246,19 +216,23 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     compatible with the ordering) lies in a coordinate permutation of the
     restricted family.
 
-    After relabeling the ordering to the identity and, if needed, permuting
-    within forced-equal-weight blocks so the leading term reaches past the
-    other term's smallest index, the check demands: no excluded exponent
-    coincides with a monomial of g, and x1^d weighs at least the other term
-    on the compatible cone (every excluded exponent outweighs x1^d on any
-    cone with w0 >= w1).  Raises NormalizationError when no block
-    permutation works.
+    After relabeling the ordering to the identity and, if the leading term
+    lies wholly below the other term, swapping its last index with the other
+    term's first one (see _normalize), the check demands: no excluded
+    exponent coincides with a monomial of g, and x1^d weighs at least the
+    other term on the compatible cone (every excluded exponent outweighs
+    x1^d on any cone with w0 >= w1).  Raises DomainError unless the ordering
+    is a permutation of 0..n, and NormalizationError when the swapped
+    pattern fails its re-check.
     """
     _check_domain(n, d)
     if not classify(g).is_prime:
         raise DomainError("strata reduction applies to prime patterns only")
     if g.d != d or g.n != n:
         raise DomainError(f"pattern shape ({g.n},{g.d}) vs given ({n},{d})")
+    if sorted(ordering) != list(range(n + 1)):
+        raise DomainError(
+            f"ordering {tuple(ordering)} is not a permutation of 0..{n}")
     return _check_relabeled(n, d, _relabel_pattern(g, ordering))
 
 

@@ -19,6 +19,7 @@ from toricdegen import (
     HomogPoly,
     LinearSystem,
     basis,
+    chain_implies,
     difference_functional,
     excluded_exponents,
     format_poly,
@@ -183,7 +184,8 @@ def run_solver_suite(rng: Random, cases: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin oracle for implied inequalities (chain_implies)
+# Fourier-Motzkin oracle for implied inequalities (chain_implies), and the
+# forced-equal weight runs of a pattern's cone
 
 def implies(cone: LinearSystem, func: Sequence) -> bool:
     """True iff <func, w> >= 0 holds on every point of the cone.
@@ -196,6 +198,20 @@ def implies(cone: LinearSystem, func: Sequence) -> bool:
     test = tuple(-Fraction(e) for e in func)
     augmented = LinearSystem(cone.dim, cone.equalities, cone.weak_ineqs, (test,))
     return not solve(augmented).feasible
+
+
+def forced_blocks(g: BinomialPattern) -> list[list[int]]:
+    """Maximal index runs on which g's compatible cone (identity ordering)
+    forces equal weights: j + 1 joins j's run when w_(j+1) >= w_j is implied."""
+    h = tuple(a - b for a, b in zip(g.u, g.v))
+    blocks = [[0]]
+    for j in range(g.n):
+        f = [1 if i == j + 1 else -1 if i == j else 0 for i in range(g.n + 1)]
+        if chain_implies(h, f):
+            blocks[-1].append(j + 1)
+        else:
+            blocks.append([j + 1])
+    return blocks
 
 
 def compatible_cone(g: BinomialPattern, ordering: Sequence[int]) -> LinearSystem:

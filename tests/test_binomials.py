@@ -66,6 +66,13 @@ class TestClassify:
         with pytest.raises(DegreeError):
             pat((1, 0), (0, 1), a=0)
 
+    @pytest.mark.parametrize("u,v", [((5, -1, 0), (0, 0, 4)),
+                                     ((0, 0, 4), (5, -1, 0))])
+    def test_negative_exponent_rejected(self, u, v):
+        # the same error HomogPoly raises for the same exponent
+        with pytest.raises(DegreeError, match="negative exponent in"):
+            pat(u, v)
+
 
 class TestClassifyPoly:
     def test_not_two_terms(self):

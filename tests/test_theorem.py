@@ -19,7 +19,9 @@ from toricdegen import (
     witness_weight,
     existence_witness,
 )
-from toricdegen.theorem import _relabel_pattern, _split_terms
+from toricdegen.theorem import (_cone_within, _is_normalized, _normalize,
+                                _relabel_pattern, _split_terms, _support)
+from helpers import forced_blocks
 
 
 class TestWitnessWeight:
@@ -125,6 +127,36 @@ class TestStrataReduction:
         g = BinomialPattern((2, 0, 0), (0, 2, 0))
         with pytest.raises(DomainError):
             strata_reduction_check(2, 2, g, (0, 1, 2))
+
+    @pytest.mark.parametrize("ordering", [(0, 1, -1), (0, 1, 2, 3), (0, 0, 1)])
+    def test_ordering_must_be_a_permutation(self, ordering):
+        g = BinomialPattern((0, 4, 0), (3, 0, 1), 1, -1)
+        with pytest.raises(DomainError, match="not a permutation"):
+            strata_reduction_check(2, 4, g, ordering)
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                     (3, 6), (3, 7), (3, 8), (3, 9), (4, 8)])
+    def test_lead_below_other_forces_one_run(self, n, d):
+        # When the leading term lies wholly below the other term, the cone
+        # forces equal weights exactly from p to the other term's last index,
+        # and swapping l with q inside that run normalizes the pattern.
+        seen = 0
+        for g in enumerate_patterns(n, d):
+            lead, other, p, q = _split_terms(g)
+            last = max(_support(lead))
+            if last >= q:
+                continue
+            seen += 1
+            m = max(_support(other))
+            runs = [run for run in forced_blocks(g) if len(run) > 1]
+            assert runs == [list(range(p, m + 1))], g
+            assert p <= last < q <= m
+            swap = list(range(n + 1))
+            swap[last], swap[q] = q, last
+            cand = _relabel_pattern(g, swap)
+            assert _is_normalized(cand) and _cone_within(g, cand), g
+            assert _normalize(g) == cand
+        assert seen
 
 
 class TestStrataSurvey:

@@ -34,3 +34,24 @@ def test_library_imports_only_the_standard_library():
                       for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, "non-stdlib imports in the library: " + ", ".join(found)
+
+
+def test_library_uses_every_name_it_imports():
+    # a top-level import the module never reads is dead weight; __init__.py
+    # re-exports its imports, and `from __future__` binds nothing
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
+                      for name in bound if name not in used]
+    assert not found, "unused imports in the library: " + ", ".join(found)
