@@ -46,21 +46,13 @@ from .family import (
     differential_rank,
     excluded_block,
     excluded_exponents,
+    face_exponents,
     key_matrix,
     redundancy_check,
     sample_family,
     structural_rank_bound,
 )
-from .linalg import (
-    MonomialBasis,
-    QMatrix,
-    RankReport,
-    basis,
-    from_vector,
-    rank,
-    span_contains,
-    to_vector,
-)
+from .linalg import QMatrix, RankReport, rank
 from .poly import (
     Exponent,
     HomogPoly,

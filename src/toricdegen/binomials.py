@@ -17,7 +17,7 @@ from functools import reduce
 from math import comb, gcd
 
 from .errors import DegreeError, DimensionMismatchError, DomainError
-from .poly import Exponent, HomogPoly, iter_exponents
+from .poly import Exponent, HomogPoly, count_exponents, iter_exponents
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
@@ -111,12 +111,15 @@ def classify_poly(f: HomogPoly) -> PrimeVerdict:
 
 
 def check_pair_budget(n: int, d: int) -> None:
-    """Reject (n, d) whose C(C(n+d, d), 2) monomial pairs exceed MAX_PAIRS."""
-    pairs = comb(comb(n + d, d), 2)
-    if pairs > MAX_PAIRS:
+    """Reject (n, d) whose C(C(n+d, d), 2) monomial pairs exceed MAX_PAIRS.
+
+    More than MAX_PAIRS monomials already make more than MAX_PAIRS pairs, so
+    the monomial count is capped there.
+    """
+    if comb(count_exponents(n, d, MAX_PAIRS), 2) > MAX_PAIRS:
         raise DomainError(
-            f"{pairs} monomial pairs at n={n}, d={d} exceed the limit of "
-            f"{MAX_PAIRS}")
+            f"C(C({n + d}, {d}), 2) monomial pairs at n={n}, d={d} exceed the "
+            f"limit of {MAX_PAIRS}")
 
 
 def enumerate_patterns(n: int, d: int) -> list[BinomialPattern]:

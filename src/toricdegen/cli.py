@@ -31,7 +31,8 @@ from .errors import (
     VariableIndexError,
     ZeroPolynomialError,
 )
-from .family import differential_rank, key_matrix, sample_family
+from .family import (_check_domain, check_ambient, differential_rank, key_matrix,
+                     sample_family)
 from .linalg import RankReport, rank
 from .poly import HomogPoly, format_poly, parse_poly
 from .theorem import (
@@ -103,7 +104,7 @@ def _require(condition: bool, message: str) -> None:
 def cmd_verify_lemma(args) -> int:
     cfg = _config(args)
     n, d = args.n, args.d
-    _require(n >= 2 and d >= 2, f"need n >= 2 and d >= 2, got n={n}, d={d}")
+    _check_domain(n, d)
     _require(cfg.samples >= 1, f"samples must be positive, got {cfg.samples}")
     rng = Random(cfg.seed)
     expected_min = min(d - 1, 2 * n - 2)
@@ -136,7 +137,7 @@ def cmd_verify_lemma(args) -> int:
 def cmd_witness(args) -> int:
     cfg = _config(args)
     n, d = args.n, args.d
-    _require(n >= 2 and d >= 2, f"need n >= 2 and d >= 2, got n={n}, d={d}")
+    _check_domain(n, d)
     rng = Random(cfg.seed)
     bundle = existence_witness(n, d, rng, cfg.bound)
     payload = {
@@ -202,6 +203,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _config(args)
+    check_ambient(args.n, args.d)
     f = parse_poly(args.poly, args.n, args.d)
     verdict = classify_poly(f)
     payload = {
@@ -216,6 +218,7 @@ def cmd_classify(args) -> int:
 
 def cmd_stratum(args) -> int:
     cfg = _config(args)
+    check_ambient(args.n, args.d)
     f = parse_poly(args.f, args.n, args.d)
     g_poly = parse_poly(args.g, args.n, args.d)
     pattern = pattern_from_poly(g_poly)
@@ -306,12 +309,19 @@ def _add_common(sub, with_nd: bool = True) -> None:
                          help="hypersurface degree")
     sub.add_argument("--seed", type=int, default=1,
                      help="seed determining every random draw (default 1)")
-    sub.add_argument("--samples", type=int, default=3,
-                     help="sampled family members per certificate (default 3)")
-    sub.add_argument("--bound", type=int, default=1000,
-                     help="coefficient bound for sampling (default 1000)")
     sub.add_argument("--format", choices=("json", "table"), default="json",
                      help="output format (default json)")
+
+
+def _add_bound(sub) -> None:
+    sub.add_argument("--bound", type=int, default=1000,
+                     help="coefficient bound for sampling (default 1000)")
+
+
+def _add_sampling(sub) -> None:
+    sub.add_argument("--samples", type=int, default=3,
+                     help="sampled family members per certificate (default 3)")
+    _add_bound(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,17 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-lemma", parents=(), help="check the key "
                         "matrix rank and differential codimension formulas")
     _add_common(p)
+    _add_sampling(p)
     p.set_defaults(func=cmd_verify_lemma)
 
     p = subs.add_parser("witness", help="produce a prime-binomial initial "
                         "form witness with its dominance report")
     _add_common(p)
+    _add_bound(p)
     p.set_defaults(func=cmd_witness)
 
     p = subs.add_parser("sweep", help="threshold sweep over a (n, d) grid")
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--d-max", dest="d_max", type=int, required=True)
     _add_common(p, with_nd=False)
+    _add_sampling(p)
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("classify", help="classify a two-term polynomial")
@@ -356,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("nonexist", help="non-existence certificate past "
                         "the threshold")
     _add_common(p)
+    _add_sampling(p)
     p.set_defaults(func=cmd_nonexist)
     return parser
 

@@ -15,6 +15,11 @@ holds at every point, not only at generic ones.  Rows with j >= 2 vanish,
 since no excluded exponent contains x2..xn.  At a family point the rows
 (i, 0) and (i, 1) for i >= 2 carry the banded key matrix, the row (1, 0)
 carries a single spike at x0*x1^(d-1), and every other row is zero.
+
+The block reads only the face, the 1 + (n-1)*d non-excluded exponents one
+product step from the excluded ones (face_exponents): x1^d and
+x0^a*x1^(d-1-a)*x_i for i >= 2.  So a family point is sampled on the face
+alone, and the whole degree-d monomial basis is never built.
 """
 
 from __future__ import annotations
@@ -27,12 +32,12 @@ from random import Random
 from typing import Mapping
 
 from .errors import DomainError
-from .linalg import QMatrix, RankReport, basis, rank
-from .poly import Exponent, HomogPoly
+from .linalg import QMatrix, RankReport, rank
+from .poly import Exponent, HomogPoly, RatLike, count_exponents
 
-# Largest ambient dimension C(n+d, d) accepted.  Sampling a point builds the
-# monomial basis and one coefficient per monomial, O(ambient) in time and
-# memory.
+# Largest ambient dimension C(n+d, d) admitted, which fixes the (n, d)
+# domain of every command.  Sampling and the rank certificates read only
+# the face, 1 + (n-1)*d coefficients, so their cost does not depend on it.
 MAX_AMBIENT = 500_000
 
 
@@ -54,13 +59,22 @@ class ExclusionSet:
         return len(self.members)
 
 
+def check_ambient(n: int, d: int) -> None:
+    """Reject (n, d) with more than MAX_AMBIENT degree-d monomials, or more
+    than MAX_AMBIENT variables (which C(n+d, d) misses at d = 0)."""
+    if n + 1 > MAX_AMBIENT:
+        raise DomainError(
+            f"{n + 1} variables at n={n} exceed the limit of {MAX_AMBIENT}")
+    if count_exponents(n, d, MAX_AMBIENT) > MAX_AMBIENT:
+        raise DomainError(
+            f"ambient dimension C({n + d}, {d}) at n={n}, d={d} exceeds the "
+            f"limit of {MAX_AMBIENT}")
+
+
 def _check_domain(n: int, d: int) -> None:
     if n < 2 or d < 2:
         raise DomainError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    if comb(n + d, d) > MAX_AMBIENT:
-        raise DomainError(
-            f"ambient dimension C({n + d}, {d}) = {comb(n + d, d)} at n={n}, "
-            f"d={d} exceeds the limit of {MAX_AMBIENT}")
+    check_ambient(n, d)
 
 
 @lru_cache(maxsize=None)
@@ -75,50 +89,73 @@ def excluded_exponents(n: int, d: int) -> ExclusionSet:
     return ExclusionSet(n, d, tuple(members))
 
 
+def _step(w: Exponent, i: int, j: int) -> Exponent:
+    """w - e_j + e_i: the exponent whose term, differentiated by x_i and
+    multiplied by x_j, lands on x^w."""
+    u = list(w)
+    u[j] -= 1
+    u[i] += 1
+    return tuple(u)
+
+
+@lru_cache(maxsize=None)
+def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
+    """The exponents whose coefficients excluded_block reads, excluded ones
+    aside: every w - e_j + e_i with w excluded and w_j >= 1 that is not
+    excluded itself.  They are x1^d and x0^a*x1^(d-1-a)*x_i for
+    0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all, descending graded-lex.
+    """
+    excluded = excluded_exponents(n, d)
+    face = {_step(w, i, j) for w in excluded.members
+            for j in range(n + 1) if w[j] for i in range(n + 1)}
+    return tuple(sorted(face.difference(excluded.members), reverse=True))
+
+
 class FamilyPoint:
-    """Full coefficient vector of a family member (zeros on the excluded set)."""
+    """A family member, held by its nonzero coefficients; a nonzero
+    coefficient on an excluded exponent raises DomainError."""
 
-    __slots__ = ("n", "d", "coeffs")
+    __slots__ = ("n", "d", "_poly")
 
-    def __init__(self, n: int, d: int, coeffs: Mapping[Exponent, Fraction],
-                 validate: bool = True):
+    def __init__(self, n: int, d: int, coeffs: Mapping[Exponent, RatLike]):
+        excluded = excluded_exponents(n, d)
         self.n = n
         self.d = d
-        self.coeffs = {tuple(u): Fraction(c) for u, c in coeffs.items()}
-        if validate:
-            excluded = excluded_exponents(n, d)
-            B = basis(n, d)
-            if set(self.coeffs) != set(B.exponents):
-                raise DomainError("coefficient map must cover every degree-d exponent")
-            bad = [u for u in excluded.members if self.coeffs[u]]
-            if bad:
-                raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
+        self._poly = HomogPoly(n, d, coeffs)
+        bad = [u for u in self._poly.support() if u in excluded]
+        if bad:
+            raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
+
+    @property
+    def coeffs(self) -> dict[Exponent, Fraction]:
+        return dict(self._poly.terms())
 
     def coeff(self, u: Exponent) -> Fraction:
-        return self.coeffs.get(tuple(u), Fraction(0))
+        return self._poly.coeff(u)
 
     def to_poly(self) -> HomogPoly:
-        return HomogPoly(self.n, self.d,
-                         {u: c for u, c in self.coeffs.items() if c})
+        return self._poly
 
 
 def sample_family(n: int, d: int, rng: Random, bound: int = 1000) -> FamilyPoint:
-    """Random family member with nonzero integer coefficients off the excluded set.
+    """Random family member, nonzero exactly on the face.
 
-    Coefficients are uniform on the nonzero integers in [-bound, bound].
+    One coefficient is drawn per face exponent, in descending graded-lex
+    order, uniform on the nonzero integers in [-bound, bound].  Every
+    certificate reads only the face: excluded_block, and with it the
+    differential rank, the key matrix and the redundancy check, and the
+    staircase initial form, under which every non-excluded monomial off the
+    face weighs strictly less than x1^d.  A rank at any point bounds the generic rank
+    from below, so a face point certifies as much as a dense one.
     """
     _check_domain(n, d)
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
-    excluded = excluded_exponents(n, d)
-    coeffs: dict[Exponent, Fraction] = {}
-    for u in basis(n, d).exponents:
-        if u in excluded:
-            coeffs[u] = Fraction(0)
-        else:
-            k = rng.randrange(2 * bound)
-            coeffs[u] = Fraction(k - bound if k < bound else k - bound + 1)
-    return FamilyPoint(n, d, coeffs, validate=False)
+    coeffs = {}
+    for u in face_exponents(n, d):
+        k = rng.randrange(2 * bound)
+        coeffs[u] = k - bound if k < bound else k - bound + 1
+    return FamilyPoint(n, d, coeffs)
 
 
 def excluded_block(point: FamilyPoint) -> QMatrix:
@@ -139,9 +176,7 @@ def excluded_block(point: FamilyPoint) -> QMatrix:
                 if not w[j]:
                     row.append(0)
                     continue
-                u = list(w)
-                u[j] -= 1
-                u[i] += 1
+                u = _step(w, i, j)
                 row.append(u[i] * point.coeff(u))
             rows.append(row)
     return QMatrix(rows)
@@ -168,7 +203,7 @@ def structural_rank_bound(n: int, d: int) -> int:
 
 def differential_rank(point: FamilyPoint, mode: str = "exact",
                       rng: Random | None = None) -> RankReport:
-    """Rank of the differential-image span inside the full monomial basis,
+    """Rank of the differential-image span among the degree-d forms,
     computed exactly as (ambient - d) + rank(excluded_block(point)).
 
     Both accepted modes, "exact" and "probabilistic", run this one exact

@@ -1,21 +1,19 @@
-"""Exact rational matrices: rank, span membership, coefficient vectors.
+"""Exact rational matrices and their rank.
 
 Rank runs fraction-free (Bareiss) elimination on an integer-scaled copy of
-the matrix, so intermediate entries stay integral.  Span membership reduces
-sparse rows (column -> value) against an echelon pivot set, exactly.
+the matrix, so intermediate entries stay integral.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-from .poly import Exponent, HomogPoly, RatLike, iter_exponents
+from .poly import RatLike
 
 
 class QMatrix:
@@ -47,52 +45,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
-
-
-class MonomialBasis:
-    """All degree-d exponents in n+1 variables, descending graded-lex."""
-
-    __slots__ = ("n", "d", "exponents", "_index")
-
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-        self.exponents: tuple[Exponent, ...] = tuple(iter_exponents(n, d))
-        self._index = {u: k for k, u in enumerate(self.exponents)}
-
-    def index_of(self, u: Exponent) -> int:
-        return self._index[tuple(u)]
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonomialBasis):
-            return NotImplemented
-        return (self.n, self.d) == (other.n, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d))
-
-
-@lru_cache(maxsize=None)
-def basis(n: int, d: int) -> MonomialBasis:
-    return MonomialBasis(n, d)
-
-
-def to_vector(f: HomogPoly, B: MonomialBasis) -> tuple[Fraction, ...]:
-    """Coefficient vector of f in basis order (zeros for absent monomials)."""
-    if f.n != B.n or f.d != B.d:
-        raise DimensionMismatchError(
-            f"poly shape ({f.n},{f.d}) vs basis ({B.n},{B.d})")
-    return tuple(f.coeff(u) for u in B.exponents)
-
-
-def from_vector(vec: Sequence[RatLike], B: MonomialBasis) -> HomogPoly:
-    if len(vec) != len(B):
-        raise DimensionMismatchError(f"vector length {len(vec)} vs basis {len(B)}")
-    return HomogPoly(B.n, B.d,
-                     {u: Fraction(c) for u, c in zip(B.exponents, vec) if c})
 
 
 @dataclass(frozen=True)
@@ -157,51 +109,3 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
 def rank(M: QMatrix | Sequence[Sequence[RatLike]]) -> int:
     """Exact rank over the rationals."""
     return _rank_bareiss(_integer_rows(M))
-
-
-# ---------------------------------------------------------------------------
-# sparse rows (dict col -> value)
-
-SparseRow = dict[int, Fraction]
-
-
-def _reduce_sparse(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
-    """Reduce a row against an echelon pivot set, exactly."""
-    r = dict(row)
-    heap = list(r)
-    heapq.heapify(heap)
-    while heap:
-        c = heapq.heappop(heap)
-        val = r.get(c)
-        if not val:
-            r.pop(c, None)
-            continue
-        piv = pivots.get(c)
-        if piv is None:
-            return r  # leading column c has no pivot; caller decides
-        factor = val / piv[c]
-        for cc, vv in piv.items():
-            nv = r.get(cc, Fraction(0)) - factor * vv
-            if nv:
-                if cc not in r and cc != c:
-                    heapq.heappush(heap, cc)
-                r[cc] = nv
-            else:
-                r.pop(cc, None)
-    return r
-
-
-def span_contains(v: Sequence[RatLike], rows: Iterable[Sequence[RatLike]]) -> bool:
-    """True iff v is a rational linear combination of the given rows."""
-    vec = {i: Fraction(e) for i, e in enumerate(v) if Fraction(e)}
-    width = len(v)
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        if len(row) != width:
-            raise DimensionMismatchError(
-                f"row length {len(row)} vs vector length {width}")
-        sparse = {i: Fraction(e) for i, e in enumerate(row) if Fraction(e)}
-        reduced = _reduce_sparse(sparse, pivots)
-        if reduced:
-            pivots[min(reduced)] = reduced
-    return not _reduce_sparse(vec, pivots)

@@ -48,6 +48,22 @@ def iter_exponents(n: int, d: int) -> Iterator[Exponent]:
             yield (first,) + rest
 
 
+def count_exponents(n: int, d: int, limit: int) -> int:
+    """C(n+d, d), the number of degree-d exponents in n+1 variables, or
+    limit + 1 once it is known to pass limit.
+
+    C(n+d, k) grows with k up to min(n, d), so it is multiplied out one k
+    at a time and abandoned at the first value past limit: no number much
+    larger than limit is ever built.
+    """
+    count = 1
+    for k in range(1, min(n, d) + 1):
+        count = count * (n + d + 1 - k) // k
+        if count > limit:
+            return limit + 1
+    return count
+
+
 class HomogPoly:
     """Homogeneous polynomial of fixed degree with exact coefficients.
 

@@ -6,6 +6,7 @@ passes while the acceptance suite runs the full counts.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -18,7 +19,6 @@ from toricdegen import (
     FamilyPoint,
     HomogPoly,
     LinearSystem,
-    basis,
     chain_implies,
     difference_functional,
     excluded_exponents,
@@ -31,7 +31,6 @@ from toricdegen import (
     solve,
     verify_certificate,
 )
-from toricdegen.linalg import SparseRow, _reduce_sparse
 from toricdegen.poly import iter_exponents
 
 
@@ -257,7 +256,7 @@ def differential_generators(point: FamilyPoint) -> list[Generator]:
     n, d = point.n, point.d
     excluded = excluded_exponents(n, d)
     gens: list[Generator] = []
-    for u in basis(n, d).exponents:
+    for u in iter_exponents(n, d):
         if u not in excluded:
             gens.append(Generator("monomial", u, HomogPoly.monomial(u)))
     f = point.to_poly()
@@ -267,6 +266,35 @@ def differential_generators(point: FamilyPoint) -> list[Generator]:
             xj = HomogPoly.monomial(tuple(1 if t == j else 0 for t in range(n + 1)))
             gens.append(Generator("product", (i, j), multiply(partials[i], xj)))
     return gens
+
+
+SparseRow = dict[int, Fraction]
+
+
+def _reduce_sparse(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
+    """Reduce a row against an echelon pivot set, exactly."""
+    r = dict(row)
+    heap = list(r)
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        val = r.get(c)
+        if not val:
+            r.pop(c, None)
+            continue
+        piv = pivots.get(c)
+        if piv is None:
+            return r  # leading column c has no pivot; caller decides
+        factor = val / piv[c]
+        for cc, vv in piv.items():
+            nv = r.get(cc, Fraction(0)) - factor * vv
+            if nv:
+                if cc not in r and cc != c:
+                    heapq.heappush(heap, cc)
+                r[cc] = nv
+            else:
+                r.pop(cc, None)
+    return r
 
 
 def rank_sparse_exact(rows: Iterable[SparseRow]) -> int:
@@ -280,9 +308,14 @@ def rank_sparse_exact(rows: Iterable[SparseRow]) -> int:
     return count
 
 
+def sparse_rows(polys: Iterable[HomogPoly], n: int, d: int) -> list[SparseRow]:
+    """Each polynomial as a sparse row over the degree-d monomials, indexed
+    in descending graded-lex order."""
+    index = {u: k for k, u in enumerate(iter_exponents(n, d))}
+    return [{index[u]: c for u, c in f.terms()} for f in polys]
+
+
 def full_span_rank(point: FamilyPoint) -> int:
     """Rank of every differential generator over the full monomial basis."""
-    B = basis(point.n, point.d)
-    return rank_sparse_exact(
-        {B.index_of(u): c for u, c in gen.poly.terms()}
-        for gen in differential_generators(point))
+    return rank_sparse_exact(sparse_rows(
+        (gen.poly for gen in differential_generators(point)), point.n, point.d))

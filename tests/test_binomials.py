@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from random import Random
 
 import pytest
@@ -16,6 +16,7 @@ from toricdegen import (
     parse_poly,
     pattern_from_poly,
 )
+from toricdegen.poly import count_exponents
 from helpers import brute_prime_pairs, permute_poly
 
 
@@ -165,7 +166,11 @@ class TestEnumerate:
         import toricdegen.binomials as binomials
         binomials.check_pair_budget(5, 10)  # 4,507,503 pairs: admitted
         monkeypatch.setattr(binomials, "iter_exponents", None)  # never reached
-        with pytest.raises(DomainError, match="9537528 monomial pairs"):
+        # C(4368, 2) = 9,537,528 pairs; the message names (n, d) and the
+        # limit, never a count, which can run to thousands of digits
+        assert comb(count_exponents(5, 11, binomials.MAX_PAIRS), 2) == 9537528
+        with pytest.raises(DomainError, match="monomial pairs at n=5, d=11 "
+                                              "exceed the limit of 5000000"):
             enumerate_patterns(5, 11)
         with pytest.raises(DomainError):
             enumerate_patterns(40, 40)

@@ -11,6 +11,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _forbid_enumeration_and_sampling(monkeypatch):
+    import toricdegen.binomials
+    import toricdegen.cli
+    import toricdegen.family
+    import toricdegen.theorem
+    # None makes any call fail the test; cli and theorem hold their own
+    # copies of the name
+    monkeypatch.setattr(toricdegen.binomials, "iter_exponents", None)
+    for module in (toricdegen.family, toricdegen.theorem, toricdegen.cli):
+        monkeypatch.setattr(module, "sample_family", None)
+
+
 class TestVerifyLemma:
     def test_boundary_case(self, capsys):
         code, out, _ = run(capsys, "verify-lemma", "--n", "3", "--d", "5",
@@ -42,8 +54,7 @@ class TestVerifyLemma:
         assert "samples" in err
 
     def test_oversized_rejected_before_basis(self, capsys, monkeypatch):
-        import toricdegen.family
-        monkeypatch.setattr(toricdegen.family, "basis", None)  # never reached
+        _forbid_enumeration_and_sampling(monkeypatch)
         code, _out, err = run(capsys, "verify-lemma", "--n", "40", "--d", "40")
         assert code == 64
         assert "ambient dimension" in err
@@ -92,8 +103,7 @@ class TestSweep:
         assert "all_match = True" in out
 
     def test_oversized_rejected_before_basis(self, capsys, monkeypatch):
-        import toricdegen.family
-        monkeypatch.setattr(toricdegen.family, "basis", None)  # never reached
+        _forbid_enumeration_and_sampling(monkeypatch)
         code, out, err = run(capsys, "sweep", "--n-max", "40", "--d-max", "40")
         assert code == 64
         assert out == ""
@@ -159,16 +169,6 @@ class TestEnumerate:
             frozenset(((0, 0, 2), (1, 1, 0)))}
 
 
-def _forbid_enumeration_and_sampling(monkeypatch):
-    import toricdegen.binomials
-    import toricdegen.family
-    import toricdegen.theorem
-    # None makes any call fail the test; theorem holds its own copy of the name
-    monkeypatch.setattr(toricdegen.binomials, "iter_exponents", None)
-    monkeypatch.setattr(toricdegen.family, "sample_family", None)
-    monkeypatch.setattr(toricdegen.theorem, "sample_family", None)
-
-
 class TestPairBudget:
     @pytest.mark.parametrize("argv", [
         ("enumerate-binomials", "--n", "40", "--d", "40"),
@@ -180,6 +180,64 @@ class TestPairBudget:
         assert code == 64
         assert out == ""
         assert "monomial pairs" in err
+
+
+class TestHugeInputs:
+    # C(n+d, d) has thousands of digits here; the limits are decided from a
+    # count capped just past them, so nothing huge is computed or printed
+    @pytest.mark.parametrize("argv", [
+        ("verify-lemma", "--n", "7200", "--d", "7200"),
+        ("sweep", "--n-max", "7200", "--d-max", "7200"),
+        ("nonexist", "--n", "7200", "--d", "7200"),
+        ("enumerate-binomials", "--n", "4000", "--d", "4000"),
+        ("witness", "--n", "1000000", "--d", "1000000"),
+    ])
+    def test_rejected_as_usage(self, capsys, monkeypatch, argv):
+        _forbid_enumeration_and_sampling(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "exceed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--poly", "x0 + x1", "--n", "10000000", "--d", "1"),
+        ("classify", "--poly", "1", "--n", "10000000", "--d", "0"),
+        ("stratum", "--f", "x0 + x1", "--g", "x0 - x1",
+         "--n", "10000000", "--d", "1"),
+        ("classify", "--poly", "x0^20 + x1^20", "--n", "10", "--d", "20"),
+    ])
+    def test_parse_commands_rejected_before_parsing(self, capsys, monkeypatch,
+                                                    argv):
+        import toricdegen.cli
+        monkeypatch.setattr(toricdegen.cli, "parse_poly", None)  # never reached
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "exceed" in err
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--poly", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
+        ("stratum", "--f", "x1^3+x0^2*x2+x2^3", "--g", "x1^3 + x0^2*x2",
+         "--n", "2", "--d", "3"),
+        ("enumerate-binomials", "--n", "2", "--d", "2"),
+    ])
+    @pytest.mark.parametrize("flag", [("--samples", "2"), ("--bound", "5")])
+    def test_sampling_flags_only_where_sampling_happens(self, capsys, argv,
+                                                        flag):
+        code, out, _err = run(capsys, *argv, *flag)
+        assert code == 64
+        assert out == ""
+
+    def test_witness_takes_no_samples(self, capsys):
+        code, out, _err = run(capsys, "witness", "--n", "2", "--d", "3",
+                              "--samples", "0")
+        assert code == 64
+        assert out == ""
+        code, _out, _err = run(capsys, "witness", "--n", "2", "--d", "3",
+                               "--bound", "5")
+        assert code == 0
 
 
 class TestNonexist:

@@ -1,27 +1,63 @@
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
 
 from toricdegen import (
+    DegreeError,
+    DimensionMismatchError,
     DomainError,
     FamilyPoint,
     HomogPoly,
     apply_linear_change,
-    basis,
     differential_rank,
     excluded_block,
     excluded_exponents,
+    face_exponents,
+    initial_form,
+    iter_exponents,
     key_matrix,
     rank,
     redundancy_check,
     sample_family,
-    span_contains,
     structural_rank_bound,
-    to_vector,
+    weight_of,
+    witness_weight,
 )
 from toricdegen.family import MAX_AMBIENT
-from helpers import differential_generators, full_span_rank, rank_sparse_exact
+from helpers import (
+    differential_generators,
+    full_span_rank,
+    rank_sparse_exact,
+    sparse_rows,
+)
+
+
+def full_support_point(n, d, rng):
+    """A family point with a nonzero coefficient on every non-excluded
+    exponent."""
+    excl = excluded_exponents(n, d)
+    return FamilyPoint(n, d, {u: rng.choice((-9, -4, -1, 1, 2, 7))
+                              for u in iter_exponents(n, d) if u not in excl})
+
+
+def in_span(poly, rows, n, d):
+    """Span membership by rank: adding poly to rows leaves the rank as is."""
+    base = sparse_rows(rows, n, d)
+    return rank_sparse_exact(base + sparse_rows([poly], n, d)) == \
+        rank_sparse_exact(base)
+
+
+class _ReadRecorder:
+    """Stands in for a family point and records every coefficient read."""
+
+    def __init__(self, n, d):
+        self.n, self.d, self.read = n, d, set()
+
+    def coeff(self, u):
+        self.read.add(tuple(u))
+        return Fraction(1)
 
 
 class TestExclusionSet:
@@ -53,16 +89,44 @@ class TestExclusionSet:
             sample_family(8, 17, Random(1))
 
 
+class TestFace:
+    def test_face_is_what_excluded_block_reads(self):
+        for n in range(2, 6):
+            for d in range(2, 10):
+                recorder = _ReadRecorder(n, d)
+                excluded_block(recorder)
+                excl = set(excluded_exponents(n, d).members)
+                face = face_exponents(n, d)
+                assert set(face) == recorder.read - excl, (n, d)
+                assert len(face) == 1 + (n - 1) * d
+
+    def test_closed_form_in_descending_order(self):
+        for n, d in [(2, 2), (3, 5), (5, 4)]:
+            x1d = tuple(d if t == 1 else 0 for t in range(n + 1))
+            spokes = [tuple(a if t == 0 else d - 1 - a if t == 1 else int(t == i)
+                            for t in range(n + 1))
+                      for a in range(d) for i in range(2, n + 1)]
+            assert face_exponents(n, d) == \
+                tuple(sorted([x1d] + spokes, reverse=True))
+
+
 class TestSampling:
-    def test_zero_exactly_on_exclusions(self):
-        rng = Random(1)
-        point = sample_family(3, 4, rng)
-        excl = excluded_exponents(3, 4)
-        for u in basis(3, 4).exponents:
-            if u in excl:
-                assert point.coeff(u) == 0
-            else:
-                assert point.coeff(u) != 0
+    def test_nonzero_exactly_on_face(self):
+        for n, d in [(2, 3), (3, 4), (4, 9)]:
+            point = sample_family(n, d, Random(1))
+            face = set(face_exponents(n, d))
+            for u in iter_exponents(n, d):
+                assert (point.coeff(u) != 0) == (u in face), (n, d, u)
+            assert set(point.coeffs) == face
+
+    def test_draws_one_value_per_face_exponent(self):
+        for n, d in [(2, 2), (3, 7), (5, 12)]:
+            rng = Random(4)
+            sample_family(n, d, rng, bound=50)
+            replay = Random(4)
+            for _ in range(1 + (n - 1) * d):
+                replay.randrange(100)
+            assert rng.getstate() == replay.getstate()
 
     def test_spike_coefficients_nonzero(self):
         rng = Random(2)
@@ -81,9 +145,17 @@ class TestSampling:
         assert values and all(1 <= abs(c) <= 5 for c in values)
 
     def test_validation(self):
-        coeffs = {u: Fraction(1) for u in basis(2, 2).exponents}
+        coeffs = {u: Fraction(1) for u in iter_exponents(2, 2)}
         with pytest.raises(DomainError):
             FamilyPoint(2, 2, coeffs)  # nonzero on the excluded set
+        coeffs = {(2, 0, 0): 0, (0, 2, 0): 3}  # a zero there is no coefficient
+        assert FamilyPoint(2, 2, coeffs).coeffs == {(0, 2, 0): 3}
+
+    def test_exponent_checks(self):
+        with pytest.raises(DegreeError):
+            FamilyPoint(2, 3, {(0, 2, 0): 1})
+        with pytest.raises(DimensionMismatchError):
+            FamilyPoint(2, 2, {(0, 2): 1})
 
 
 class TestGenerators:
@@ -98,7 +170,7 @@ class TestGenerators:
         for n, d in [(2, 4), (3, 3), (4, 2)]:
             point = sample_family(n, d, Random(5))
             gens = differential_generators(point)
-            assert len(gens) == (len(basis(n, d)) - d) + (n + 1) ** 2
+            assert len(gens) == (comb(n + d, d) - d) + (n + 1) ** 2
 
     def test_product_1_0_hits_the_last_excluded_monomial(self):
         for n, d in [(2, 3), (3, 5)]:
@@ -114,12 +186,11 @@ class TestGenerators:
     def test_high_j_products_inside_monomial_span(self):
         # products with j > 1 lie in the span of the monomial generators
         point = sample_family(2, 4, Random(7))
-        B = basis(2, 4)
         gens = differential_generators(point)
-        rows = [to_vector(g.poly, B) for g in gens if g.kind == "monomial"]
+        rows = [g.poly for g in gens if g.kind == "monomial"]
         for g in gens:
             if g.kind == "product" and g.origin[1] > 1:
-                assert span_contains(to_vector(g.poly, B), rows)
+                assert in_span(g.poly, rows, 2, 4)
 
 
 class TestKeyMatrix:
@@ -169,18 +240,19 @@ class TestDifferentialRank:
 
     def test_exact_mode_agrees(self):
         # the excluded-face rank against the full-span oracle, at sampled
-        # points and at sparse {-1, 0, 1} points that fall below the bound
+        # points, at full-support points and at sparse {-1, 0, 1} points
+        # that fall below the bound
         rng = Random(15)
         below = 0
         grid = [(2, d) for d in range(2, 7)] + [(3, d) for d in range(3, 9)] \
             + [(4, d) for d in range(4, 7)]
         for n, d in grid:
             excl = excluded_exponents(n, d)
-            points = [sample_family(n, d, rng)]
+            points = [sample_family(n, d, rng), full_support_point(n, d, rng)]
             for _ in range(3):
                 points.append(FamilyPoint(n, d, {
-                    u: Fraction(0) if u in excl else Fraction(rng.choice((-1, 0, 0, 1)))
-                    for u in basis(n, d).exponents}))
+                    u: rng.choice((-1, 0, 0, 1))
+                    for u in iter_exponents(n, d) if u not in excl}))
             for point in points:
                 report = differential_rank(point)
                 assert report.rank == full_span_rank(point), (n, d)
@@ -219,7 +291,7 @@ class TestDifferentialRank:
         # valid family points with many zero / repeated coefficients
         for n, d in [(2, 4), (3, 5)]:
             excl = excluded_exponents(n, d)
-            exps = basis(n, d).exponents
+            exps = tuple(iter_exponents(n, d))
             x1d = tuple(d if i == 1 else 0 for i in range(n + 1))
             sparse = {u: Fraction(0) for u in exps}
             sparse[x1d] = Fraction(1)
@@ -233,15 +305,11 @@ class TestDifferentialRank:
     def test_rank_invariant_under_group_translation(self):
         rng = Random(17)
         point = sample_family(2, 3, rng)
-        B = basis(2, 3)
         gens = [g.poly for g in differential_generators(point)]
-        base = rank_sparse_exact(
-            {B.index_of(u): c for u, c in g.terms()} for g in gens)
+        base = rank_sparse_exact(sparse_rows(gens, 2, 3))
         matrix = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]  # det = 3, invertible
         moved = [apply_linear_change(g, matrix) for g in gens if not g.is_zero()]
-        translated = rank_sparse_exact(
-            {B.index_of(u): c for u, c in g.terms()} for g in moved)
-        assert translated == base
+        assert rank_sparse_exact(sparse_rows(moved, 2, 3)) == base
 
 
 class TestRedundancy:
@@ -253,26 +321,58 @@ class TestRedundancy:
         # independent route: explicit span membership over the monomial
         # generators plus the (1, 0) product's excluded spike
         point = sample_family(2, 4, Random(20))
-        B = basis(2, 4)
         gens = differential_generators(point)
-        rows = [to_vector(g.poly, B) for g in gens if g.kind == "monomial"]
-        spike = HomogPoly.monomial(excluded_exponents(2, 4).members[-1])
-        rows.append(to_vector(spike, B))
+        rows = [g.poly for g in gens if g.kind == "monomial"]
+        rows.append(HomogPoly.monomial(excluded_exponents(2, 4).members[-1]))
         verdicts = []
         for g in gens:
             i, j = g.origin if g.kind == "product" else (None, None)
             if g.kind != "product" or not (i == 0 or (i, j) == (1, 1) or j > 1):
                 continue
-            verdicts.append(span_contains(to_vector(g.poly, B), rows))
+            verdicts.append(in_span(g.poly, rows, 2, 4))
         assert all(verdicts) == redundancy_check(point).ok
         assert verdicts  # the filter selected something
 
     def test_corrupted_point_fails(self):
-        # deliberately violates the family invariant (validate=False)
+        # a point off the family, built past the constructor that rejects it
         point = sample_family(2, 3, Random(21))
         coeffs = dict(point.coeffs)
         coeffs[(2, 1, 0)] = Fraction(1)
-        corrupted = FamilyPoint(2, 3, coeffs, validate=False)
+        with pytest.raises(DomainError):
+            FamilyPoint(2, 3, coeffs)
+        corrupted = object.__new__(FamilyPoint)
+        corrupted.n, corrupted.d = 2, 3
+        corrupted._poly = HomogPoly(2, 3, coeffs)
         report = redundancy_check(corrupted)
         assert not report.ok
         assert report.failures
+
+
+class TestFaceRestriction:
+    GRID = [(2, d) for d in range(2, 9)] + [(3, d) for d in range(3, 9)] \
+        + [(4, d) for d in range(4, 8)]
+
+    def test_face_alone_gives_the_same_certificates(self):
+        rng = Random(24)
+        for n, d in self.GRID:
+            full = full_support_point(n, d, rng)
+            face = FamilyPoint(n, d, {u: full.coeff(u)
+                                      for u in face_exponents(n, d)})
+            assert len(face.coeffs) < len(full.coeffs)
+            assert excluded_block(face) == excluded_block(full), (n, d)
+            assert key_matrix(face) == key_matrix(full)
+            assert differential_rank(face) == differential_rank(full)
+            assert redundancy_check(face) == redundancy_check(full)
+            omega = witness_weight(n, d)
+            assert initial_form(face.to_poly(), omega) == \
+                initial_form(full.to_poly(), omega)
+
+    def test_off_face_monomials_weigh_less_than_the_staircase_top(self):
+        for n, d in self.GRID:
+            omega = witness_weight(n, d)
+            top = d * (d - 1)
+            excl = excluded_exponents(n, d)
+            face = set(face_exponents(n, d))
+            for u in iter_exponents(n, d):
+                if u not in excl and u not in face:
+                    assert weight_of(u, omega) < top, (n, d, u)

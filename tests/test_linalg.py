@@ -1,65 +1,36 @@
 from fractions import Fraction
+from math import comb
 from random import Random
 
-import pytest
-
-from toricdegen import (
-    DimensionMismatchError,
-    HomogPoly,
-    QMatrix,
-    basis,
-    from_vector,
-    parse_poly,
-    rank,
-    span_contains,
-    to_vector,
-)
+from toricdegen import QMatrix, iter_exponents, rank
+from toricdegen.poly import count_exponents
 from helpers import rank_sparse_exact
 
 
 class TestBasis:
     def test_n1_d2(self):
-        B = basis(1, 2)
-        assert B.exponents == ((2, 0), (1, 1), (0, 2))
+        assert tuple(iter_exponents(1, 2)) == ((2, 0), (1, 1), (0, 2))
 
     def test_sizes(self):
-        assert len(basis(2, 3)) == 10
-        assert len(basis(4, 7)) == 330
+        assert len(list(iter_exponents(2, 3))) == 10
+        assert len(list(iter_exponents(4, 7))) == 330
 
     def test_strictly_descending(self):
-        B = basis(3, 4)
-        assert all(a > b for a, b in zip(B.exponents, B.exponents[1:]))
+        exps = tuple(iter_exponents(3, 4))
+        assert all(a > b for a, b in zip(exps, exps[1:]))
 
-    def test_index_lookup(self):
-        B = basis(2, 3)
-        for k, u in enumerate(B.exponents):
-            assert B.index_of(u) == k
+    def test_count_below_the_limit_is_exact(self):
+        for n in range(0, 7):
+            for d in range(0, 9):
+                assert count_exponents(n, d, 10**6) == comb(n + d, d)
+        assert count_exponents(5, 12, 6188) == 6188
 
-
-class TestVectors:
-    def test_two_unit_entries(self):
-        f = parse_poly("x1^3 + x0^2*x2", 2, 3)
-        vec = to_vector(f, basis(2, 3))
-        assert sorted(vec, reverse=True)[:2] == [1, 1]
-        assert sum(1 for c in vec if c) == 2
-
-    def test_zero_poly(self):
-        vec = to_vector(HomogPoly.zero(2, 3), basis(2, 3))
-        assert all(c == 0 for c in vec)
-
-    def test_roundtrip(self):
-        rng = Random(1)
-        from helpers import random_poly
-        for _ in range(20):
-            f = random_poly(rng, 2, 3)
-            B = basis(2, 3)
-            assert from_vector(to_vector(f, B), B) == f
-            vec = to_vector(f, B)
-            assert to_vector(from_vector(vec, B), B) == vec
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            to_vector(HomogPoly.zero(2, 2), basis(2, 3))
+    def test_count_past_the_limit_stops_early(self):
+        assert count_exponents(5, 12, 6187) == 6188
+        assert count_exponents(8, 17, 500_000) == 500_001  # C(25, 8) = 1,081,575
+        # C(2*10^6, 10^6) has 602,059 digits; the count stops at k = 2
+        assert count_exponents(10**6, 10**6, 500_000) == 500_001
+        assert count_exponents(10**7, 0, 500_000) == 1
 
 
 class TestRank:
@@ -109,34 +80,3 @@ class TestRank:
             sparse = [{j: Fraction(e) for j, e in enumerate(row) if e}
                       for row in dense]
             assert rank_sparse_exact(sparse) == rank(dense)
-
-
-class TestSpan:
-    def test_sum_of_rows(self):
-        r1 = [1, 2, 3]
-        r2 = [0, 1, 1]
-        v = [a + b for a, b in zip(r1, r2)]
-        assert span_contains(v, [r1, r2])
-
-    def test_outside_span(self):
-        assert not span_contains([0, 1], [[1, 0]])
-
-    def test_zero_vector_always_inside(self):
-        assert span_contains([0, 0, 0], [])
-
-    def test_row_equivalent_replacement(self):
-        rng = Random(5)
-        for _ in range(10):
-            rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
-            v = [rng.randint(-5, 5) for _ in range(4)]
-            verdict = span_contains(v, rows)
-            # scale a row, swap rows, add one row to another
-            equivalent = [row[:] for row in rows]
-            equivalent[0] = [3 * e for e in equivalent[0]]
-            equivalent[1], equivalent[2] = equivalent[2], equivalent[1]
-            equivalent[1] = [a + b for a, b in zip(equivalent[1], equivalent[0])]
-            assert span_contains(v, equivalent) == verdict
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            span_contains([1, 0], [[1, 0, 0]])

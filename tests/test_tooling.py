@@ -1,10 +1,14 @@
 """Repository checks that guard the library's own conventions."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "toricdegen"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "toricdegen"
 
 
 def test_no_assert_statements_in_library():
@@ -55,3 +59,18 @@ def test_library_uses_every_name_it_imports():
             found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
                       for name in bound if name not in used]
     assert not found, "unused imports in the library: " + ", ".join(found)
+
+
+def test_traced_benchmark_child_runs(tmp_path):
+    # perfbench's tracer looks up every library module by name, so removing
+    # or renaming one breaks the traced benchmark run
+    trace = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"),
+         "--trace-out", str(trace), "cli", "verify-lemma", "--n", "3",
+         "--d", "6", "--seed", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = {span[2] for span in json.loads(trace.read_text())["spans"]}
+    assert "family.differential_rank" in names
