@@ -13,8 +13,10 @@ from .binomials import (
     PrimeVerdict,
     classify,
     classify_poly,
+    count_prime_patterns,
     enumerate_patterns,
     pattern_from_poly,
+    prime_pairs,
 )
 from .cones import (
     FeasibilityResult,
@@ -34,7 +36,6 @@ from .errors import (
     GenericityError,
     NormalizationError,
     PolySyntaxError,
-    SingularMatrixError,
     SupportMismatchError,
     VariableIndexError,
     ZeroPolynomialError,
@@ -57,13 +58,10 @@ from .poly import (
     Exponent,
     HomogPoly,
     WeightVector,
-    apply_linear_change,
     format_poly,
     initial_form,
     iter_exponents,
-    multiply,
     parse_poly,
-    partial_derivative,
     weight_of,
     weight_vector,
 )

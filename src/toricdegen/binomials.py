@@ -7,26 +7,41 @@ jointly coprime.  A shared variable factors out as a monomial; a joint gcd
 k >= 2 makes the binomial a difference/sum of k-th powers, which splits.
 Coefficient values never matter beyond being nonzero, so enumeration works
 on support patterns with fixed coefficients 1 and -1.
+
+prime_pairs generates the prime patterns directly as exponent pairs, each
+exponent paired only with the exponents on the variables it leaves free, so
+the work is about twice the pattern count rather than C(C(n+d, d), 2)
+monomial pairs.  count_prime_patterns gives the same count in closed form,
+which decides the budgets before any pattern is generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from math import comb, gcd
+from typing import Iterator
 
 from .errors import DegreeError, DimensionMismatchError, DomainError
-from .poly import Exponent, HomogPoly, count_exponents, iter_exponents
+from .family import check_ambient
+from .poly import Exponent, HomogPoly, iter_exponents
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
 SHARED_VARIABLE = "SharedVariable"
 PROPER_POWER = "ProperPower"
 
-# Largest number of unordered monomial pairs C(C(n+d, d), 2) that pattern
-# enumeration will filter: (5, 10) has 4,507,503, (5, 11) has 9,537,528.
-MAX_PAIRS = 5_000_000
+# Most prime patterns a strata survey streams through its checks: (6, 12)
+# has 942,102 and (6, 13) 1,456,434; (7, 14) has 18,128,544.
+MAX_PATTERNS = 2_000_000
+
+# Most exponent entries, 2*(n+1) per pattern, that a listing of every
+# pattern holds and enumerate-binomials prints: (5, 11) has 934,920,
+# (30, 2) has 6,688,560.
+MAX_LISTED = 1_000_000
+
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -51,8 +66,10 @@ class BinomialPattern:
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "v", tuple(self.v))
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if not isinstance(self.a, Fraction):
+            object.__setattr__(self, "a", Fraction(self.a))
+        if not isinstance(self.b, Fraction):
+            object.__setattr__(self, "b", Fraction(self.b))
         if len(self.u) != len(self.v):
             raise DimensionMismatchError(
                 f"exponent lengths {len(self.u)} vs {len(self.v)}")
@@ -110,33 +127,100 @@ def classify_poly(f: HomogPoly) -> PrimeVerdict:
     return classify(g)
 
 
-def check_pair_budget(n: int, d: int) -> None:
-    """Reject (n, d) whose C(C(n+d, d), 2) monomial pairs exceed MAX_PAIRS.
+def _mobius(g: int) -> int:
+    """Moebius function: 0 unless g is squarefree, else (-1)^(prime count)."""
+    sign, k, f = 1, g, 2
+    while f * f <= k:
+        if k % f == 0:
+            k //= f
+            if k % f == 0:
+                return 0
+            sign = -sign
+        f += 1
+    return -sign if k > 1 else sign
 
-    More than MAX_PAIRS monomials already make more than MAX_PAIRS pairs, so
-    the monomial count is capped there.
+
+def count_prime_patterns(n: int, d: int) -> int:
+    """The number of prime patterns of degree d in n+1 variables, in closed
+    form.  check_ambient runs first, which keeps the sum short.
+
+    Ordered pairs of degree-e exponents with disjoint nonempty supports of
+    sizes s and t number P(e) = sum C(n+1, s) C(n+1-s, t) C(e-1, s-1)
+    C(e-1, t-1): the supports, then a positive composition of e on each.
+    Such a pair has joint gcd divisible by g exactly when it is g times a
+    pair of degree d/g, so Moebius inversion leaves sum_(g|d) mu(g) P(d/g)
+    jointly coprime ordered pairs, each pattern twice.
     """
-    if comb(count_exponents(n, d, MAX_PAIRS), 2) > MAX_PAIRS:
+    if n < 0 or d < 0:
+        raise DomainError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
+    check_ambient(n, d)
+
+    def ordered(e: int) -> int:
+        return sum(comb(n + 1, s) * comb(n + 1 - s, t)
+                   * comb(e - 1, s - 1) * comb(e - 1, t - 1)
+                   for s in range(1, min(n + 1, e) + 1)
+                   for t in range(1, min(n + 1 - s, e) + 1))
+
+    return sum(_mobius(g) * ordered(d // g)
+               for g in range(1, d + 1) if d % g == 0) // 2
+
+
+def check_pattern_budget(n: int, d: int) -> int:
+    """The prime-pattern count, or DomainError past MAX_PATTERNS."""
+    count = count_prime_patterns(n, d)
+    if count > MAX_PATTERNS:
         raise DomainError(
-            f"C(C({n + d}, {d}), 2) monomial pairs at n={n}, d={d} exceed the "
-            f"limit of {MAX_PAIRS}")
+            f"{count} prime patterns at n={n}, d={d} exceed the limit of "
+            f"{MAX_PATTERNS}")
+    return count
+
+
+def check_listing_budget(n: int, d: int) -> int:
+    """The prime-pattern count, or DomainError when listing every pattern
+    takes more than MAX_LISTED exponent entries."""
+    count = count_prime_patterns(n, d)
+    if 2 * (n + 1) * count > MAX_LISTED:
+        raise DomainError(
+            f"{2 * (n + 1) * count} exponent entries of the {count} prime "
+            f"patterns at n={n}, d={d} exceed the limit of {MAX_LISTED}")
+    return count
+
+
+def prime_pairs(n: int, d: int) -> Iterator[tuple[Exponent, Exponent]]:
+    """Every prime pattern of degree d in n+1 variables as an exponent pair
+    (u, v), u graded-lex before v, in the order of u and then of v.
+
+    With disjoint supports, v comes after u exactly when v lives on variables
+    past u's first one, so v runs over the degree-d exponents on the
+    variables past min(supp(u)) outside supp(u), descending, and is kept when
+    the entries of u and v are jointly coprime.  Up to placement those
+    exponents depend only on how many variables are free, so the list for
+    each number is built once.
+    """
+    rests: dict[int, tuple[Exponent, ...]] = {}
+    for u in iter_exponents(n, d):
+        first = next((i for i, e in enumerate(u) if e), n)
+        free = [i for i in range(first + 1, n + 1) if not u[i]]
+        if not free:
+            continue
+        ws = rests.get(len(free))
+        if ws is None:
+            ws = rests[len(free)] = tuple(iter_exponents(len(free) - 1, d))
+        g = gcd(*u)
+        for w in ws:
+            if g == 1 or gcd(g, *w) == 1:
+                v = [0] * (n + 1)
+                for i, e in zip(free, w):
+                    v[i] = e
+                yield u, tuple(v)
 
 
 def enumerate_patterns(n: int, d: int) -> list[BinomialPattern]:
-    """All prime support patterns of degree d in n+1 variables.
+    """All prime support patterns of degree d in n+1 variables, as
+    prime_pairs lists them, with symbolic coefficients 1 and -1.
 
-    Each unordered pair appears once, with the graded-lex earlier exponent
-    first and symbolic coefficients 1 and -1.  A pair is tested on support
-    bit masks and exponent gcds; only prime pairs become patterns.
+    Raises DomainError when the list would hold more than MAX_LISTED
+    exponent entries.
     """
-    check_pair_budget(n, d)
-    exps = tuple(iter_exponents(n, d))
-    masks = [sum(1 << i for i, e in enumerate(u) if e) for u in exps]
-    gcds = [reduce(gcd, u) for u in exps]
-    out: list[BinomialPattern] = []
-    for i, u in enumerate(exps):
-        mu, gu = masks[i], gcds[i]
-        for j in range(i + 1, len(exps)):
-            if not mu & masks[j] and gcd(gu, gcds[j]) == 1:
-                out.append(BinomialPattern(u, exps[j], Fraction(1), Fraction(-1)))
-    return out
+    check_listing_budget(n, d)
+    return [BinomialPattern(u, v, _ONE, _MINUS_ONE) for u, v in prime_pairs(n, d)]

@@ -17,7 +17,8 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .binomials import classify_poly, enumerate_patterns, pattern_from_poly
+from .binomials import (check_listing_budget, classify_poly, pattern_from_poly,
+                        prime_pairs)
 from .cones import solve, stratum_system
 from .errors import (
     CertificateError,
@@ -34,8 +35,9 @@ from .errors import (
 from .family import (_check_domain, check_ambient, differential_rank, key_matrix,
                      sample_family)
 from .linalg import RankReport, rank
-from .poly import HomogPoly, format_poly, parse_poly
+from .poly import _format_monomial, format_poly, parse_poly
 from .theorem import (
+    check_samples,
     existence_witness,
     nonexistence_certificate,
     sweep_row_matches,
@@ -105,14 +107,19 @@ def cmd_verify_lemma(args) -> int:
     cfg = _config(args)
     n, d = args.n, args.d
     _check_domain(n, d)
-    _require(cfg.samples >= 1, f"samples must be positive, got {cfg.samples}")
+    check_samples(cfg.samples)
     rng = Random(cfg.seed)
     expected_min = min(d - 1, 2 * n - 2)
     expected_codim = (d - 1) - expected_min
-    points = [sample_family(n, d, rng, cfg.bound) for _ in range(cfg.samples)]
-    best_key = max(rank(key_matrix(point)) for point in points)
-    best = max((differential_rank(point) for point in points),
-               key=lambda report: report.rank)
+    # one point at a time: ranks never draw from rng, so the points drawn
+    # do not depend on when they are ranked; the first maximal report wins
+    best_key, best = -1, None
+    for _ in range(cfg.samples):
+        point = sample_family(n, d, rng, cfg.bound)
+        best_key = max(best_key, rank(key_matrix(point)))
+        report = differential_rank(point)
+        if best is None or report.rank > best.rank:
+            best = report
     payload = {
         "n": n,
         "d": d,
@@ -256,17 +263,18 @@ def cmd_enumerate(args) -> int:
     cfg = _config(args)
     _require(args.n >= 1 and args.d >= 1,
              f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
-    patterns = enumerate_patterns(args.n, args.d)
+    check_listing_budget(args.n, args.d)
+    patterns = [{
+        "u": list(u),
+        "v": list(v),
+        "lhs": _format_monomial(u),
+        "rhs": _format_monomial(v),
+    } for u, v in prime_pairs(args.n, args.d)]
     payload = {
         "n": args.n,
         "d": args.d,
         "count": len(patterns),
-        "patterns": [{
-            "u": list(g.u),
-            "v": list(g.v),
-            "lhs": format_poly(HomogPoly.monomial(g.u)),
-            "rhs": format_poly(HomogPoly.monomial(g.v)),
-        } for g in patterns],
+        "patterns": patterns,
     }
     _emit(payload, cfg, _enumerate_table)
     return 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import reduce
 from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
@@ -278,16 +278,22 @@ def chain_implies(h: Sequence[RatLike], f: Sequence[RatLike]) -> bool:
         raise DimensionMismatchError(f"lengths {len(h)} vs {len(f)}")
     if sum(h) != 0 or sum(f) != 0:
         raise DomainError("chain implication needs functionals summing to zero")
-    H = list(accumulate(h))[:-1]
-    F = list(accumulate(f))[:-1]
-    # lam = F_j/H_j kept as a pair with H_j > 0; ratios are compared and the
-    # inequalities checked by cross-multiplying, so integers stay integers
-    above = [(a, b) for a, b in zip(F, H) if b > 0]
-    below = [(-a, -b) for a, b in zip(F, H) if b < 0]
-    ratio = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
-    num, den = (min(above, key=ratio) if above
-                else max(below, key=ratio, default=(0, 1)))
-    return all(a * den - num * b >= 0 for a, b in zip(F, H))
+    # (F_k, H_k) for every k; the last pair is (0, 0) and constrains nothing
+    pairs = list(zip(accumulate(f), accumulate(h)))
+    # lam = num/den with den > 0: the smallest F_j/H_j over H_j > 0, else the
+    # largest over H_j < 0, else 0.  Ratios are compared and the inequalities
+    # checked by cross-multiplying, so integers stay integers.
+    num = den = None
+    for a, b in pairs:
+        if b > 0 and (den is None or a * den < num * b):
+            num, den = a, b
+    if den is None:
+        for a, b in pairs:
+            if b < 0 and (den is None or a * den < num * b):
+                num, den = -a, -b
+    if den is None:
+        num, den = 0, 1
+    return all(a * den >= num * b for a, b in pairs)
 
 
 def stratum_system(f: HomogPoly, g: BinomialPattern) -> LinearSystem:

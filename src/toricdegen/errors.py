@@ -21,10 +21,6 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
-class SingularMatrixError(ValueError):
-    """A linear change of coordinates requires an invertible matrix."""
-
-
 class SupportMismatchError(ValueError):
     """Binomial monomials absent from the polynomial, or coefficients differ."""
 

@@ -32,9 +32,6 @@ class QMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.entries)) if self.rows else QMatrix(())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented

@@ -16,12 +16,14 @@ permutation of the restricted family via implied-inequality certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import factorial
+from operator import sub
 from random import Random
 from typing import Sequence
 
-from .binomials import (BinomialPattern, PrimeVerdict, check_pair_budget, classify,
-                        enumerate_patterns, pattern_from_poly)
+from .binomials import (BinomialPattern, PrimeVerdict, check_pattern_budget,
+                        classify, pattern_from_poly, prime_pairs)
 from .cones import chain_implies
 from .errors import CertificateError, DomainError, GenericityError, NormalizationError
 from .family import (
@@ -72,6 +74,18 @@ def _spike_exponents(n: int, d: int) -> tuple[Exponent, Exponent]:
 
 _RESAMPLE_BUDGET = 5
 
+# Most sampled family members a certificate draws; each costs a rank, about
+# 2.7 ms at (5, 12), and a larger count adds nothing the maximum needs.
+MAX_SAMPLES = 1000
+
+
+def check_samples(samples: int) -> None:
+    """Reject a sample count below 1 or above MAX_SAMPLES."""
+    if samples < 1:
+        raise DomainError(f"samples must be positive, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"samples exceed the limit of {MAX_SAMPLES}")
+
 
 def existence_witness(n: int, d: int, rng: Random,
                       bound: int = 1000) -> WitnessBundle:
@@ -115,8 +129,7 @@ def dominance_certificate(n: int, d: int, samples: int, rng: Random,
     dense open subset of the degree-d coefficient space.
     """
     _check_domain(n, d)
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
+    check_samples(samples)
     return max((differential_rank(sample_family(n, d, rng, bound))
                 for _ in range(samples)), key=lambda report: report.rank)
 
@@ -125,89 +138,88 @@ def dominance_certificate(n: int, d: int, samples: int, rng: Random,
 # strata reduction
 
 def _support(u: Exponent) -> tuple[int, ...]:
-    return tuple(i for i, e in enumerate(u) if e)
+    return tuple(compress(range(len(u)), u))
 
 
-def _relabel_pattern(g: BinomialPattern, ordering: Sequence[int]) -> BinomialPattern:
+def _relabel(u: Exponent, ordering: Sequence[int]) -> Exponent:
     """Relabel variables so the given ordering becomes 0, 1, ..., n."""
-    u = tuple(g.u[i] for i in ordering)
-    v = tuple(g.v[i] for i in ordering)
-    return BinomialPattern(u, v, g.a, g.b)
+    return tuple(u[i] for i in ordering)
 
 
-def _split_terms(g: BinomialPattern) -> tuple[Exponent, Exponent, int, int]:
+def _split_terms(u: Exponent, v: Exponent) -> tuple[Exponent, Exponent, int, int]:
     """Leading term (containing the smallest index), other term, and their
     smallest indices p and q."""
-    su, sv = _support(g.u), _support(g.v)
-    p = min(su + sv)
-    if p in su:
-        lead, other = g.u, g.v
-        q = min(sv)
-    else:
-        lead, other = g.v, g.u
-        q = min(su)
-    return lead, other, p, q
+    su, sv = _support(u), _support(v)
+    if su[0] <= sv[0]:
+        return u, v, su[0], sv[0]
+    return v, u, sv[0], su[0]
 
 
-def _is_normalized(g: BinomialPattern) -> bool:
-    lead, _other, _p, q = _split_terms(g)
-    return max(_support(lead)) > q
+def _is_normalized(u: Exponent, v: Exponent) -> bool:
+    lead, _other, _p, q = _split_terms(u, v)
+    return _support(lead)[-1] > q
 
 
 def _diff(u: Exponent, v: Exponent) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
-def _cone_within(g: BinomialPattern, cand: BinomialPattern) -> bool:
-    """Certify that every weight compatible with g is compatible with cand.
+def _cone_within(u: Exponent, v: Exponent, cu: Exponent, cv: Exponent) -> bool:
+    """Certify that every weight compatible with u / v is compatible with
+    cu / cv.
 
-    The chain parts coincide, so only cand's balance equality needs to hold
-    identically on g's cone (both implied directions).
+    The chain parts coincide, so only the candidate's balance equality needs
+    to hold identically on the cone of u / v (both implied directions).
     """
-    h, hc = _diff(g.u, g.v), _diff(cand.u, cand.v)
+    h, hc = _diff(u, v), _diff(cu, cv)
     return chain_implies(h, hc) and chain_implies(h, tuple(-a for a in hc))
 
 
-def _normalize(g: BinomialPattern) -> BinomialPattern:
+def _normalize(u: Exponent, v: Exponent) -> tuple[Exponent, Exponent]:
     """Swap the leading term's last index l with the other term's first index q.
 
     Called when l < q.  On the chain, weight(lead) >= d*w_l >= d*w_q >=
     weight(other), and the balance makes the two ends equal, so every
     compatible weight is constant on the run from the smallest index p to
     the other term's last index.  The swap stays inside that run, fixes every
-    compatible weight, and so maps the stratum of g into the stratum of the
-    swapped pattern.  That pattern is normalized: a leading term with two or
-    more variables keeps p and now reaches q, past the other term's new first
-    index l; a pure power x_p^d hands p to the other term, which primality
-    gives two or more variables, so it reaches past q.  Both facts are
-    re-checked, by _is_normalized and by implied equalities.
+    compatible weight, and so maps the stratum of u / v into the stratum of
+    the swapped pattern.  That pattern is normalized: a leading term with two
+    or more variables keeps p and now reaches q, past the other term's new
+    first index l; a pure power x_p^d hands p to the other term, which
+    primality gives two or more variables, so it reaches past q.  Both facts
+    are re-checked, by _is_normalized and by implied equalities.
     """
-    lead, _other, _p, q = _split_terms(g)
-    last = max(_support(lead))
-    swap = list(range(g.n + 1))
+    lead, _other, _p, q = _split_terms(u, v)
+    last = _support(lead)[-1]
+    swap = list(range(len(u)))
     swap[last], swap[q] = q, last  # a transposition is its own inverse
-    cand = _relabel_pattern(g, swap)
-    if not (_is_normalized(cand) and _cone_within(g, cand)):
+    cu, cv = _relabel(u, swap), _relabel(v, swap)
+    if not (_is_normalized(cu, cv) and _cone_within(u, v, cu, cv)):
         raise NormalizationError(
-            f"swapping x{last} and x{q} does not normalize pattern {g.u} / {g.v}")
-    return cand
+            f"swapping x{last} and x{q} does not normalize pattern {u} / {v}")
+    return cu, cv
 
 
-def _check_relabeled(n: int, d: int, g0: BinomialPattern) -> bool:
-    """Run the reduction checks on an identity-ordered pattern."""
-    lead, other, _p, q = _split_terms(g0)
+def _check_pattern(u: Exponent, v: Exponent, x1d: Exponent,
+                   excluded: frozenset[Exponent]) -> bool:
+    """Run the reduction checks on the identity-ordered pattern u / v, with
+    x1d = x1^d and the excluded exponents built once by the caller."""
+    lead, other, _p, q = _split_terms(u, v)
     if q == 0:
-        raise CertificateError(
-            f"pattern {g0.u} / {g0.v} has x0 in both terms")
-    if max(_support(lead)) < q:
-        g0 = _normalize(g0)
-        _lead, other, _p, _q = _split_terms(g0)
-    x1d, _ = _spike_exponents(n, d)
-    blocked = excluded_exponents(n, d)
-    if g0.u in blocked or g0.v in blocked:
+        raise CertificateError(f"pattern {u} / {v} has x0 in both terms")
+    if _support(lead)[-1] < q:
+        u, v = _normalize(u, v)
+        _lead, other, _p, _q = _split_terms(u, v)
+    if u in excluded or v in excluded:
         return False
     # excluded w - x1^d = a*(e0 - e1), a >= 1, and the chain has w0 >= w1
-    return chain_implies(_diff(g0.u, g0.v), _diff(x1d, other))
+    return chain_implies(_diff(u, v), _diff(x1d, other))
+
+
+def _check_constants(n: int, d: int) -> tuple[Exponent, frozenset[Exponent]]:
+    """x1^d and the excluded exponents, which every pattern's check reads."""
+    x1d, _ = _spike_exponents(n, d)
+    return x1d, frozenset(excluded_exponents(n, d).members)
 
 
 def strata_reduction_check(n: int, d: int, g: BinomialPattern,
@@ -233,7 +245,8 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     if sorted(ordering) != list(range(n + 1)):
         raise DomainError(
             f"ordering {tuple(ordering)} is not a permutation of 0..{n}")
-    return _check_relabeled(n, d, _relabel_pattern(g, ordering))
+    return _check_pattern(_relabel(g.u, ordering), _relabel(g.v, ordering),
+                          *_check_constants(n, d))
 
 
 @dataclass(frozen=True)
@@ -247,32 +260,42 @@ class StrataSurvey:
 
 
 def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
-    """Run strata_reduction_check on every (prime pattern, ordering) stratum.
+    """Run the strata reduction check on every (prime pattern, ordering)
+    stratum.
 
     Relabeling by an ordering maps the prime patterns onto themselves, since
     disjoint supports and a joint gcd of 1 survive any permutation of the
     variables, and the check is symmetric in the two monomials.  So the
     strata under all (n+1)! orderings are the identity-ordered strata of the
     patterns, each met (n+1)! times: every pattern is checked once, in
-    identity order, and `checked` counts patterns x (n+1)!.  A failure is
-    reported as (u, v, identity ordering, reason).  The survey is always
-    full; `full` is kept for callers that pass True, and any other value
-    raises DomainError.
+    identity order, as it streams from prime_pairs, and `checked` counts
+    patterns x (n+1)!.  The streamed count must equal the closed-form count
+    that decided the pattern budget, or CertificateError is raised.  A
+    failure is reported as (u, v, identity ordering, reason).  The survey is
+    always full; `full` is kept for callers that pass True, and any other
+    value raises DomainError.
     """
     _check_domain(n, d)
     if full is not True:
         raise DomainError("the strata survey is always full")
-    patterns = enumerate_patterns(n, d)
+    expected = check_pattern_budget(n, d)
+    x1d, excluded = _check_constants(n, d)
     identity = tuple(range(n + 1))
+    count = 0
     failures = []
-    for g in patterns:
+    for u, v in prime_pairs(n, d):
+        count += 1
         try:
-            ok, reason = _check_relabeled(n, d, g), ""
+            ok, reason = _check_pattern(u, v, x1d, excluded), ""
         except NormalizationError as exc:
             ok, reason = False, str(exc)
         if not ok:
-            failures.append((g.u, g.v, identity, reason))
-    return StrataSurvey(n=n, d=d, checked=len(patterns) * factorial(n + 1),
+            failures.append((u, v, identity, reason))
+    if count != expected:
+        raise CertificateError(
+            f"{count} prime patterns generated at n={n}, d={d}, but the "
+            f"closed form counts {expected}")
+    return StrataSurvey(n=n, d=d, checked=count * factorial(n + 1),
                         full=True, passed=not failures,
                         failures=tuple(failures))
 
@@ -313,15 +336,14 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     differential codimension equals it exactly, confirms generator
     redundancy, and reduces every (prime pattern, ordering) stratum into a
     permuted copy of the restricted family with the full strata survey, at
-    every (n, d) the ambient and pair budgets admit.  The random source
+    every (n, d) the ambient and pattern budgets admit.  The random source
     feeds the family samples only.
     """
     _check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
-    check_pair_budget(n, d)
+    check_samples(samples)
+    check_pattern_budget(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
     points = []
@@ -374,6 +396,7 @@ def threshold_sweep(n_max: int, d_max: int, rng: Random, samples: int = 3,
     if n_max < 2 or d_max < 2:
         raise DomainError("need n_max >= 2 and d_max >= 2")
     _check_domain(n_max, d_max)  # the largest grid point bounds all others
+    check_samples(samples)
     rows = []
     for n in range(2, n_max + 1):
         for d in range(2, d_max + 1):

@@ -15,23 +15,24 @@ from typing import Iterable, NamedTuple, Sequence
 
 from toricdegen import (
     BinomialPattern,
+    DimensionMismatchError,
     DomainError,
     FamilyPoint,
     HomogPoly,
     LinearSystem,
+    QMatrix,
+    VariableIndexError,
     chain_implies,
     difference_functional,
     excluded_exponents,
     format_poly,
     initial_form,
-    multiply,
     parse_poly,
-    partial_derivative,
     satisfies,
     solve,
     verify_certificate,
 )
-from toricdegen.poly import iter_exponents
+from toricdegen.poly import Exponent, RatLike, iter_exponents
 
 
 def random_poly(rng: Random, n: int, d: int, max_terms: int = 6) -> HomogPoly:
@@ -71,6 +72,101 @@ def permute_weight(w, perm: tuple[int, ...]):
     for i, e in enumerate(w):
         out[perm[i]] = Fraction(e)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# exact algebra that only the oracles and property suites use
+
+class SingularMatrixError(ValueError):
+    """A linear change of coordinates requires an invertible matrix."""
+
+
+def partial_derivative(f: HomogPoly, i: int) -> HomogPoly:
+    """Partial derivative with respect to x_i; may be the zero polynomial."""
+    if i < 0 or i > f.n:
+        raise VariableIndexError(f"index {i} outside 0..{f.n}")
+    out: dict[Exponent, Fraction] = {}
+    for u, c in f.terms():
+        if u[i] == 0:
+            continue
+        v = u[:i] + (u[i] - 1,) + u[i + 1:]
+        out[v] = out.get(v, Fraction(0)) + c * u[i]
+    return HomogPoly(f.n, max(f.d - 1, 0), out)
+
+
+def multiply(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """Exact product; degrees add."""
+    if f.n != g.n:
+        raise DimensionMismatchError(f"ambient {f.n} vs {g.n}")
+    out: dict[Exponent, Fraction] = {}
+    for u, cu in f.terms():
+        for v, cv in g.terms():
+            uv = tuple(a + b for a, b in zip(u, v))
+            out[uv] = out.get(uv, Fraction(0)) + cu * cv
+    return HomogPoly(f.n, f.d + g.d, out)
+
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by exact Gaussian elimination (small matrices only)."""
+    m = [row[:] for row in rows]
+    size = len(m)
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, size):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def apply_linear_change(f: HomogPoly, matrix: Sequence[Sequence[RatLike]]) -> HomogPoly:
+    """Substitute x_i <- sum_j matrix[i][j] * x_j and expand exactly.
+
+    The matrix must be invertible.  Applying A then B equals applying the
+    product A*B in one step.
+    """
+    size = f.n + 1
+    rows = [[Fraction(e) for e in row] for row in matrix]
+    if len(rows) != size or any(len(row) != size for row in rows):
+        raise DimensionMismatchError(
+            f"matrix must be {size}x{size} for n={f.n}")
+    if _det(rows) == 0:
+        raise SingularMatrixError("change-of-coordinates matrix is singular")
+    images = [
+        HomogPoly(f.n, 1, {tuple(1 if j == k else 0 for k in range(size)): rows[i][j]
+                           for j in range(size) if rows[i][j]})
+        for i in range(size)
+    ]
+    # cache powers of each variable image; exponents repeat across terms
+    powers: list[dict[int, HomogPoly]] = [dict() for _ in range(size)]
+
+    def power(i: int, e: int) -> HomogPoly:
+        cached = powers[i].get(e)
+        if cached is None:
+            cached = images[i] if e == 1 else multiply(power(i, e - 1), images[i])
+            powers[i][e] = cached
+        return cached
+
+    total = HomogPoly.zero(f.n, f.d)
+    for u, c in f.terms():
+        piece = HomogPoly.monomial((0,) * size)
+        for i, e in enumerate(u):
+            if e:
+                piece = multiply(piece, power(i, e))
+        total = total + piece.scale(c)
+    return total
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    return QMatrix(zip(*m.entries)) if m.rows else QMatrix(())
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +242,17 @@ def brute_prime_pairs(n: int, d: int) -> set[frozenset]:
         if joint == 1:
             out.add(frozenset((u, v)))
     return out
+
+
+def ordered_prime_pairs(n: int, d: int) -> list[tuple[Exponent, Exponent]]:
+    """Order oracle for prime_pairs: every monomial pair (u, v) with u
+    graded-lex before v, filtered on support bit masks and exponent gcds."""
+    exps = tuple(iter_exponents(n, d))
+    masks = [sum(1 << i for i, e in enumerate(u) if e) for u in exps]
+    gcds = [gcd(*u) for u in exps]
+    return [(u, exps[j]) for i, u in enumerate(exps)
+            for j in range(i + 1, len(exps))
+            if not masks[i] & masks[j] and gcd(gcds[i], gcds[j]) == 1]
 
 
 # ---------------------------------------------------------------------------

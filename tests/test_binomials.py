@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from random import Random
 
 import pytest
@@ -12,12 +12,13 @@ from toricdegen import (
     classify,
     classify_poly,
     enumerate_patterns,
-    multiply,
     parse_poly,
     pattern_from_poly,
 )
-from toricdegen.poly import count_exponents
-from helpers import brute_prime_pairs, permute_poly
+from toricdegen.binomials import (MAX_PATTERNS, check_listing_budget,
+                                  check_pattern_budget, count_prime_patterns,
+                                  prime_pairs)
+from helpers import brute_prime_pairs, multiply, ordered_prime_pairs, permute_poly
 
 
 def pat(u, v, a=1, b=1):
@@ -162,15 +163,56 @@ class TestEnumerate:
                     joint = gcd(joint, e)
                 assert joint == 1
 
-    def test_pair_budget(self, monkeypatch):
+    def test_listing_budget(self, monkeypatch):
         import toricdegen.binomials as binomials
-        binomials.check_pair_budget(5, 10)  # 4,507,503 pairs: admitted
+        # 2 * 6 * 77,910 = 934,920 exponent entries: admitted
+        assert check_listing_budget(5, 11) == 77910
         monkeypatch.setattr(binomials, "iter_exponents", None)  # never reached
-        # C(4368, 2) = 9,537,528 pairs; the message names (n, d) and the
-        # limit, never a count, which can run to thousands of digits
-        assert comb(count_exponents(5, 11, binomials.MAX_PAIRS), 2) == 9537528
-        with pytest.raises(DomainError, match="monomial pairs at n=5, d=11 "
-                                              "exceed the limit of 5000000"):
-            enumerate_patterns(5, 11)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="13189428 exponent entries of "
+                                              "the 942102 prime patterns at "
+                                              "n=6, d=12 exceed the limit of "
+                                              "1000000"):
+            enumerate_patterns(6, 12)
+        for n, d in [(30, 2), (40, 2)]:
+            with pytest.raises(DomainError, match="exponent entries"):
+                enumerate_patterns(n, d)
+        # C(80, 40) monomials: rejected before any count is taken
+        with pytest.raises(DomainError, match="ambient dimension"):
             enumerate_patterns(40, 40)
+
+    def test_shared_coefficients(self):
+        pats = enumerate_patterns(3, 4)
+        assert all(g.a is pats[0].a and g.b is pats[0].b for g in pats)
+        assert (type(pats[0].a), type(pats[0].b)) == (Fraction, Fraction)
+
+
+class TestPrimePairs:
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_matches_pair_filter_in_order(self, n):
+        for d in range(0, 10):
+            expected = ordered_prime_pairs(n, d)
+            assert list(prime_pairs(n, d)) == expected, (n, d)
+            assert count_prime_patterns(n, d) == len(expected), (n, d)
+
+    def test_matches_pair_filter_at_5_10(self):
+        expected = ordered_prime_pairs(5, 10)
+        assert list(prime_pairs(5, 10)) == expected
+        assert count_prime_patterns(5, 10) == len(expected) == 49770
+
+    @pytest.mark.parametrize("n,d,count", [
+        (3, 7, 240), (4, 8, 2630), (5, 10, 49770), (5, 11, 77910),
+        (6, 12, 942102), (6, 13, 1456434), (7, 14, 18128544),
+        (30, 2, 107880), (40, 2, 335790)])
+    def test_closed_form_counts(self, n, d, count):
+        assert count_prime_patterns(n, d) == count
+
+    def test_pattern_budget(self):
+        assert check_pattern_budget(6, 13) == 1456434 <= MAX_PATTERNS
+        with pytest.raises(DomainError, match="18128544 prime patterns at "
+                                              "n=7, d=14 exceed the limit"):
+            check_pattern_budget(7, 14)
+
+    @pytest.mark.parametrize("n,d", [(-1, 3), (2, -1)])
+    def test_negative_shape_rejected(self, n, d):
+        with pytest.raises(DomainError, match="need n >= 0 and d >= 0"):
+            count_prime_patterns(n, d)

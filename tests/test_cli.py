@@ -1,7 +1,9 @@
 import json
+from random import Random
 
 import pytest
 
+from toricdegen import differential_rank, key_matrix, rank, sample_family
 from toricdegen.cli import main
 
 
@@ -58,6 +60,23 @@ class TestVerifyLemma:
         code, _out, err = run(capsys, "verify-lemma", "--n", "40", "--d", "40")
         assert code == 64
         assert "ambient dimension" in err
+
+    def test_best_ranks_over_samples(self, capsys):
+        # the maxima over every sampled point, drawn as the command draws
+        # them; with --bound 2 the last of these six points ranks lower
+        rng = Random(16)
+        points = [sample_family(3, 5, rng, 2) for _ in range(6)]
+        assert rank(key_matrix(points[-1])) == 3
+        code, out, _ = run(capsys, "verify-lemma", "--n", "3", "--d", "5",
+                           "--seed", "16", "--samples", "6", "--bound", "2")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["key_matrix_rank"], payload["differential_rank"]) \
+            == (4, 56)
+        assert payload["key_matrix_rank"] == max(rank(key_matrix(p))
+                                                 for p in points)
+        assert payload["differential_rank"] == max(differential_rank(p).rank
+                                                   for p in points)
 
 
 class TestWitness:
@@ -168,18 +187,49 @@ class TestEnumerate:
             frozenset(((0, 2, 0), (1, 0, 1))),
             frozenset(((0, 0, 2), (1, 1, 0)))}
 
+    def test_builds_no_pattern_objects(self, capsys, monkeypatch):
+        # monomials are formatted from exponent tuples; None makes any
+        # BinomialPattern or HomogPoly construction fail
+        import toricdegen
+        for name in ("BinomialPattern", "HomogPoly"):
+            for module in vars(toricdegen).values():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, None)
+        code, out, _ = run(capsys, "enumerate-binomials", "--n", "3",
+                           "--d", "7")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["count"] == len(payload["patterns"]) == 240
+        assert payload["patterns"][0]["lhs"] == "x0^7"
 
-class TestPairBudget:
+
+class TestPatternBudget:
+    # enumerate-binomials lists at most 1,000,000 exponent entries, 2*(n+1)
+    # per pattern; nonexist surveys at most 2,000,000 patterns
     @pytest.mark.parametrize("argv", [
-        ("enumerate-binomials", "--n", "40", "--d", "40"),
-        ("nonexist", "--n", "5", "--d", "11"),
+        ("enumerate-binomials", "--n", "6", "--d", "12"),
+        ("nonexist", "--n", "7", "--d", "14"),
     ])
     def test_oversized_rejected_before_work(self, capsys, monkeypatch, argv):
         _forbid_enumeration_and_sampling(monkeypatch)
         code, out, err = run(capsys, *argv)
         assert code == 64
         assert out == ""
-        assert "monomial pairs" in err
+        assert "prime patterns at n=" in err
+
+
+class TestSamplesBound:
+    @pytest.mark.parametrize("argv", [
+        ("verify-lemma", "--n", "2", "--d", "3"),
+        ("sweep", "--n-max", "2", "--d-max", "3"),
+        ("nonexist", "--n", "2", "--d", "4"),
+    ])
+    def test_rejected_before_sampling(self, capsys, monkeypatch, argv):
+        _forbid_enumeration_and_sampling(monkeypatch)
+        code, out, err = run(capsys, *argv, "--samples", "1001")
+        assert code == 64
+        assert out == ""
+        assert "samples exceed the limit of 1000" in err
 
 
 class TestHugeInputs:
@@ -191,6 +241,7 @@ class TestHugeInputs:
         ("nonexist", "--n", "7200", "--d", "7200"),
         ("enumerate-binomials", "--n", "4000", "--d", "4000"),
         ("witness", "--n", "1000000", "--d", "1000000"),
+        ("enumerate-binomials", "--n", "40", "--d", "2"),
     ])
     def test_rejected_as_usage(self, capsys, monkeypatch, argv):
         _forbid_enumeration_and_sampling(monkeypatch)

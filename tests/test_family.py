@@ -10,7 +10,6 @@ from toricdegen import (
     DomainError,
     FamilyPoint,
     HomogPoly,
-    apply_linear_change,
     differential_rank,
     excluded_block,
     excluded_exponents,
@@ -27,6 +26,7 @@ from toricdegen import (
 )
 from toricdegen.family import MAX_AMBIENT
 from helpers import (
+    apply_linear_change,
     differential_generators,
     full_span_rank,
     rank_sparse_exact,

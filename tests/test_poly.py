@@ -8,18 +8,16 @@ from toricdegen import (
     DimensionMismatchError,
     HomogPoly,
     PolySyntaxError,
-    SingularMatrixError,
     VariableIndexError,
     ZeroPolynomialError,
-    apply_linear_change,
     format_poly,
     initial_form,
-    multiply,
     parse_poly,
-    partial_derivative,
     weight_of,
 )
-from helpers import permute_poly, random_poly, roundtrip_text
+from helpers import (SingularMatrixError, apply_linear_change, multiply,
+                     partial_derivative, permute_poly, random_poly,
+                     roundtrip_text)
 
 
 def mono(u, c=1):

@@ -6,6 +6,7 @@ import pytest
 
 from toricdegen import (
     BinomialPattern,
+    CertificateError,
     DomainError,
     classify,
     dominance_certificate,
@@ -20,7 +21,7 @@ from toricdegen import (
     existence_witness,
 )
 from toricdegen.theorem import (_cone_within, _is_normalized, _normalize,
-                                _relabel_pattern, _split_terms, _support)
+                                _relabel, _split_terms, _support)
 from helpers import forced_blocks
 
 
@@ -119,7 +120,7 @@ class TestStrataReduction:
         for g in [BinomialPattern((0, 4, 0), (3, 0, 1)),
                   BinomialPattern((4, 0, 0), (0, 3, 1)),
                   BinomialPattern((1, 0, 3), (0, 4, 0))]:
-            _lead, _other, p, q = _split_terms(g)
+            _lead, _other, p, q = _split_terms(g.u, g.v)
             assert q > p >= 0
             assert q > 0
 
@@ -142,7 +143,7 @@ class TestStrataReduction:
         # and swapping l with q inside that run normalizes the pattern.
         seen = 0
         for g in enumerate_patterns(n, d):
-            lead, other, p, q = _split_terms(g)
+            lead, other, p, q = _split_terms(g.u, g.v)
             last = max(_support(lead))
             if last >= q:
                 continue
@@ -153,9 +154,9 @@ class TestStrataReduction:
             assert p <= last < q <= m
             swap = list(range(n + 1))
             swap[last], swap[q] = q, last
-            cand = _relabel_pattern(g, swap)
-            assert _is_normalized(cand) and _cone_within(g, cand), g
-            assert _normalize(g) == cand
+            cand = (_relabel(g.u, swap), _relabel(g.v, swap))
+            assert _is_normalized(*cand) and _cone_within(g.u, g.v, *cand), g
+            assert _normalize(g.u, g.v) == cand
         assert seen
 
 
@@ -176,8 +177,9 @@ class TestStrataSurvey:
         patterns = enumerate_patterns(n, d)
         expected = {frozenset((g.u, g.v)) for g in patterns}
         for ordering in itertools.permutations(range(n + 1)):
-            relabeled = {frozenset((g0.u, g0.v)) for g0 in
-                         (_relabel_pattern(g, ordering) for g in patterns)}
+            relabeled = {frozenset((_relabel(g.u, ordering),
+                                    _relabel(g.v, ordering)))
+                         for g in patterns}
             assert relabeled == expected, ordering
             for g in patterns:
                 assert strata_reduction_check(n, d, g, ordering), (g, ordering)
@@ -185,9 +187,35 @@ class TestStrataSurvey:
         assert survey.passed
         assert survey.checked == len(patterns) * math.factorial(n + 1)
 
-    def test_pair_budget(self):
-        with pytest.raises(DomainError, match="monomial pairs"):
-            strata_survey(5, 11)
+    def test_pattern_budget(self, monkeypatch):
+        import toricdegen.theorem as theorem
+        monkeypatch.setattr(theorem, "prime_pairs", None)  # never reached
+        # (7, 14) has 18,128,544 prime patterns by the closed form
+        with pytest.raises(DomainError, match="18128544 prime patterns at "
+                                              "n=7, d=14 exceed the limit "
+                                              "of 2000000"):
+            strata_survey(7, 14)
+        with pytest.raises(DomainError, match="ambient dimension"):
+            strata_survey(40, 40)
+
+    def test_builds_no_pattern_objects(self, monkeypatch):
+        # the survey streams exponent tuples; None makes any BinomialPattern
+        # construction fail
+        import toricdegen
+        for module in vars(toricdegen).values():
+            if hasattr(module, "BinomialPattern"):
+                monkeypatch.setattr(module, "BinomialPattern", None)
+        survey = strata_survey(3, 7)
+        assert survey.passed and survey.checked == 240 * 24
+
+    def test_streamed_count_must_match_closed_form(self, monkeypatch):
+        import toricdegen.theorem as theorem
+        real = theorem.prime_pairs
+        monkeypatch.setattr(theorem, "prime_pairs",
+                            lambda n, d: list(real(n, d))[1:])
+        with pytest.raises(CertificateError, match="119 prime patterns "
+                                                   "generated at n=3, d=6"):
+            strata_survey(3, 6)
 
 
 class TestNonexistence:
