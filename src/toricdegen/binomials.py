@@ -17,14 +17,13 @@ which decides the budgets before any pattern is generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DegreeError, DimensionMismatchError, DomainError
 from .family import check_ambient
-from .poly import Exponent, HomogPoly, iter_exponents
+from .poly import Exponent, HomogPoly, RatLike, iter_exponents
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
@@ -44,8 +43,7 @@ _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
+class PrimeVerdict(NamedTuple):
     tag: str
     power: int | None = None
 
@@ -54,35 +52,41 @@ class PrimeVerdict:
         return self.tag == PRIME
 
 
-@dataclass(frozen=True)
 class BinomialPattern:
     """Unordered two-monomial support pattern with nonzero coefficients."""
 
-    u: Exponent
-    v: Exponent
-    a: Fraction = field(default=Fraction(1))
-    b: Fraction = field(default=Fraction(1))
+    __slots__ = ("u", "v", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
-        if len(self.u) != len(self.v):
-            raise DimensionMismatchError(
-                f"exponent lengths {len(self.u)} vs {len(self.v)}")
-        for w in (self.u, self.v):
+    def __init__(self, u: Sequence[int], v: Sequence[int],
+                 a: RatLike = _ONE, b: RatLike = _ONE):
+        u, v = tuple(u), tuple(v)
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        if len(u) != len(v):
+            raise DimensionMismatchError(f"exponent lengths {len(u)} vs {len(v)}")
+        for w in (u, v):
             if any(e < 0 for e in w):
                 raise DegreeError(f"negative exponent in {w}")
-        if self.u == self.v:
+        if u == v:
             raise DegreeError("the two monomials must be distinct")
-        if sum(self.u) != sum(self.v):
-            raise DegreeError(
-                f"degrees {sum(self.u)} vs {sum(self.v)} differ")
-        if self.a == 0 or self.b == 0:
+        if sum(u) != sum(v):
+            raise DegreeError(f"degrees {sum(u)} vs {sum(v)} differ")
+        if a == 0 or b == 0:
             raise DegreeError("binomial coefficients must be nonzero")
+        self.u, self.v, self.a, self.b = u, v, a, b
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BinomialPattern):
+            return NotImplemented
+        return ((self.u, self.v, self.a, self.b)
+                == (other.u, other.v, other.a, other.b))
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v, self.a, self.b))
+
+    def __repr__(self) -> str:
+        return (f"BinomialPattern(u={self.u!r}, v={self.v!r}, a={self.a!r}, "
+                f"b={self.b!r})")
 
     @property
     def n(self) -> int:

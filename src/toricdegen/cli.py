@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .binomials import (check_listing_budget, classify_poly, pattern_from_poly,
                         prime_pairs)
@@ -49,8 +48,7 @@ _USAGE_ERRORS = (DomainError, PolySyntaxError, DegreeError, VariableIndexError,
                  DimensionMismatchError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int
     samples: int = 3
     bound: int = 1000

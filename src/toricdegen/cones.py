@@ -17,12 +17,11 @@ survey asks, have a closed form: chain_implies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .binomials import BinomialPattern
 from .errors import (CertificateError, DimensionMismatchError, DomainError,
@@ -40,19 +39,37 @@ def difference_functional(u: Sequence[int], v: Sequence[int]) -> Functional:
     return tuple(Fraction(a - b) for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
 class LinearSystem:
-    dim: int
-    equalities: tuple[Functional, ...] = ()
-    weak_ineqs: tuple[Functional, ...] = ()
-    strict_ineqs: tuple[Functional, ...] = ()
+    __slots__ = ("dim", "equalities", "weak_ineqs", "strict_ineqs")
 
-    def __post_init__(self):
-        for group in (self.equalities, self.weak_ineqs, self.strict_ineqs):
+    def __init__(self, dim: int, equalities: tuple[Functional, ...] = (),
+                 weak_ineqs: tuple[Functional, ...] = (),
+                 strict_ineqs: tuple[Functional, ...] = ()):
+        for group in (equalities, weak_ineqs, strict_ineqs):
             for f in group:
-                if len(f) != self.dim:
+                if len(f) != dim:
                     raise DimensionMismatchError(
-                        f"functional {f} has length {len(f)}, expected {self.dim}")
+                        f"functional {f} has length {len(f)}, expected {dim}")
+        self.dim = dim
+        self.equalities = equalities
+        self.weak_ineqs = weak_ineqs
+        self.strict_ineqs = strict_ineqs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearSystem):
+            return NotImplemented
+        return ((self.dim, self.equalities, self.weak_ineqs, self.strict_ineqs)
+                == (other.dim, other.equalities, other.weak_ineqs,
+                    other.strict_ineqs))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.equalities, self.weak_ineqs,
+                     self.strict_ineqs))
+
+    def __repr__(self) -> str:
+        return (f"LinearSystem(dim={self.dim!r}, equalities={self.equalities!r}, "
+                f"weak_ineqs={self.weak_ineqs!r}, "
+                f"strict_ineqs={self.strict_ineqs!r})")
 
     def constraints(self) -> Iterable[tuple[str, int, Functional]]:
         for i, f in enumerate(self.equalities):
@@ -63,8 +80,7 @@ class LinearSystem:
             yield "strict", i, f
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     witness: tuple[Fraction, ...] | None = None
     certificate: tuple[CertEntry, ...] | None = None

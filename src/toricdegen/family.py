@@ -24,12 +24,11 @@ alone, and the whole degree-d monomial basis is never built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from random import Random
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError
 from .linalg import QMatrix, RankReport, rank
@@ -41,22 +40,33 @@ from .poly import Exponent, HomogPoly, RatLike, count_exponents
 MAX_AMBIENT = 500_000
 
 
-@dataclass(frozen=True)
 class ExclusionSet:
     """The d excluded exponents, descending graded-lex (x0^d first)."""
 
-    n: int
-    d: int
-    members: tuple[Exponent, ...]
+    __slots__ = ("n", "d", "members", "_member_set")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+    def __init__(self, n: int, d: int, members: tuple[Exponent, ...]):
+        self.n = n
+        self.d = d
+        self.members = members
+        self._member_set = frozenset(members)
 
     def __contains__(self, u: Exponent) -> bool:
         return tuple(u) in self._member_set
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExclusionSet):
+            return NotImplemented
+        return (self.n, self.d, self.members) == (other.n, other.d, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d, self.members))
+
+    def __repr__(self) -> str:
+        return f"ExclusionSet(n={self.n!r}, d={self.d!r}, members={self.members!r})"
 
 
 def check_ambient(n: int, d: int) -> None:
@@ -130,8 +140,11 @@ class FamilyPoint:
     def coeffs(self) -> dict[Exponent, Fraction]:
         return dict(self._poly.terms())
 
-    def coeff(self, u: Exponent) -> Fraction:
-        return self._poly.coeff(u)
+    def coeff(self, u: Exponent) -> RatLike:
+        """The coefficient of x^u: an int when it is integral, so that
+        integer points give integer blocks, and a Fraction otherwise."""
+        c = self._poly.coeff(u)
+        return c.numerator if c.denominator == 1 else c
 
     def to_poly(self) -> HomogPoly:
         return self._poly
@@ -217,8 +230,7 @@ def differential_rank(point: FamilyPoint, mode: str = "exact",
                          "exact")
 
 
-@dataclass(frozen=True)
-class RedundancyReport:
+class RedundancyReport(NamedTuple):
     ok: bool
     failures: tuple[tuple[int, int], ...]
 

@@ -1,35 +1,37 @@
 """Exact rational matrices and their rank.
 
-Rank runs fraction-free (Bareiss) elimination on an integer-scaled copy of
-the matrix, so intermediate entries stay integral.
+Entries are int or Fraction.  Rank runs fraction-free (Bareiss) elimination
+on integer rows: a row of ints reaches it unscaled, and only a row holding a
+Fraction is multiplied by the lcm of its denominators, so intermediate
+entries stay integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
 from .poly import RatLike
 
 
 class QMatrix:
-    """Dense rational matrix (immutable)."""
+    """Dense rational matrix (immutable).  Entries are kept as int when given
+    as int, and converted with Fraction otherwise."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[RatLike]]):
-        data = tuple(tuple(Fraction(e) for e in row) for row in entries)
+        data = tuple(tuple(e if type(e) is int else Fraction(e) for e in row)
+                     for row in entries)
         if data and any(len(row) != len(data[0]) for row in data):
             raise DimensionMismatchError("ragged rows")
         self.entries = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[RatLike, ...]:
         return self.entries[i]
 
     def __eq__(self, other: object) -> bool:
@@ -44,8 +46,7 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     rank: int
     ambient: int
     codim: int
@@ -62,20 +63,24 @@ class RankReport:
 # ---------------------------------------------------------------------------
 # dense rank
 
-def _integer_rows(M: QMatrix | Sequence[Sequence[RatLike]]) -> list[list[int]]:
-    entries = M.entries if isinstance(M, QMatrix) else \
-        [[Fraction(e) for e in row] for row in M]
+def _integer_rows(M: QMatrix | Iterable[Iterable[RatLike]]) -> list[Sequence[int]]:
+    """Each row as integers: a row of ints unchanged, any other row scaled
+    by the lcm of its entries' denominators."""
     out = []
-    for row in entries:
-        row = [Fraction(e) for e in row]
-        scale = reduce(lambda a, b: a * b // gcd(a, b),
-                       (c.denominator for c in row), 1)
-        out.append([int(c * scale) for c in row])
+    for row in (M.entries if isinstance(M, QMatrix) else M):
+        row = tuple(row)
+        if not all(type(e) is int for e in row):
+            row = [Fraction(e) for e in row]
+            scale = lcm(*(c.denominator for c in row))
+            row = [c.numerator * (scale // c.denominator) for c in row]
+        out.append(row)
     return out
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination with column skipping; exact integer rank."""
-    m = [row[:] for row in rows]
+
+def _rank_bareiss(rows: Iterable[Sequence[int]]) -> int:
+    """Fraction-free elimination with column skipping; exact integer rank.
+    All-zero rows are dropped first: they never hold a pivot."""
+    m = [list(row) for row in rows if any(row)]
     nr = len(m)
     nc = len(m[0]) if m else 0
     rank = 0
@@ -103,6 +108,6 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank(M: QMatrix | Sequence[Sequence[RatLike]]) -> int:
+def rank(M: QMatrix | Iterable[Iterable[RatLike]]) -> int:
     """Exact rank over the rationals."""
     return _rank_bareiss(_integer_rows(M))

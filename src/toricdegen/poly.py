@@ -32,6 +32,8 @@ from .errors import (
 Exponent = tuple[int, ...]
 RatLike = int | Fraction
 
+_ZERO = Fraction(0)
+
 
 def degree_of(u: Sequence[int]) -> int:
     return sum(u)
@@ -111,7 +113,7 @@ class HomogPoly:
         return tuple(self._terms)
 
     def coeff(self, u: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(u), Fraction(0))
+        return self._terms.get(tuple(u), _ZERO)
 
     def num_terms(self) -> int:
         return len(self._terms)

@@ -15,12 +15,11 @@ permutation of the restricted family via implied-inequality certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import factorial
 from operator import sub
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .binomials import (BinomialPattern, PrimeVerdict, check_pattern_budget,
                         classify, pattern_from_poly, prime_pairs)
@@ -54,8 +53,7 @@ def witness_weight(n: int, d: int) -> WeightVector:
     return w
 
 
-@dataclass(frozen=True)
-class WitnessBundle:
+class WitnessBundle(NamedTuple):
     n: int
     d: int
     point: FamilyPoint
@@ -249,8 +247,7 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
                           *_check_constants(n, d))
 
 
-@dataclass(frozen=True)
-class StrataSurvey:
+class StrataSurvey(NamedTuple):
     n: int
     d: int
     checked: int
@@ -303,8 +300,7 @@ def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
 # ---------------------------------------------------------------------------
 # non-existence and the sweep
 
-@dataclass(frozen=True)
-class NonexistenceReport:
+class NonexistenceReport(NamedTuple):
     n: int
     d: int
     codim_bound: int
@@ -371,8 +367,7 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
                               strata_reduced=True)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     d: int
     ambient: int

@@ -170,6 +170,39 @@ def transpose(m: QMatrix) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
+# result records
+
+def check_record(cls, fields: dict, defaults: dict | None = None):
+    """Check a record type's construction contract and return one instance.
+
+    `fields` lists every field in declaration order with a value already in
+    stored form; `defaults` maps the fields that may be omitted to their
+    default values.  Keyword and positional construction must give equal
+    records with equal hashes; leaving out the defaulted fields must give
+    the defaults.  A NamedTuple record must refuse attribute assignment.
+    """
+    by_name = cls(**fields)
+    by_position = cls(*fields.values())
+    assert by_name == by_position, cls.__name__
+    assert hash(by_name) == hash(by_position), cls.__name__
+    for name, value in fields.items():
+        assert getattr(by_name, name) == value, (cls.__name__, name)
+    if defaults:
+        short = cls(**{k: v for k, v in fields.items() if k not in defaults})
+        for name, value in defaults.items():
+            assert getattr(short, name) == value, (cls.__name__, name)
+    if isinstance(by_name, tuple):
+        first = next(iter(fields))
+        try:
+            setattr(by_name, first, getattr(by_name, first))
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError(f"{cls.__name__} accepted an attribute assignment")
+    return by_name
+
+
+# ---------------------------------------------------------------------------
 # property suites (criterion: initial-form laws)
 
 def run_idempotence(rng: Random, cases: int) -> None:

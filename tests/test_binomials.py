@@ -7,8 +7,10 @@ import pytest
 from toricdegen import (
     BinomialPattern,
     DegreeError,
+    DimensionMismatchError,
     DomainError,
     HomogPoly,
+    PrimeVerdict,
     classify,
     classify_poly,
     enumerate_patterns,
@@ -18,7 +20,8 @@ from toricdegen import (
 from toricdegen.binomials import (MAX_PATTERNS, check_listing_budget,
                                   check_pattern_budget, count_prime_patterns,
                                   prime_pairs)
-from helpers import brute_prime_pairs, multiply, ordered_prime_pairs, permute_poly
+from helpers import (brute_prime_pairs, check_record, multiply,
+                     ordered_prime_pairs, permute_poly)
 
 
 def pat(u, v, a=1, b=1):
@@ -74,6 +77,42 @@ class TestClassify:
         # the same error HomogPoly raises for the same exponent
         with pytest.raises(DegreeError, match="negative exponent in"):
             pat(u, v)
+
+
+class TestRecords:
+    def test_prime_verdict(self):
+        verdict = check_record(PrimeVerdict, {"tag": "ProperPower", "power": 3},
+                               defaults={"power": None})
+        assert not verdict.is_prime
+        assert PrimeVerdict("Prime").is_prime
+        assert verdict != PrimeVerdict("ProperPower", 2)
+
+    def test_binomial_pattern(self):
+        g = check_record(BinomialPattern,
+                         {"u": (1, 0, 2), "v": (0, 3, 0), "a": Fraction(2),
+                          "b": Fraction(-1, 2)},
+                         defaults={"a": Fraction(1), "b": Fraction(1)})
+        assert g != BinomialPattern((1, 0, 2), (0, 3, 0), 2, -1)
+        assert g != BinomialPattern((0, 3, 0), (1, 0, 2), 2, Fraction(-1, 2))
+        assert len({g, BinomialPattern([1, 0, 2], [0, 3, 0], 2, Fraction(-1, 2))}) == 1
+
+    def test_binomial_pattern_converts(self):
+        g = BinomialPattern([1, 0, 2], [0, 3, 0], 2, -1)
+        assert g.u == (1, 0, 2) and g.v == (0, 3, 0)
+        assert type(g.a) is Fraction and type(g.b) is Fraction
+        assert (g.n, g.d) == (2, 3)
+
+    def test_binomial_pattern_repr(self):
+        assert repr(BinomialPattern((1, 0, 2), (0, 3, 0))) == (
+            "BinomialPattern(u=(1, 0, 2), v=(0, 3, 0), a=Fraction(1, 1), "
+            "b=Fraction(1, 1))")
+        assert repr(BinomialPattern((1, 0, 2), (0, 3, 0), 2, Fraction(-1, 2))) == (
+            "BinomialPattern(u=(1, 0, 2), v=(0, 3, 0), a=Fraction(2, 1), "
+            "b=Fraction(-1, 2))")
+
+    def test_binomial_pattern_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            BinomialPattern((1, 0), (0, 0, 1))
 
 
 class TestClassifyPoly:

@@ -4,7 +4,8 @@ from random import Random
 import pytest
 
 from toricdegen import differential_rank, key_matrix, rank, sample_family
-from toricdegen.cli import main
+from toricdegen.cli import RunConfig, main
+from helpers import check_record
 
 
 def run(capsys, *argv):
@@ -331,3 +332,13 @@ class TestHarness:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+class TestRunConfig:
+    def test_record(self):
+        cfg = check_record(RunConfig, {"seed": 4, "samples": 2, "bound": 50,
+                                       "fmt": "table"},
+                           defaults={"samples": 3, "bound": 1000, "fmt": "json"})
+        assert cfg != RunConfig(4, 2, 50)
+        assert repr(RunConfig(1)) == \
+            "RunConfig(seed=1, samples=3, bound=1000, fmt='json')"

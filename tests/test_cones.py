@@ -9,6 +9,7 @@ from toricdegen import (
     CertificateError,
     DimensionMismatchError,
     DomainError,
+    FeasibilityResult,
     LinearSystem,
     SupportMismatchError,
     chain_implies,
@@ -21,7 +22,7 @@ from toricdegen import (
     stratum_system,
     verify_certificate,
 )
-from helpers import compatible_cone, implies, run_solver_suite
+from helpers import check_record, compatible_cone, implies, run_solver_suite
 
 
 def F(*entries):
@@ -82,6 +83,32 @@ class TestStratumSystem:
         f2 = parse_poly("2*x1^3 + x0^2*x2 + x2^3", 2, 3)
         with pytest.raises(SupportMismatchError):
             stratum_system(f2, g)
+
+
+class TestRecords:
+    def test_linear_system(self):
+        system = check_record(
+            LinearSystem,
+            {"dim": 2, "equalities": (F(1, -1),), "weak_ineqs": (F(0, 1),),
+             "strict_ineqs": (F(1, 0),)},
+            defaults={"equalities": (), "weak_ineqs": (), "strict_ineqs": ()})
+        assert system != LinearSystem(2, (F(1, -1),), (F(0, 1),), ())
+        assert system != LinearSystem(2, (F(1, -1),), (), (F(0, 1), F(1, 0)))
+        assert repr(LinearSystem(2, weak_ineqs=(F(1, -1),))) == (
+            "LinearSystem(dim=2, equalities=(), "
+            "weak_ineqs=((Fraction(1, 1), Fraction(-1, 1)),), strict_ineqs=())")
+
+    @pytest.mark.parametrize("group", ["equalities", "weak_ineqs", "strict_ineqs"])
+    def test_linear_system_rejects_wrong_length(self, group):
+        with pytest.raises(DimensionMismatchError):
+            LinearSystem(3, **{group: (F(1, -1, 0), F(1, -1))})
+
+    def test_feasibility_result(self):
+        check_record(FeasibilityResult,
+                     {"feasible": False, "witness": None,
+                      "certificate": (("strict", 0, Fraction(1)),)},
+                     defaults={"witness": None, "certificate": None})
+        assert solve(LinearSystem(2)) == FeasibilityResult(True, (0, 0))
 
 
 class TestSolve:

@@ -8,8 +8,11 @@ from toricdegen import (
     DegreeError,
     DimensionMismatchError,
     DomainError,
+    ExclusionSet,
     FamilyPoint,
     HomogPoly,
+    RankReport,
+    RedundancyReport,
     differential_rank,
     excluded_block,
     excluded_exponents,
@@ -27,6 +30,7 @@ from toricdegen import (
 from toricdegen.family import MAX_AMBIENT
 from helpers import (
     apply_linear_change,
+    check_record,
     differential_generators,
     full_span_rank,
     rank_sparse_exact,
@@ -87,6 +91,64 @@ class TestExclusionSet:
         assert len(excluded_exponents(7, 17)) == 17
         with pytest.raises(DomainError, match=str(MAX_AMBIENT)):
             sample_family(8, 17, Random(1))
+
+
+class TestRecords:
+    def test_rank_report(self):
+        report = check_record(RankReport,
+                              {"rank": 9, "ambient": 10, "codim": 1,
+                               "surjective": False, "method": "exact"})
+        assert RankReport.of(9, 10, "exact") == report
+        assert RankReport.of(10, 10, "exact").surjective
+        assert repr(report) == ("RankReport(rank=9, ambient=10, codim=1, "
+                                "surjective=False, method='exact')")
+
+    def test_redundancy_report(self):
+        report = check_record(RedundancyReport,
+                              {"ok": False, "failures": ((0, 2), (1, 1))})
+        assert not report
+        assert RedundancyReport(True, ())
+        assert redundancy_check(sample_family(2, 3, Random(1))) == \
+            RedundancyReport(ok=True, failures=())
+
+    def test_exclusion_set(self):
+        members = ((3, 0, 0), (2, 1, 0), (1, 2, 0))
+        excl = check_record(ExclusionSet, {"n": 2, "d": 3, "members": members})
+        assert excl == excluded_exponents(2, 3)
+        assert hash(excl) == hash(excluded_exponents(2, 3))
+        assert excl != ExclusionSet(2, 3, members[:2])
+        assert [2, 1, 0] in excl and (0, 3, 0) not in excl
+        assert len(excl) == 3
+        assert repr(excl) == ("ExclusionSet(n=2, d=3, members=((3, 0, 0), "
+                              "(2, 1, 0), (1, 2, 0)))")
+
+
+class TestIntegerPath:
+    GRID = [(2, 3), (2, 40), (3, 7), (5, 12), (7, 17)]
+
+    def test_block_entries_are_int_at_samples(self):
+        rng = Random(31)
+        for n, d in self.GRID:
+            point = sample_family(n, d, rng)
+            for m in (excluded_block(point), key_matrix(point)):
+                assert all(type(e) is int for row in m.entries for e in row), (n, d)
+
+    def test_rational_point_ranks_like_the_integral_one(self):
+        rng = Random(32)
+        for n, d in self.GRID:
+            point = sample_family(n, d, rng)
+            third = FamilyPoint(n, d, {u: Fraction(1, 3) * c
+                                       for u, c in point.coeffs.items()})
+            entries = [e for row in excluded_block(third).entries for e in row]
+            assert any(type(e) is Fraction for e in entries)
+            assert differential_rank(third) == differential_rank(point), (n, d)
+            assert rank(key_matrix(third)) == rank(key_matrix(point)), (n, d)
+
+    def test_coeff_types_and_list_exponents(self):
+        point = FamilyPoint(2, 3, {(0, 3, 0): 4, (2, 0, 1): Fraction(5, 2)})
+        assert point.coeff([0, 3, 0]) == 4 and type(point.coeff([0, 3, 0])) is int
+        assert point.coeff([2, 0, 1]) == Fraction(5, 2)
+        assert point.coeff((1, 1, 1)) == 0 and type(point.coeff((1, 1, 1))) is int
 
 
 class TestFace:

@@ -70,6 +70,36 @@ class TestRank:
                        for e in row] for row in rows]
             assert rank(scaled) == base
 
+    def test_mixed_entries_match_fraction_oracle(self):
+        # int and Fraction entries, with all-zero rows interleaved, passed
+        # as lists, tuples, iterators and a QMatrix
+        rng = Random(5)
+        for _ in range(60):
+            cols = rng.randint(1, 6)
+            rows = []
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.3:
+                    rows.append([0] * cols)
+                    continue
+                rows.append([rng.choice((0, 0, rng.randint(-5, 5),
+                                         Fraction(rng.randint(-5, 5),
+                                                  rng.randint(1, 4))))
+                             for _ in range(cols)])
+            oracle = rank_sparse_exact(
+                [{j: Fraction(e) for j, e in enumerate(row) if e} for row in rows])
+            assert rank(rows) == oracle
+            assert rank([tuple(row) for row in rows]) == oracle
+            assert rank(iter(row) for row in rows) == oracle
+            assert rank(QMatrix(rows)) == oracle
+
+    def test_qmatrix_keeps_ints(self):
+        m = QMatrix([[1, Fraction(2), Fraction(1, 2)], (0, -3, 4)])
+        assert [[type(e) for e in row] for row in m.entries] == \
+            [[int, Fraction, Fraction], [int, int, int]]
+        assert m == QMatrix([[Fraction(1), 2, Fraction(1, 2)], [0, -3, 4]])
+        assert hash(m) == hash(QMatrix([[Fraction(1), 2, Fraction(1, 2)],
+                                        [0, -3, 4]]))
+
     def test_sparse_agrees_with_dense(self):
         rng = Random(4)
         for _ in range(15):

@@ -4,10 +4,15 @@ from random import Random
 
 import pytest
 
+import toricdegen.theorem
 from toricdegen import (
     BinomialPattern,
     CertificateError,
     DomainError,
+    NonexistenceReport,
+    StrataSurvey,
+    SweepRow,
+    WitnessBundle,
     classify,
     dominance_certificate,
     enumerate_patterns,
@@ -22,7 +27,7 @@ from toricdegen import (
 )
 from toricdegen.theorem import (_cone_within, _is_normalized, _normalize,
                                 _relabel, _split_terms, _support)
-from helpers import forced_blocks
+from helpers import check_record, forced_blocks
 
 
 class TestWitnessWeight:
@@ -260,3 +265,46 @@ class TestSweep:
         rows = [r for r in threshold_sweep(2, 5, Random(15), samples=2)]
         flags = {r.d: r.degenerable for r in rows}
         assert flags == {2: True, 3: True, 4: False, 5: False}
+
+
+class TestRecords:
+    def test_witness_bundle(self):
+        bundle = existence_witness(2, 3, Random(1))
+        fields = {name: getattr(bundle, name) for name in WitnessBundle._fields}
+        assert check_record(WitnessBundle, fields) == bundle
+        assert list(fields) == ["n", "d", "point", "omega", "initial",
+                                "verdict", "dominance"]
+
+    def test_strata_survey(self):
+        survey = check_record(StrataSurvey,
+                              {"n": 2, "d": 4, "checked": 12, "full": True,
+                               "passed": False,
+                               "failures": (((0, 4, 0), (3, 0, 1), (0, 1, 2),
+                                             "not normalized"),)})
+        assert survey != survey._replace(passed=True)
+        actual = strata_survey(2, 4)
+        assert actual == StrataSurvey(2, 4, actual.checked, True, True, ())
+
+    def test_nonexistence_report(self):
+        fields = {"n": 2, "d": 4, "codim_bound": 1, "sampled_codims": (1, 1),
+                  "redundancy_ok": True, "strata_checked": 42,
+                  "strata_full": True, "strata_reduced": True}
+        report = check_record(NonexistenceReport, fields)
+        assert nonexistence_certificate(2, 4, 2, Random(12)) == \
+            report._replace(strata_checked=strata_survey(2, 4).checked)
+
+    def test_sweep_row(self):
+        row = check_record(SweepRow, {"n": 2, "d": 4, "ambient": 15,
+                                      "generic_rank": 14, "codim": 1,
+                                      "degenerable": False})
+        assert repr(row) == ("SweepRow(n=2, d=4, ambient=15, generic_rank=14, "
+                             "codim=1, degenerable=False)")
+
+    def test_sweep_error_names_the_row(self, monkeypatch):
+        monkeypatch.setattr(toricdegen.theorem, "sweep_row_matches",
+                            lambda row: False)
+        with pytest.raises(CertificateError) as excinfo:
+            threshold_sweep(2, 2, Random(1), samples=1)
+        assert str(excinfo.value) == (
+            "threshold violated at n=2, d=2: SweepRow(n=2, d=2, ambient=6, "
+            "generic_rank=6, codim=0, degenerable=True)")

@@ -74,3 +74,17 @@ def test_traced_benchmark_child_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = {span[2] for span in json.loads(trace.read_text())["spans"]}
     assert "family.differential_rank" in names
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, which
+    # cost every CLI call more than the library's own modules; -S keeps
+    # site-packages hooks from loading them on their own
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, toricdegen.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
