@@ -4,7 +4,8 @@ Every command takes an explicit --seed; repeated runs with identical seed
 and flags produce byte-identical output.  Exact rational values are emitted
 as strings like "5/2" so nothing is rounded through floating point.  Exit
 codes: 0 success / claims verified, 1 claim mismatch, 2 genericity or
-certificate failure, 64 usage error.
+certificate failure, 64 usage error.  Output is written as it is
+produced, so after exit 2 stdout may stop partway through a listing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import NamedTuple, Sequence
 
@@ -69,11 +72,66 @@ def _rank_payload(report: RankReport) -> dict:
     }
 
 
+def _json_text(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2) prints it, nested at pad."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                        for k, v in value.items())
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join(_json_text(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(value)
+
+
+def _json_pieces(payload: dict) -> Iterator[str]:
+    """The text of json.dumps(payload, indent=2) plus a newline, in pieces;
+    a value that is an iterator is drawn and printed one item at a time."""
+    head = "{\n  "
+    for key, value in payload.items():
+        yield f"{head}{encode_basestring_ascii(key)}: "
+        head = ",\n  "
+        if not isinstance(value, Iterator):
+            yield _json_text(value, "  ")
+            continue
+        sep = "[\n    "
+        for item in value:
+            yield sep + _json_text(item, "    ")
+            sep = ",\n    "
+        yield "[]" if sep[0] == "[" else "\n  ]"
+    yield "{}\n" if head[0] == "{" else "\n}\n"
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write pieces to stdout as they come, about 64 KiB per call."""
+    buf, size = [], 0
+    for piece in pieces:
+        buf.append(piece)
+        size += len(piece)
+        if size >= 65536:
+            sys.stdout.write("".join(buf))
+            buf, size = [], 0
+    sys.stdout.write("".join(buf))
+
+
 def _emit(payload: dict, cfg: RunConfig, table_lines) -> None:
     if cfg.fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write(_json_pieces(payload))
     else:
-        sys.stdout.write("\n".join(table_lines(payload)) + "\n")
+        _write(line + "\n" for line in table_lines(payload))
 
 
 def _kv_lines(payload: dict, prefix: str = "") -> list[str]:
@@ -249,30 +307,38 @@ def cmd_stratum(args) -> int:
     return 0
 
 
-def _enumerate_table(payload: dict) -> list[str]:
-    lines = [f"n = {payload['n']}", f"d = {payload['d']}",
-             f"count = {payload['count']}"]
+def _enumerate_table(payload: dict) -> Iterator[str]:
+    yield f"n = {payload['n']}"
+    yield f"d = {payload['d']}"
+    yield f"count = {payload['count']}"
     for pat in payload["patterns"]:
-        lines.append(f"{pat['lhs']}  |  {pat['rhs']}")
-    return lines
+        yield f"{pat['lhs']}  |  {pat['rhs']}"
+
+
+def _listed_patterns(n: int, d: int, count: int) -> Iterator[dict]:
+    """Every prime pattern as a payload entry, drawn as it is printed; raises
+    CertificateError at the end unless exactly count patterns came."""
+    listed = 0
+    for u, v in prime_pairs(n, d):
+        listed += 1
+        yield {"u": u, "v": v, "lhs": _format_monomial(u),
+               "rhs": _format_monomial(v)}
+    if listed != count:
+        raise CertificateError(
+            f"{listed} prime patterns listed at n={n}, d={d}, but the closed "
+            f"form counts {count}")
 
 
 def cmd_enumerate(args) -> int:
     cfg = _config(args)
     _require(args.n >= 1 and args.d >= 1,
              f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
-    check_listing_budget(args.n, args.d)
-    patterns = [{
-        "u": list(u),
-        "v": list(v),
-        "lhs": _format_monomial(u),
-        "rhs": _format_monomial(v),
-    } for u, v in prime_pairs(args.n, args.d)]
+    count = check_listing_budget(args.n, args.d)
     payload = {
         "n": args.n,
         "d": args.d,
-        "count": len(patterns),
-        "patterns": patterns,
+        "count": count,
+        "patterns": _listed_patterns(args.n, args.d, count),
     }
     _emit(payload, cfg, _enumerate_table)
     return 0

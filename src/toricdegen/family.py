@@ -179,11 +179,12 @@ def excluded_block(point: FamilyPoint) -> QMatrix:
     Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
     and 0 otherwise.
     """
-    n = point.n
-    members = excluded_exponents(n, point.d).members
+    n, d = point.n, point.d
+    members = excluded_exponents(n, d).members
+    zero = (0,) * d  # rows with j >= 2: no excluded exponent holds x_j
     rows = []
     for i in range(n + 1):
-        for j in range(n + 1):
+        for j in (0, 1):
             row = []
             for w in members:
                 if not w[j]:
@@ -192,6 +193,7 @@ def excluded_block(point: FamilyPoint) -> QMatrix:
                 u = _step(w, i, j)
                 row.append(u[i] * point.coeff(u))
             rows.append(row)
+        rows.extend([zero] * (n - 1))
     return QMatrix(rows)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -202,6 +205,69 @@ class TestEnumerate:
         assert code == 0
         assert payload["count"] == len(payload["patterns"]) == 240
         assert payload["patterns"][0]["lhs"] == "x0^7"
+
+
+class TestEnumerateStreaming:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_short_listing_is_certificate_failure(self, capsys, monkeypatch,
+                                                  fmt):
+        import toricdegen.cli
+        pairs = toricdegen.cli.prime_pairs
+        monkeypatch.setattr(toricdegen.cli, "prime_pairs",
+                            lambda n, d: list(pairs(n, d))[:-1])
+        code, _out, err = run(capsys, "enumerate-binomials", "--n", "2",
+                              "--d", "3", "--format", fmt)
+        assert code == 2
+        assert "certificate failure" in err
+        assert ("5 prime patterns listed at n=2, d=3, but the closed form "
+                "counts 6") in err
+
+    @pytest.mark.parametrize("nd, expected", [
+        (("1", "2"), "n = 1\nd = 2\ncount = 0\n"),
+        (("2", "2"), "n = 2\nd = 2\ncount = 3\nx0^2  |  x1*x2\n"
+                     "x0*x1  |  x2^2\nx0*x2  |  x1^2\n"),
+    ])
+    def test_table_text(self, capsys, nd, expected):
+        code, out, _ = run(capsys, "enumerate-binomials", "--n", nd[0],
+                           "--d", nd[1], "--format", "table")
+        assert code == 0
+        assert out == expected
+
+    def test_listing_memory_is_constant(self, monkeypatch):
+        # building the whole payload and its text first peaks at about 6 MB
+        # here; streamed, the peak does not grow with the listing
+        main(["enumerate-binomials", "--n", "2", "--d", "2",
+              "--format", "table"])  # first-call caches outside the peak
+        with open(os.devnull, "w") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            tracemalloc.start()
+            try:
+                code = main(["enumerate-binomials", "--n", "4", "--d", "8"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 1_000_000
+
+
+class TestOutputText:
+    # stdout is exactly json.dumps(payload, indent=2) plus a newline
+    @pytest.mark.parametrize("argv", [
+        ("witness", "--n", "2", "--d", "3", "--seed", "1"),
+        ("sweep", "--n-max", "2", "--d-max", "4", "--seed", "9"),
+        ("verify-lemma", "--n", "3", "--d", "6", "--seed", "5"),
+        ("nonexist", "--n", "2", "--d", "4", "--seed", "2"),
+        ("enumerate-binomials", "--n", "2", "--d", "3"),
+        ("stratum", "--f", "x1^3+x0^2*x2+x2^3", "--g", "x1^3 + x0^2*x2",
+         "--n", "2", "--d", "3"),
+        ("classify", "--poly", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
+        ("enumerate-binomials", "--n", "1", "--d", "2"),
+        ("enumerate-binomials", "--n", "4", "--d", "8"),
+    ])
+    def test_json_is_indent_2(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestPatternBudget:

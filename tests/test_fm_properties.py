@@ -1,7 +1,9 @@
-"""Property tests: solve's infeasibility certificates check out, and
-verify_certificate rejects certificates that are certain to be invalid."""
+"""Property tests: solve's infeasibility certificates check out,
+verify_certificate rejects certificates that are certain to be invalid, and
+solve agrees with a brute-force search of a small rational grid."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -63,3 +65,39 @@ def test_certificates_verify_and_mutations_fail(system):
 
     no_strict = [entry for entry in cert if entry[0] != "strict"]
     assert not verify_certificate(system, no_strict)
+
+
+# Brute-force oracle: the points w = k/2 with every k_i in [-4, 4].  Signs of
+# f(w) and f(k) agree, so the grid is searched on the integers k.
+_GRID_HALF_WIDTH = 4
+
+
+def _holds(system, w) -> bool:
+    def value(f):
+        return sum(a * b for a, b in zip(f, w))
+
+    return (all(value(f) == 0 for f in system.equalities)
+            and all(value(f) >= 0 for f in system.weak_ineqs)
+            and all(value(f) > 0 for f in system.strict_ineqs))
+
+
+@st.composite
+def small_systems(draw):
+    dim = draw(st.integers(1, 3))
+    func = st.tuples(*[st.integers(-2, 2).map(Fraction)] * dim)
+    return LinearSystem(dim, tuple(draw(st.lists(func, max_size=2))),
+                        tuple(draw(st.lists(func, max_size=3))),
+                        tuple(draw(st.lists(func, max_size=3))))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(small_systems())
+def test_solve_agrees_with_grid_oracle(system):
+    axis = range(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH + 1)
+    on_grid = any(_holds(system, k) for k in product(axis, repeat=system.dim))
+    result = solve(system)
+    if result.feasible:
+        assert _holds(system, result.witness)
+    else:
+        assert not on_grid
+        assert verify_certificate(system, list(result.certificate))
