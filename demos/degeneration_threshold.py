@@ -35,7 +35,7 @@ print("\nwitness initial form:", format_poly(bundle.initial),
       "->", bundle.verdict.tag)
 
 print("\nsweep (degenerable iff d <= 2n-1):")
-for row in threshold_sweep(3, 7, rng, samples=2):
+for row in threshold_sweep(3, 7):
     mark = "yes" if row.degenerable else "no "
     print(f"  n={row.n} d={row.d}: rank {row.generic_rank}/{row.ambient}"
           f"  degenerable {mark} (threshold {2 * row.n - 1})")

@@ -45,6 +45,7 @@ from .family import (
     FamilyPoint,
     RedundancyReport,
     differential_rank,
+    dominance_point,
     excluded_block,
     excluded_exponents,
     face_exponents,

@@ -4,14 +4,16 @@ Every command takes an explicit --seed; repeated runs with identical seed
 and flags produce byte-identical output.  Exact rational values are emitted
 as strings like "5/2" so nothing is rounded through floating point.  Exit
 codes: 0 success / claims verified, 1 claim mismatch, 2 genericity or
-certificate failure, 64 usage error.  Output is written as it is
-produced, so after exit 2 stdout may stop partway through a listing.
+certificate failure, 64 usage error, 74 stdout closed before the output
+ended (EX_IOERR).  Output is written as it is produced, so after exit 2
+or 74 stdout may stop partway through a listing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -234,9 +236,11 @@ def cmd_sweep(args) -> int:
     n_max, d_max = args.n_max, args.d_max
     _require(n_max >= 2 and d_max >= 2,
              f"need --n-max >= 2 and --d-max >= 2, got {n_max}, {d_max}")
-    rng = Random(cfg.seed)
-    rows = threshold_sweep(n_max, d_max, rng, cfg.samples, cfg.bound,
-                           strict=False)
+    # nothing is sampled: --samples and --bound are only checked and echoed
+    _check_domain(n_max, d_max)
+    check_samples(cfg.samples)
+    _require(cfg.bound >= 2, f"bound must be at least 2, got {cfg.bound}")
+    rows = threshold_sweep(n_max, d_max, strict=False)
     row_payloads = []
     all_match = True
     for row in rows:
@@ -453,7 +457,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit
+        # stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 74
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

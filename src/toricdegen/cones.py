@@ -31,6 +31,11 @@ from .poly import HomogPoly, RatLike
 Functional = tuple[Fraction, ...]
 CertEntry = tuple[str, int, Fraction]  # (kind, index, multiplier)
 
+# Most working constraints one Fourier-Motzkin step may produce, counted as
+# lowers * uppers + passed before the step; solve raises DomainError past it.
+# The largest systems the test suite solves reach 9,780.
+MAX_FM_CONSTRAINTS = 20_000
+
 
 def difference_functional(u: Sequence[int], v: Sequence[int]) -> Functional:
     """Functional whose value at w is weight(u) - weight(v)."""
@@ -224,6 +229,11 @@ def solve(system: LinearSystem) -> FeasibilityResult:
         lowers = [c for c in active if c.func[k] > 0]
         uppers = [c for c in active if c.func[k] < 0]
         passed = [c for c in active if not c.func[k]]
+        size = len(lowers) * len(uppers) + len(passed)
+        if size > MAX_FM_CONSTRAINTS:
+            raise DomainError(
+                f"eliminating w{k} could leave {size} constraints, over the "
+                f"limit of {MAX_FM_CONSTRAINTS}")
         fm_stack.append((k,
                          [(c.func[:], c.strict) for c in lowers],
                          [(c.func[:], c.strict) for c in uppers]))

@@ -125,7 +125,7 @@ class FamilyPoint:
     """A family member, held by its nonzero coefficients; a nonzero
     coefficient on an excluded exponent raises DomainError."""
 
-    __slots__ = ("n", "d", "_poly")
+    __slots__ = ("n", "d", "_poly", "_block")
 
     def __init__(self, n: int, d: int, coeffs: Mapping[Exponent, RatLike]):
         excluded = excluded_exponents(n, d)
@@ -149,6 +149,15 @@ class FamilyPoint:
     def to_poly(self) -> HomogPoly:
         return self._poly
 
+    @property
+    def block(self) -> QMatrix:
+        """excluded_block(self), built on first use and kept."""
+        try:
+            return self._block
+        except AttributeError:
+            self._block = excluded_block(self)
+            return self._block
+
 
 def sample_family(n: int, d: int, rng: Random, bound: int = 1000) -> FamilyPoint:
     """Random family member, nonzero exactly on the face.
@@ -168,6 +177,23 @@ def sample_family(n: int, d: int, rng: Random, bound: int = 1000) -> FamilyPoint
     for u in face_exponents(n, d):
         k = rng.randrange(2 * bound)
         coeffs[u] = k - bound if k < bound else k - bound + 1
+    return FamilyPoint(n, d, coeffs)
+
+
+def dominance_point(n: int, d: int) -> FamilyPoint:
+    """The face point with c[x1^d] = 1, c[x0^(d-1-2k)*x1^(2k)*x_(k+2)] = 1
+    for 0 <= k <= min(n-2, (d-1)//2), and 0 elsewhere.
+
+    Key rows (k+2, 0) and (k+2, 1) are the unit vectors at columns 2k and
+    2k+1, so the key rank is min(d-1, 2n-2), and row (1, 0) is the spike
+    d on the last column: the point attains structural_rank_bound.
+    """
+    _check_domain(n, d)
+    coeffs = {tuple(d if i == 1 else 0 for i in range(n + 1)): 1}
+    for k in range(min(n - 2, (d - 1) // 2) + 1):
+        u = [0] * (n + 1)
+        u[0], u[1], u[k + 2] = d - 1 - 2 * k, 2 * k, 1
+        coeffs[tuple(u)] = 1
     return FamilyPoint(n, d, coeffs)
 
 
@@ -206,8 +232,7 @@ def key_matrix(point: FamilyPoint) -> QMatrix:
     with x1.  Columns follow x0^d, x0^(d-1)*x1, ..., x0^2*x1^(d-2).
     """
     n = point.n
-    block = excluded_block(point)
-    return QMatrix(block.row(i * (n + 1) + j)[:-1]
+    return QMatrix(point.block.row(i * (n + 1) + j)[:-1]
                    for i in range(2, n + 1) for j in (0, 1))
 
 
@@ -228,8 +253,7 @@ def differential_rank(point: FamilyPoint, mode: str = "exact",
         raise ValueError(f"unknown rank mode {mode!r}")
     n, d = point.n, point.d
     ambient = comb(n + d, d)
-    return RankReport.of(ambient - d + rank(excluded_block(point)), ambient,
-                         "exact")
+    return RankReport.of(ambient - d + rank(point.block), ambient, "exact")
 
 
 class RedundancyReport(NamedTuple):
@@ -249,7 +273,7 @@ def redundancy_check(point: FamilyPoint) -> RedundancyReport:
     per (i, j) pair.
     """
     n = point.n
-    block = excluded_block(point)
+    block = point.block
     failures = tuple(
         (i, j) for i in range(n + 1) for j in range(n + 1)
         if (i == 0 or (i, j) == (1, 1) or j > 1)

@@ -29,6 +29,7 @@ from .family import (
     FamilyPoint,
     _check_domain,
     differential_rank,
+    dominance_point,
     excluded_exponents,
     redundancy_check,
     sample_family,
@@ -118,18 +119,22 @@ def existence_witness(n: int, d: int, rng: Random,
         f"no generic witness at n={n}, d={d} after {_RESAMPLE_BUDGET} resamples")
 
 
-def dominance_certificate(n: int, d: int, samples: int, rng: Random,
-                          bound: int = 1000) -> RankReport:
-    """Best differential-rank report over sampled family members.
+def dominance_certificate(n: int, d: int) -> RankReport:
+    """Exact differential-rank report at dominance_point(n, d).
 
-    The maximum sampled rank is a lower bound for the generic rank, so a
-    surjective report certifies that the image of the construction fills a
-    dense open subset of the degree-d coefficient space.
+    A rank at any point is a lower bound for the generic rank, and the
+    structural bound is an upper one, so a report that reaches the bound
+    gives the generic rank; a surjective one certifies that the image of the
+    construction fills a dense open subset of the degree-d coefficient
+    space.  Raises CertificateError unless the rank meets the bound.
     """
-    _check_domain(n, d)
-    check_samples(samples)
-    return max((differential_rank(sample_family(n, d, rng, bound))
-                for _ in range(samples)), key=lambda report: report.rank)
+    report = differential_rank(dominance_point(n, d))
+    target = structural_rank_bound(n, d)
+    if report.rank != target:
+        raise CertificateError(
+            f"rank {report.rank} at the dominance point of n={n}, d={d} "
+            f"misses the structural bound {target}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +385,21 @@ def sweep_row_matches(row: SweepRow) -> bool:
     return row.degenerable == (row.d <= 2 * row.n - 1)
 
 
-def threshold_sweep(n_max: int, d_max: int, rng: Random, samples: int = 3,
-                    bound: int = 1000, strict: bool = True) -> list[SweepRow]:
+def threshold_sweep(n_max: int, d_max: int,
+                    strict: bool = True) -> list[SweepRow]:
     """Dominance certificates over the grid 2 <= n <= n_max, 2 <= d <= d_max.
 
     Each row is degenerable exactly when the dominance report is surjective;
     in strict mode a row contradicting the d <= 2n - 1 threshold raises
-    CertificateError.
+    CertificateError.  Nothing is sampled.
     """
     if n_max < 2 or d_max < 2:
         raise DomainError("need n_max >= 2 and d_max >= 2")
     _check_domain(n_max, d_max)  # the largest grid point bounds all others
-    check_samples(samples)
     rows = []
     for n in range(2, n_max + 1):
         for d in range(2, d_max + 1):
-            report = dominance_certificate(n, d, samples, rng, bound)
+            report = dominance_certificate(n, d)
             row = SweepRow(n=n, d=d, ambient=report.ambient,
                            generic_rank=report.rank, codim=report.codim,
                            degenerable=report.surjective)

@@ -1,7 +1,11 @@
 import json
+import math
 import os
+import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,6 +13,8 @@ import pytest
 from toricdegen import differential_rank, key_matrix, rank, sample_family
 from toricdegen.cli import RunConfig, main
 from helpers import check_record
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -81,6 +87,18 @@ class TestVerifyLemma:
                                                  for p in points)
         assert payload["differential_rank"] == max(differential_rank(p).rank
                                                    for p in points)
+
+    def test_one_block_per_sample(self, capsys, monkeypatch):
+        # key_matrix and differential_rank read the block the point keeps
+        import toricdegen.family
+        build = toricdegen.family.excluded_block
+        built = []
+        monkeypatch.setattr(toricdegen.family, "excluded_block",
+                            lambda point: built.append(point) or build(point))
+        code, _out, _err = run(capsys, "verify-lemma", "--n", "3", "--d", "6",
+                               "--seed", "5", "--samples", "3")
+        assert code == 0
+        assert len(built) == 3
 
 
 class TestWitness:
@@ -176,6 +194,23 @@ class TestStratum:
                                "--n", "2", "--d", "3")
         assert code == 64
 
+    def test_fourier_motzkin_budget(self, capsys):
+        # g = x0*x1^(d-1) + x2^d eliminates w0 = d*w2 - (d-1)*w1; then the
+        # term x0^a*x1^b*x2^c carries (d-1)*a - b on w1: the d-1 terms with
+        # a = 1 bound w1 from below and the d terms with a = 0 from above
+        from toricdegen.cones import MAX_FM_CONSTRAINTS
+        d = math.isqrt(MAX_FM_CONSTRAINTS) + 2
+        terms = [f"x0*x1^{b}*x2^{d - 1 - b}" for b in range(d - 1)]
+        terms += [f"x1^{b}*x2^{d - b}" for b in range(1, d + 1)]
+        g = f"x0*x1^{d - 1} + x2^{d}"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "stratum", "--f", " + ".join([g] + terms),
+                             "--g", g, "--n", "2", "--d", str(d))
+        assert time.perf_counter() - start < 1
+        assert code == 64
+        assert out == ""
+        assert f"over the limit of {MAX_FM_CONSTRAINTS}" in err
+
 
 class TestEnumerate:
     def test_three_patterns(self, capsys):
@@ -232,6 +267,25 @@ class TestEnumerateStreaming:
                            "--d", nd[1], "--format", "table")
         assert code == 0
         assert out == expected
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_74(self, unbuffered):
+        # a reader that stops early, like `| head -c 64`: no traceback, and
+        # EX_IOERR rather than 1, the claim-mismatch code
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, toricdegen.cli; sys.exit(toricdegen.cli.main())",
+             "enumerate-binomials", "--n", "4", "--d", "8"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(64)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 74, err
+        assert "Traceback" not in err
 
     def test_listing_memory_is_constant(self, monkeypatch):
         # building the whole payload and its text first peaks at about 6 MB

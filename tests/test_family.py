@@ -13,7 +13,9 @@ from toricdegen import (
     HomogPoly,
     RankReport,
     RedundancyReport,
+    classify_poly,
     differential_rank,
+    dominance_point,
     excluded_block,
     excluded_exponents,
     face_exponents,
@@ -23,7 +25,10 @@ from toricdegen import (
     rank,
     redundancy_check,
     sample_family,
+    parse_poly,
     structural_rank_bound,
+    sweep_row_matches,
+    threshold_sweep,
     weight_of,
     witness_weight,
 )
@@ -279,6 +284,61 @@ class TestKeyMatrix:
             for d in (2, 3, 4, 5, 6):
                 point = sample_family(n, d, rng)
                 assert rank(key_matrix(point)) == min(d - 1, 2 * n - 2)
+
+
+class TestDominancePoint:
+    GRID = [(n, d) for n in range(2, 8) for d in range(2, 19)]
+
+    def test_terms_lie_on_the_face(self):
+        for n, d in self.GRID:
+            point = dominance_point(n, d)
+            assert set(point.coeffs) <= set(face_exponents(n, d)), (n, d)
+            assert set(point.coeffs.values()) == {1}
+
+    def test_rank_meets_the_structural_bound(self):
+        for n, d in self.GRID:
+            report = differential_rank(dominance_point(n, d))
+            assert report.rank == structural_rank_bound(n, d), (n, d)
+
+    def test_key_rank(self):
+        for n, d in self.GRID:
+            assert rank(key_matrix(dominance_point(n, d))) == \
+                min(d - 1, 2 * n - 2), (n, d)
+
+    def test_redundancy(self):
+        for n, d in self.GRID:
+            assert redundancy_check(dominance_point(n, d)).ok, (n, d)
+
+    def test_initial_form_is_the_prime_staircase_top(self):
+        for n, d in self.GRID:
+            init = initial_form(dominance_point(n, d).to_poly(),
+                                witness_weight(n, d))
+            assert init == parse_poly(f"x1^{d} + x0^{d - 1}*x2", n, d), (n, d)
+            assert classify_poly(init).tag == "Prime"
+
+    def test_sweep_samples_nothing(self, monkeypatch):
+        import toricdegen.family
+        import toricdegen.theorem
+
+        def refuse(*args):
+            raise AssertionError("the sweep sampled a family point")
+
+        for module in (toricdegen.family, toricdegen.theorem):
+            monkeypatch.setattr(module, "sample_family", refuse)
+        rows = threshold_sweep(4, 10)
+        assert len(rows) == 27
+        assert all(map(sweep_row_matches, rows))
+
+    def test_block_is_built_once(self, monkeypatch):
+        import toricdegen.family
+        build = toricdegen.family.excluded_block
+        built = []
+        monkeypatch.setattr(toricdegen.family, "excluded_block",
+                            lambda point: built.append(point) or build(point))
+        point = dominance_point(3, 6)
+        key_matrix(point), differential_rank(point), redundancy_check(point)
+        assert point.block == build(point)
+        assert built == [point]
 
 
 class TestDifferentialRank:

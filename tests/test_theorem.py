@@ -26,7 +26,8 @@ from toricdegen import (
     existence_witness,
 )
 from toricdegen.theorem import (_cone_within, _is_normalized, _normalize,
-                                _relabel, _split_terms, _support)
+                                _relabel, _split_terms, _support,
+                                check_samples)
 from helpers import check_record, forced_blocks
 
 
@@ -89,14 +90,14 @@ class TestExistenceWitness:
 
 class TestDominance:
     def test_examples(self):
-        assert dominance_certificate(2, 3, 3, Random(4)).surjective
-        report = dominance_certificate(2, 4, 3, Random(5))
+        assert dominance_certificate(2, 3).surjective
+        report = dominance_certificate(2, 4)
         assert report.rank == 14 and report.ambient == 15
-        assert dominance_certificate(4, 7, 2, Random(6)).surjective
+        assert dominance_certificate(4, 7).surjective
 
     def test_samples_positive(self):
         with pytest.raises(DomainError):
-            dominance_certificate(2, 3, 0, Random(7))
+            check_samples(0)
 
 
 class TestStrataReduction:
@@ -255,14 +256,14 @@ class TestNonexistence:
 
 class TestSweep:
     def test_small_grid_strict(self):
-        rows = threshold_sweep(3, 6, Random(14), samples=2)
+        rows = threshold_sweep(3, 6)
         assert len(rows) == 10
         for row in rows:
             assert sweep_row_matches(row)
             assert row.degenerable == (row.codim == 0)
 
     def test_n2_thresholds(self):
-        rows = [r for r in threshold_sweep(2, 5, Random(15), samples=2)]
+        rows = [r for r in threshold_sweep(2, 5)]
         flags = {r.d: r.degenerable for r in rows}
         assert flags == {2: True, 3: True, 4: False, 5: False}
 
@@ -304,7 +305,7 @@ class TestRecords:
         monkeypatch.setattr(toricdegen.theorem, "sweep_row_matches",
                             lambda row: False)
         with pytest.raises(CertificateError) as excinfo:
-            threshold_sweep(2, 2, Random(1), samples=1)
+            threshold_sweep(2, 2)
         assert str(excinfo.value) == (
             "threshold violated at n=2, d=2: SweepRow(n=2, d=2, ambient=6, "
             "generic_rank=6, codim=0, degenerable=True)")

@@ -61,6 +61,27 @@ def test_library_uses_every_name_it_imports():
     assert not found, "unused imports in the library: " + ", ".join(found)
 
 
+def test_library_reads_every_parameter():
+    # a parameter the body never reads is dead weight in every call;
+    # differential_rank keeps its rng so that older callers still run
+    allowed = {"family.py:differential_rank rng"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + \
+                node.args.kwonlyargs + [node.args.vararg, node.args.kwarg]
+            read = {sub.id for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            found += [f"{path.name}:{node.name} {arg.arg}" for arg in params
+                      if arg is not None and arg.arg not in read]
+    unread = sorted(set(found) - allowed)
+    assert not unread, "parameters never read: " + ", ".join(unread)
+
+
 def test_traced_benchmark_child_runs(tmp_path):
     # perfbench's tracer looks up every library module by name, so removing
     # or renaming one breaks the traced benchmark run
