@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DegreeError, DimensionMismatchError, DomainError
 from .family import check_ambient
-from .poly import Exponent, HomogPoly, RatLike, iter_exponents
+from .poly import Exponent, HomogPoly, RatLike, SlotRecord, iter_exponents
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
@@ -52,7 +52,7 @@ class PrimeVerdict(NamedTuple):
         return self.tag == PRIME
 
 
-class BinomialPattern:
+class BinomialPattern(SlotRecord):
     """Unordered two-monomial support pattern with nonzero coefficients."""
 
     __slots__ = ("u", "v", "a", "b")
@@ -74,19 +74,6 @@ class BinomialPattern:
         if a == 0 or b == 0:
             raise DegreeError("binomial coefficients must be nonzero")
         self.u, self.v, self.a, self.b = u, v, a, b
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinomialPattern):
-            return NotImplemented
-        return ((self.u, self.v, self.a, self.b)
-                == (other.u, other.v, other.a, other.b))
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v, self.a, self.b))
-
-    def __repr__(self) -> str:
-        return (f"BinomialPattern(u={self.u!r}, v={self.v!r}, a={self.a!r}, "
-                f"b={self.b!r})")
 
     @property
     def n(self) -> int:

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .binomials import (check_listing_budget, classify_poly, pattern_from_poly,
                         prime_pairs)
@@ -51,13 +51,6 @@ from .theorem import (
 _USAGE_ERRORS = (DomainError, PolySyntaxError, DegreeError, VariableIndexError,
                  ZeroPolynomialError, SupportMismatchError,
                  DimensionMismatchError)
-
-
-class RunConfig(NamedTuple):
-    seed: int
-    samples: int = 3
-    bound: int = 1000
-    fmt: str = "json"
 
 
 def _rat(x) -> str:
@@ -129,8 +122,8 @@ def _write(pieces: Iterable[str]) -> None:
     sys.stdout.write("".join(buf))
 
 
-def _emit(payload: dict, cfg: RunConfig, table_lines) -> None:
-    if cfg.fmt == "json":
+def _emit(payload: dict, fmt: str, table_lines) -> None:
+    if fmt == "json":
         _write(_json_pieces(payload))
     else:
         _write(line + "\n" for line in table_lines(payload))
@@ -148,11 +141,6 @@ def _kv_lines(payload: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, samples=getattr(args, "samples", 3),
-                     bound=getattr(args, "bound", 1000), fmt=args.format)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DomainError(message)
@@ -162,18 +150,17 @@ def _require(condition: bool, message: str) -> None:
 # commands
 
 def cmd_verify_lemma(args) -> int:
-    cfg = _config(args)
     n, d = args.n, args.d
     _check_domain(n, d)
-    check_samples(cfg.samples)
-    rng = Random(cfg.seed)
+    check_samples(args.samples)
+    rng = Random(args.seed)
     expected_min = min(d - 1, 2 * n - 2)
     expected_codim = (d - 1) - expected_min
     # one point at a time: ranks never draw from rng, so the points drawn
     # do not depend on when they are ranked; the first maximal report wins
     best_key, best = -1, None
-    for _ in range(cfg.samples):
-        point = sample_family(n, d, rng, cfg.bound)
+    for _ in range(args.samples):
+        point = sample_family(n, d, rng, args.bound)
         best_key = max(best_key, rank(key_matrix(point)))
         report = differential_rank(point)
         if best is None or report.rank > best.rank:
@@ -181,7 +168,7 @@ def cmd_verify_lemma(args) -> int:
     payload = {
         "n": n,
         "d": d,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "key_matrix_rank": best_key,
         "expected_min": expected_min,
         "differential_rank": best.rank,
@@ -191,7 +178,7 @@ def cmd_verify_lemma(args) -> int:
         "surjective": best.surjective,
         "method": best.method,
     }
-    _emit(payload, cfg, _kv_lines)
+    _emit(payload, args.format, _kv_lines)
     if best_key == expected_min and best.codim == expected_codim:
         return 0
     if best_key < expected_min or best.codim > expected_codim:
@@ -200,15 +187,13 @@ def cmd_verify_lemma(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cfg = _config(args)
     n, d = args.n, args.d
-    _check_domain(n, d)
-    rng = Random(cfg.seed)
-    bundle = existence_witness(n, d, rng, cfg.bound)
+    rng = Random(args.seed)
+    bundle = existence_witness(n, d, rng, args.bound)
     payload = {
         "n": n,
         "d": d,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "poly": format_poly(bundle.point.to_poly()),
         "omega": [_rat(w) for w in bundle.omega],
         "initial": format_poly(bundle.initial),
@@ -216,7 +201,7 @@ def cmd_witness(args) -> int:
         "verdict": {"tag": bundle.verdict.tag, "power": bundle.verdict.power},
         "dominance": _rank_payload(bundle.dominance),
     }
-    _emit(payload, cfg, _kv_lines)
+    _emit(payload, args.format, _kv_lines)
     return 0
 
 
@@ -232,14 +217,10 @@ def _sweep_table(payload: dict) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args)
     n_max, d_max = args.n_max, args.d_max
     _require(n_max >= 2 and d_max >= 2,
              f"need --n-max >= 2 and --d-max >= 2, got {n_max}, {d_max}")
-    # nothing is sampled: --samples and --bound are only checked and echoed
     _check_domain(n_max, d_max)
-    check_samples(cfg.samples)
-    _require(cfg.bound >= 2, f"bound must be at least 2, got {cfg.bound}")
     rows = threshold_sweep(n_max, d_max, strict=False)
     row_payloads = []
     all_match = True
@@ -258,18 +239,15 @@ def cmd_sweep(args) -> int:
     payload = {
         "n_max": n_max,
         "d_max": d_max,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "bound": cfg.bound,
+        "seed": args.seed,
         "rows": row_payloads,
         "all_match": all_match,
     }
-    _emit(payload, cfg, _sweep_table)
+    _emit(payload, args.format, _sweep_table)
     return 0 if all_match else 1
 
 
 def cmd_classify(args) -> int:
-    cfg = _config(args)
     check_ambient(args.n, args.d)
     f = parse_poly(args.poly, args.n, args.d)
     verdict = classify_poly(f)
@@ -279,12 +257,11 @@ def cmd_classify(args) -> int:
         "poly": format_poly(f),
         "verdict": {"tag": verdict.tag, "power": verdict.power},
     }
-    _emit(payload, cfg, _kv_lines)
+    _emit(payload, args.format, _kv_lines)
     return 0
 
 
 def cmd_stratum(args) -> int:
-    cfg = _config(args)
     check_ambient(args.n, args.d)
     f = parse_poly(args.f, args.n, args.d)
     g_poly = parse_poly(args.g, args.n, args.d)
@@ -307,7 +284,7 @@ def cmd_stratum(args) -> int:
                         [{"kind": kind, "index": idx, "multiplier": _rat(mult)}
                          for kind, idx, mult in result.certificate]),
     }
-    _emit(payload, cfg, _kv_lines)
+    _emit(payload, args.format, _kv_lines)
     return 0
 
 
@@ -334,7 +311,6 @@ def _listed_patterns(n: int, d: int, count: int) -> Iterator[dict]:
 
 
 def cmd_enumerate(args) -> int:
-    cfg = _config(args)
     _require(args.n >= 1 and args.d >= 1,
              f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
     count = check_listing_budget(args.n, args.d)
@@ -344,19 +320,18 @@ def cmd_enumerate(args) -> int:
         "count": count,
         "patterns": _listed_patterns(args.n, args.d, count),
     }
-    _emit(payload, cfg, _enumerate_table)
+    _emit(payload, args.format, _enumerate_table)
     return 0
 
 
 def cmd_nonexist(args) -> int:
-    cfg = _config(args)
     n, d = args.n, args.d
-    rng = Random(cfg.seed)
-    report = nonexistence_certificate(n, d, cfg.samples, rng, cfg.bound)
+    rng = Random(args.seed)
+    report = nonexistence_certificate(n, d, args.samples, rng, args.bound)
     payload = {
         "n": report.n,
         "d": report.d,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "codim_bound": report.codim_bound,
         "sampled_codims": list(report.sampled_codims),
         "redundancy_ok": report.redundancy_ok,
@@ -364,7 +339,7 @@ def cmd_nonexist(args) -> int:
         "strata_full": report.strata_full,
         "strata_reduced": report.strata_reduced,
     }
-    _emit(payload, cfg, _kv_lines)
+    _emit(payload, args.format, _kv_lines)
     return 0
 
 
@@ -422,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--d-max", dest="d_max", type=int, required=True)
     _add_common(p, with_nd=False)
-    _add_sampling(p)
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("classify", help="classify a two-term polynomial")

@@ -18,15 +18,14 @@ survey asks, have a closed form: chain_implies.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .binomials import BinomialPattern
 from .errors import (CertificateError, DimensionMismatchError, DomainError,
                      SupportMismatchError)
-from .poly import HomogPoly, RatLike
+from .poly import HomogPoly, RatLike, SlotRecord
 
 Functional = tuple[Fraction, ...]
 CertEntry = tuple[str, int, Fraction]  # (kind, index, multiplier)
@@ -44,7 +43,7 @@ def difference_functional(u: Sequence[int], v: Sequence[int]) -> Functional:
     return tuple(Fraction(a - b) for a, b in zip(u, v))
 
 
-class LinearSystem:
+class LinearSystem(SlotRecord):
     __slots__ = ("dim", "equalities", "weak_ineqs", "strict_ineqs")
 
     def __init__(self, dim: int, equalities: tuple[Functional, ...] = (),
@@ -59,22 +58,6 @@ class LinearSystem:
         self.equalities = equalities
         self.weak_ineqs = weak_ineqs
         self.strict_ineqs = strict_ineqs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearSystem):
-            return NotImplemented
-        return ((self.dim, self.equalities, self.weak_ineqs, self.strict_ineqs)
-                == (other.dim, other.equalities, other.weak_ineqs,
-                    other.strict_ineqs))
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.equalities, self.weak_ineqs,
-                     self.strict_ineqs))
-
-    def __repr__(self) -> str:
-        return (f"LinearSystem(dim={self.dim!r}, equalities={self.equalities!r}, "
-                f"weak_ineqs={self.weak_ineqs!r}, "
-                f"strict_ineqs={self.strict_ineqs!r})")
 
     def constraints(self) -> Iterable[tuple[str, int, Functional]]:
         for i, f in enumerate(self.equalities):
@@ -160,19 +143,23 @@ class _Constraint:
 
 
 def _primitive(func: Sequence[Fraction]) -> tuple[int, ...]:
-    scale = reduce(lambda a, b: a * b // gcd(a, b),
-                   (e.denominator for e in func), 1)
+    scale = lcm(*(e.denominator for e in func))
     ints = [int(e * scale) for e in func]
-    g = reduce(gcd, (abs(e) for e in ints), 0)
+    g = gcd(*ints)
     if g > 1:
         ints = [e // g for e in ints]
     return tuple(ints)
 
 
-def _certificate(con: _Constraint) -> tuple[CertEntry, ...]:
+def _infeasible(system: LinearSystem, con: _Constraint) -> FeasibilityResult:
+    """The 0 > 0 certificate carried by con's lineage, re-checked against
+    the original system; CertificateError if it does not derive 0 > 0."""
     entries = [(kind, idx, mult) for (kind, idx), mult in con.lineage.items()]
     entries.sort(key=lambda e: ({"eq": 0, "weak": 1, "strict": 2}[e[0]], e[1]))
-    return tuple(entries)
+    if not verify_certificate(system, entries):
+        raise CertificateError(
+            f"infeasibility certificate {entries} failed self-check")
+    return FeasibilityResult(False, certificate=tuple(entries))
 
 
 def solve(system: LinearSystem) -> FeasibilityResult:
@@ -218,11 +205,10 @@ def solve(system: LinearSystem) -> FeasibilityResult:
 
     active, contradiction = split_trivial(active)
     if contradiction is not None:
-        return FeasibilityResult(False, certificate=_certificate(contradiction))
+        return _infeasible(system, contradiction)
 
     # Fourier-Motzkin elimination, ascending variable index
-    fm_stack: list[tuple[int, list[tuple[list[Fraction], bool]],
-                         list[tuple[list[Fraction], bool]]]] = []
+    fm_stack: list[tuple[int, list[list[Fraction]], list[list[Fraction]]]] = []
     for k in range(dim):
         if k in eliminated:
             continue
@@ -234,9 +220,8 @@ def solve(system: LinearSystem) -> FeasibilityResult:
             raise DomainError(
                 f"eliminating w{k} could leave {size} constraints, over the "
                 f"limit of {MAX_FM_CONSTRAINTS}")
-        fm_stack.append((k,
-                         [(c.func[:], c.strict) for c in lowers],
-                         [(c.func[:], c.strict) for c in uppers]))
+        fm_stack.append((k, [c.func[:] for c in lowers],
+                         [c.func[:] for c in uppers]))
         fresh: list[_Constraint] = []
         seen: set[tuple[tuple[int, ...], bool]] = set()
         for lo in lowers:
@@ -244,8 +229,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
                 combo = lo.combined_with(up, -up.func[k], lo.func[k])
                 if combo.is_zero():
                     if combo.strict:
-                        return FeasibilityResult(
-                            False, certificate=_certificate(combo))
+                        return _infeasible(system, combo)
                     continue
                 key = (_primitive(combo.func), combo.strict)
                 if key in seen:
@@ -256,14 +240,14 @@ def solve(system: LinearSystem) -> FeasibilityResult:
 
     # feasible: back-substitute
     values: dict[int, Fraction] = {}
-    for k, lower_data, upper_data in reversed(fm_stack):
+    for k, lower_funcs, upper_funcs in reversed(fm_stack):
         def bound(func: list[Fraction]) -> Fraction:
             rest = sum((a * values[j] for j, a in enumerate(func)
                         if j != k and a), Fraction(0))
             return -rest / func[k]
 
-        lows = [bound(f) for f, _ in lower_data]
-        highs = [bound(f) for f, _ in upper_data]
+        lows = [bound(f) for f in lower_funcs]
+        highs = [bound(f) for f in upper_funcs]
         if lows and highs:
             lo, hi = max(lows), min(highs)
             values[k] = (lo + hi) / 2
@@ -279,8 +263,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
         values[k] = -rest / func[k]
 
     witness = [values[j] for j in range(dim)]
-    scale = reduce(lambda a, b: a * b // gcd(a, b),
-                   (v.denominator for v in witness), 1)
+    scale = lcm(*(v.denominator for v in witness))
     witness = tuple(v * scale for v in witness)
     if not satisfies(system, witness):
         raise CertificateError(f"feasible witness {witness} failed self-check")

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import DomainError
 from .linalg import QMatrix, RankReport, rank
-from .poly import Exponent, HomogPoly, RatLike, count_exponents
+from .poly import Exponent, HomogPoly, RatLike, SlotRecord, count_exponents
 
 # Largest ambient dimension C(n+d, d) admitted, which fixes the (n, d)
 # domain of every command.  Sampling and the rank certificates read only
@@ -40,7 +40,7 @@ from .poly import Exponent, HomogPoly, RatLike, count_exponents
 MAX_AMBIENT = 500_000
 
 
-class ExclusionSet:
+class ExclusionSet(SlotRecord):
     """The d excluded exponents, descending graded-lex (x0^d first)."""
 
     __slots__ = ("n", "d", "members", "_member_set")
@@ -56,17 +56,6 @@ class ExclusionSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExclusionSet):
-            return NotImplemented
-        return (self.n, self.d, self.members) == (other.n, other.d, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d, self.members))
-
-    def __repr__(self) -> str:
-        return f"ExclusionSet(n={self.n!r}, d={self.d!r}, members={self.members!r})"
 
 
 def check_ambient(n: int, d: int) -> None:

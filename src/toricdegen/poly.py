@@ -35,8 +35,27 @@ RatLike = int | Fraction
 _ZERO = Fraction(0)
 
 
-def degree_of(u: Sequence[int]) -> int:
-    return sum(u)
+class SlotRecord:
+    """Equality, hash and repr over the public __slots__, in their order;
+    a slot whose name starts with an underscore is derived state."""
+
+    __slots__ = ()
+
+    def _items(self) -> tuple[tuple[str, object], ...]:
+        return tuple((name, getattr(self, name)) for name in self.__slots__
+                     if name[0] != "_")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self) -> int:
+        return hash(self._items())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in self._items())
+        return f"{type(self).__name__}({body})"
 
 
 def iter_exponents(n: int, d: int) -> Iterator[Exponent]:

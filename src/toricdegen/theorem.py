@@ -86,37 +86,43 @@ def check_samples(samples: int) -> None:
         raise DomainError(f"samples exceed the limit of {MAX_SAMPLES}")
 
 
+def _generic_point(n: int, d: int, rng: Random,
+                   bound: int) -> tuple[FamilyPoint, RankReport]:
+    """Sample until the differential rank meets the structural bound; after
+    1 + _RESAMPLE_BUDGET draws that miss it, raise GenericityError."""
+    target = structural_rank_bound(n, d)
+    for _ in range(1 + _RESAMPLE_BUDGET):
+        point = sample_family(n, d, rng, bound)
+        report = differential_rank(point)
+        if report.rank == target:
+            return point, report
+    raise GenericityError(
+        f"no generic sample at n={n}, d={d} after {_RESAMPLE_BUDGET} resamples")
+
+
 def existence_witness(n: int, d: int, rng: Random,
                       bound: int = 1000) -> WitnessBundle:
     """Sampled family member whose initial form is a prime binomial.
 
-    The initial form is recomputed from scratch and must be supported on
-    x1^d and x0^(d-1)*x2 with a Prime verdict; the attached dominance report
-    must meet the structural rank bound (surjective iff d <= 2n - 1).
-    Resamples a few times before giving up with GenericityError.
+    The point comes from _generic_point, so its dominance report meets the
+    structural rank bound (surjective iff d <= 2n - 1).  The initial form is
+    recomputed from scratch and must be supported on x1^d and x0^(d-1)*x2
+    with a Prime verdict, or CertificateError is raised: every face
+    coefficient is nonzero, and only those two monomials reach the top
+    weight d(d-1), so a failure is a fault, not bad luck in the draw.
     """
     _check_domain(n, d)
     omega = witness_weight(n, d)
-    expected = set(_spike_exponents(n, d))
-    for _ in range(1 + _RESAMPLE_BUDGET):
-        point = sample_family(n, d, rng, bound)
-        init = initial_form(point.to_poly(), omega)
-        if set(init.support()) != expected:
-            continue
-        pattern = pattern_from_poly(init)
-        if pattern is None:
-            raise CertificateError(
-                f"initial form on {init.support()} is not a binomial pattern")
-        verdict = classify(pattern)
-        if not verdict.is_prime:
-            continue
-        report = differential_rank(point)
-        if report.rank != structural_rank_bound(n, d):
-            continue
-        return WitnessBundle(n=n, d=d, point=point, omega=omega,
-                             initial=init, verdict=verdict, dominance=report)
-    raise GenericityError(
-        f"no generic witness at n={n}, d={d} after {_RESAMPLE_BUDGET} resamples")
+    point, report = _generic_point(n, d, rng, bound)
+    init = initial_form(point.to_poly(), omega)
+    if set(init.support()) != set(_spike_exponents(n, d)):
+        raise CertificateError(
+            f"initial form on {init.support()} is not x1^d + x0^(d-1)*x2")
+    verdict = classify(pattern_from_poly(init))
+    if not verdict.is_prime:
+        raise CertificateError(f"initial form {init} is {verdict.tag}")
+    return WitnessBundle(n=n, d=d, point=point, omega=omega,
+                         initial=init, verdict=verdict, dominance=report)
 
 
 def dominance_certificate(n: int, d: int) -> RankReport:
@@ -316,19 +322,6 @@ class NonexistenceReport(NamedTuple):
     strata_reduced: bool
 
 
-def _generic_point(n: int, d: int, rng: Random,
-                   bound: int) -> tuple[FamilyPoint, RankReport]:
-    """Sample until the differential rank meets the structural bound."""
-    target = structural_rank_bound(n, d)
-    for _ in range(1 + _RESAMPLE_BUDGET):
-        point = sample_family(n, d, rng, bound)
-        report = differential_rank(point)
-        if report.rank == target:
-            return point, report
-    raise GenericityError(
-        f"no generic sample at n={n}, d={d} after {_RESAMPLE_BUDGET} resamples")
-
-
 def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
                              bound: int = 1000) -> NonexistenceReport:
     """Certificate that past the threshold no dense open set degenerates.
@@ -347,19 +340,16 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     check_pattern_budget(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
-    points = []
     for _ in range(samples):
         point, report = _generic_point(n, d, rng, bound)
         if report.codim != codim_bound:
             raise CertificateError(
                 f"sampled codim {report.codim} != bound {codim_bound}")
-        sampled.append(report.codim)
-        points.append(point)
-    for point in points:
         red = redundancy_check(point)
         if not red.ok:
             raise CertificateError(
                 f"redundant generators leak onto excluded monomials: {red.failures}")
+        sampled.append(report.codim)
     survey = strata_survey(n, d)
     if not survey.passed:
         raise CertificateError(

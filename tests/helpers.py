@@ -459,3 +459,19 @@ def full_span_rank(point: FamilyPoint) -> int:
     """Rank of every differential generator over the full monomial basis."""
     return rank_sparse_exact(sparse_rows(
         (gen.poly for gen in differential_generators(point)), point.n, point.d))
+
+
+def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
+    """Make theorem.sample_family return the face point x1^d + x0^(d-1)*x2,
+    whose key rank is below the structural bound, so no draw is generic.
+    Returns the list of draws, one (n, d) per call."""
+    import toricdegen.theorem
+    draws = []
+
+    def sample(n, d, rng, bound=1000):
+        draws.append((n, d))
+        x1d, lead = toricdegen.theorem._spike_exponents(n, d)
+        return FamilyPoint(n, d, {x1d: 1, lead: 1})
+
+    monkeypatch.setattr(toricdegen.theorem, "sample_family", sample)
+    return draws

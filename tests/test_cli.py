@@ -10,9 +10,11 @@ from random import Random
 
 import pytest
 
-from toricdegen import differential_rank, key_matrix, rank, sample_family
-from toricdegen.cli import RunConfig, main
-from helpers import check_record
+from toricdegen import (CertificateError, differential_rank, key_matrix,
+                        parse_poly, pattern_from_poly, rank, sample_family,
+                        solve, stratum_system)
+from toricdegen.cli import main
+from helpers import stuck_sampler
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -211,6 +213,22 @@ class TestStratum:
         assert out == ""
         assert f"over the limit of {MAX_FM_CONSTRAINTS}" in err
 
+    def test_infeasibility_certificate_is_rechecked(self, capsys, monkeypatch):
+        import toricdegen.cones
+        # the infeasible input of test_schemas; a rejecting check must stop it
+        f, g = "x1^3 + x0^2*x2 + x0*x1*x2 + x0*x1^2", "x1^3 + x0^2*x2"
+        monkeypatch.setattr(toricdegen.cones, "verify_certificate",
+                            lambda system, cert: False)
+        system = stratum_system(parse_poly(f, 2, 3),
+                                pattern_from_poly(parse_poly(g, 2, 3)))
+        with pytest.raises(CertificateError):
+            solve(system)
+        code, out, err = run(capsys, "stratum", "--f", f, "--g", g,
+                             "--n", "2", "--d", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("certificate failure")
+
 
 class TestEnumerate:
     def test_three_patterns(self, capsys):
@@ -342,7 +360,6 @@ class TestPatternBudget:
 class TestSamplesBound:
     @pytest.mark.parametrize("argv", [
         ("verify-lemma", "--n", "2", "--d", "3"),
-        ("sweep", "--n-max", "2", "--d-max", "3"),
         ("nonexist", "--n", "2", "--d", "4"),
     ])
     def test_rejected_before_sampling(self, capsys, monkeypatch, argv):
@@ -394,6 +411,7 @@ class TestRemovedFlags:
         ("stratum", "--f", "x1^3+x0^2*x2+x2^3", "--g", "x1^3 + x0^2*x2",
          "--n", "2", "--d", "3"),
         ("enumerate-binomials", "--n", "2", "--d", "2"),
+        ("sweep", "--n-max", "2", "--d-max", "3"),
     ])
     @pytest.mark.parametrize("flag", [("--samples", "2"), ("--bound", "5")])
     def test_sampling_flags_only_where_sampling_happens(self, capsys, argv,
@@ -410,6 +428,19 @@ class TestRemovedFlags:
         code, _out, _err = run(capsys, "witness", "--n", "2", "--d", "3",
                                "--bound", "5")
         assert code == 0
+
+
+class TestGenericityFailure:
+    @pytest.mark.parametrize("argv", [
+        ("witness", "--n", "3", "--d", "5"),
+        ("nonexist", "--n", "3", "--d", "6"),
+    ])
+    def test_exits_2(self, capsys, monkeypatch, argv):
+        stuck_sampler(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("genericity failure")
 
 
 class TestNonexist:
@@ -452,13 +483,3 @@ class TestHarness:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
-
-
-class TestRunConfig:
-    def test_record(self):
-        cfg = check_record(RunConfig, {"seed": 4, "samples": 2, "bound": 50,
-                                       "fmt": "table"},
-                           defaults={"samples": 3, "bound": 1000, "fmt": "json"})
-        assert cfg != RunConfig(4, 2, 50)
-        assert repr(RunConfig(1)) == \
-            "RunConfig(seed=1, samples=3, bound=1000, fmt='json')"

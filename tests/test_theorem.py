@@ -9,6 +9,7 @@ from toricdegen import (
     BinomialPattern,
     CertificateError,
     DomainError,
+    GenericityError,
     NonexistenceReport,
     StrataSurvey,
     SweepRow,
@@ -28,7 +29,7 @@ from toricdegen import (
 from toricdegen.theorem import (_cone_within, _is_normalized, _normalize,
                                 _relabel, _split_terms, _support,
                                 check_samples)
-from helpers import check_record, forced_blocks
+from helpers import check_record, forced_blocks, stuck_sampler
 
 
 class TestWitnessWeight:
@@ -86,6 +87,18 @@ class TestExistenceWitness:
         self.check_bundle(bundle, 2, 100)
         assert not bundle.dominance.surjective
         assert bundle.dominance.codim == 97  # (d-1) - min(d-1, 2n-2)
+
+
+class TestResampleBudget:
+    @pytest.mark.parametrize("certify", [
+        lambda rng: existence_witness(3, 5, rng),
+        lambda rng: nonexistence_certificate(3, 6, 3, rng),
+    ], ids=["witness", "nonexist"])
+    def test_gives_up_after_the_budget(self, monkeypatch, certify):
+        draws = stuck_sampler(monkeypatch)
+        with pytest.raises(GenericityError):
+            certify(Random(1))
+        assert len(draws) == 1 + toricdegen.theorem._RESAMPLE_BUDGET == 6
 
 
 class TestDominance:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +60,33 @@ def test_library_uses_every_name_it_imports():
             found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
                       for name in bound if name not in used]
     assert not found, "unused imports in the library: " + ", ".join(found)
+
+
+def _names_read(tree: ast.AST):
+    """Every name the tree reads: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_library_definition_is_used():
+    # a top-level def or class that nothing but itself names is dead code;
+    # __init__.py files only re-export, so their imports do not count
+    paths = [path for root in (SRC, ROOT / "tests", ROOT / "demos")
+             for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in paths}
+    uses = Counter(name for tree in trees.values() for name in _names_read(tree))
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}"
+             for path, tree in trees.items() if path.is_relative_to(SRC)
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and uses[node.name] == Counter(_names_read(node))[node.name]]
+    assert not found, "definitions nothing else uses: " + ", ".join(found)
 
 
 def test_library_reads_every_parameter():
