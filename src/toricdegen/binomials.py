@@ -11,17 +11,21 @@ on support patterns with fixed coefficients 1 and -1.
 prime_pairs generates the prime patterns directly as exponent pairs, each
 exponent paired only with the exponents on the variables it leaves free, so
 the work is about twice the pattern count rather than C(C(n+d, d), 2)
-monomial pairs.  count_prime_patterns gives the same count in closed form,
-which decides the budgets before any pattern is generated.
+monomial pairs.  support_shapes generates the pairs of supports those
+patterns sit on, and shape_pattern_count counts the patterns on one pair in
+closed form.  count_prime_patterns and check_shape_budget give the totals
+in closed form, which decide the budgets before anything is generated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DegreeError, DimensionMismatchError, DomainError
+from .errors import (CertificateError, DegreeError, DimensionMismatchError,
+                     DomainError)
 from .family import check_ambient
 from .poly import Exponent, HomogPoly, RatLike, SlotRecord, iter_exponents
 
@@ -30,9 +34,10 @@ NOT_TWO_TERMS = "NotTwoTerms"
 SHARED_VARIABLE = "SharedVariable"
 PROPER_POWER = "ProperPower"
 
-# Most prime patterns a strata survey streams through its checks: (6, 12)
-# has 942,102 and (6, 13) 1,456,434; (7, 14) has 18,128,544.
-MAX_PATTERNS = 2_000_000
+# Most support shapes a strata survey certifies, one check each: (7, 14)
+# has 2,997, the most of any point past the threshold inside the ambient
+# limit, and (30, 3) 9,295,660.
+MAX_SHAPES = 2_000_000
 
 # Most exponent entries, 2*(n+1) per pattern, that a listing of every
 # pattern holds and enumerate-binomials prints: (5, 11) has 934,920,
@@ -131,38 +136,43 @@ def _mobius(g: int) -> int:
     return -sign if k > 1 else sign
 
 
+def shape_pattern_count(d: int, s: int, t: int) -> int:
+    """The number of prime patterns of degree d on two given disjoint
+    supports of sizes s and t.  Their exponent pairs are pairs of positive
+    compositions of d, C(d-1, s-1) C(d-1, t-1) of them, and those with joint
+    gcd divisible by g are g times a pair of degree d/g, so Moebius
+    inversion leaves sum_(g|d) mu(g) C(d/g-1, s-1) C(d/g-1, t-1)."""
+    return sum(_mobius(g) * comb(d // g - 1, s - 1) * comb(d // g - 1, t - 1)
+               for g in range(1, d + 1) if d % g == 0)
+
+
 def count_prime_patterns(n: int, d: int) -> int:
     """The number of prime patterns of degree d in n+1 variables, in closed
     form.  check_ambient runs first, which keeps the sum short.
 
-    Ordered pairs of degree-e exponents with disjoint nonempty supports of
-    sizes s and t number P(e) = sum C(n+1, s) C(n+1-s, t) C(e-1, s-1)
-    C(e-1, t-1): the supports, then a positive composition of e on each.
-    Such a pair has joint gcd divisible by g exactly when it is g times a
-    pair of degree d/g, so Moebius inversion leaves sum_(g|d) mu(g) P(d/g)
-    jointly coprime ordered pairs, each pattern twice.
+    The ordered pairs of disjoint supports of sizes s and t number
+    C(n+1, s) C(n+1-s, t), and each carries shape_pattern_count(d, s, t)
+    patterns; summing over s and t counts every pattern twice.
     """
     if n < 0 or d < 0:
         raise DomainError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     check_ambient(n, d)
-
-    def ordered(e: int) -> int:
-        return sum(comb(n + 1, s) * comb(n + 1 - s, t)
-                   * comb(e - 1, s - 1) * comb(e - 1, t - 1)
-                   for s in range(1, min(n + 1, e) + 1)
-                   for t in range(1, min(n + 1 - s, e) + 1))
-
-    return sum(_mobius(g) * ordered(d // g)
-               for g in range(1, d + 1) if d % g == 0) // 2
+    return sum(comb(n + 1, s) * comb(n + 1 - s, t) * shape_pattern_count(d, s, t)
+               for s in range(1, min(n + 1, d) + 1)
+               for t in range(1, min(n + 1 - s, d) + 1)) // 2
 
 
-def check_pattern_budget(n: int, d: int) -> int:
-    """The prime-pattern count, or DomainError past MAX_PATTERNS."""
-    count = count_prime_patterns(n, d)
-    if count > MAX_PATTERNS:
+def check_shape_budget(n: int, d: int) -> int:
+    """The number of pairs support_shapes(n, d) yields, or DomainError past
+    MAX_SHAPES.  In closed form, they are the unordered pairs of disjoint
+    supports of sizes 1 <= s, t <= d, two single variables aside."""
+    count = sum(comb(n + 1, s) * comb(n + 1 - s, t)
+                for s in range(1, min(n + 1, d) + 1)
+                for t in range(1 + (s == 1), min(n + 1 - s, d) + 1)) // 2
+    if count > MAX_SHAPES:
         raise DomainError(
-            f"{count} prime patterns at n={n}, d={d} exceed the limit of "
-            f"{MAX_PATTERNS}")
+            f"{count} support shapes at n={n}, d={d} exceed the limit of "
+            f"{MAX_SHAPES}")
     return count
 
 
@@ -204,6 +214,32 @@ def prime_pairs(n: int, d: int) -> Iterator[tuple[Exponent, Exponent]]:
                 for i, e in zip(free, w):
                     v[i] = e
                 yield u, tuple(v)
+
+
+def support_shapes(n: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The supports (S, T) of the prime patterns of degree d >= 2 in n+1
+    variables, S holding the smallest index: disjoint, 1 <= |S|, |T| <= d,
+    and not both single variables, as x_i^d and x_j^d share the gcd d.
+    Every such pair carries at least one prime pattern."""
+    for s in range(1, min(n + 1, d) + 1):
+        for lead in combinations(range(n + 1), s):
+            free = [i for i in range(lead[0] + 1, n + 1) if i not in lead]
+            for t in range(1 + (s == 1), min(len(free), d) + 1):
+                for other in combinations(free, t):
+                    yield lead, other
+
+
+def listed_pairs(n: int, d: int, count: int) -> Iterator[tuple[Exponent, ...]]:
+    """prime_pairs(n, d) as they are generated, for a listing of count
+    patterns; raises CertificateError at the end unless count came."""
+    listed = 0
+    for pair in prime_pairs(n, d):
+        listed += 1
+        yield pair
+    if listed != count:
+        raise CertificateError(
+            f"{listed} prime patterns listed at n={n}, d={d}, but the closed "
+            f"form counts {count}")
 
 
 def enumerate_patterns(n: int, d: int) -> list[BinomialPattern]:

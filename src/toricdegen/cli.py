@@ -21,8 +21,8 @@ from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Sequence
 
-from .binomials import (check_listing_budget, classify_poly, pattern_from_poly,
-                        prime_pairs)
+from .binomials import (check_listing_budget, classify_poly, listed_pairs,
+                        pattern_from_poly)
 from .cones import solve, stratum_system
 from .errors import (
     CertificateError,
@@ -296,20 +296,6 @@ def _enumerate_table(payload: dict) -> Iterator[str]:
         yield f"{pat['lhs']}  |  {pat['rhs']}"
 
 
-def _listed_patterns(n: int, d: int, count: int) -> Iterator[dict]:
-    """Every prime pattern as a payload entry, drawn as it is printed; raises
-    CertificateError at the end unless exactly count patterns came."""
-    listed = 0
-    for u, v in prime_pairs(n, d):
-        listed += 1
-        yield {"u": u, "v": v, "lhs": _format_monomial(u),
-               "rhs": _format_monomial(v)}
-    if listed != count:
-        raise CertificateError(
-            f"{listed} prime patterns listed at n={n}, d={d}, but the closed "
-            f"form counts {count}")
-
-
 def cmd_enumerate(args) -> int:
     _require(args.n >= 1 and args.d >= 1,
              f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
@@ -318,7 +304,9 @@ def cmd_enumerate(args) -> int:
         "n": args.n,
         "d": args.d,
         "count": count,
-        "patterns": _listed_patterns(args.n, args.d, count),
+        "patterns": ({"u": u, "v": v, "lhs": _format_monomial(u),
+                      "rhs": _format_monomial(v)}
+                     for u, v in listed_pairs(args.n, args.d, count)),
     }
     _emit(payload, args.format, _enumerate_table)
     return 0

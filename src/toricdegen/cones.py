@@ -11,8 +11,8 @@ infeasible one yields a certificate: a signed rational combination of the
 original constraints summing to the zero functional while using at least
 one strict inequality positively, i.e. deriving 0 > 0.
 
-Implications over a chain cut by one balance equation, all the strata
-survey asks, have a closed form: chain_implies.
+Implications over a chain cut by one balance equation have a closed form:
+chain_implies.
 """
 
 from __future__ import annotations

@@ -10,27 +10,27 @@ Non-existence side (d > 2n - 1): the differential rank falls short of the
 ambient dimension by a positive codimension at every sampled point, the
 product generators beyond the structural list are confirmed redundant, and
 every (prime pattern, variable ordering) stratum reduces into a coordinate
-permutation of the restricted family via implied-inequality certificates.
+permutation of the restricted family.  The reduction's chain certificates
+are linear in the exponents, so they are checked once per support shape of
+the prime patterns rather than once per pattern.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from collections import Counter
 from math import factorial
-from operator import sub
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .binomials import (BinomialPattern, PrimeVerdict, check_pattern_budget,
-                        classify, pattern_from_poly, prime_pairs)
-from .cones import chain_implies
+from .binomials import (BinomialPattern, PrimeVerdict, check_shape_budget,
+                        classify, count_prime_patterns, pattern_from_poly,
+                        shape_pattern_count, support_shapes)
 from .errors import CertificateError, DomainError, GenericityError, NormalizationError
 from .family import (
     FamilyPoint,
     _check_domain,
     differential_rank,
     dominance_point,
-    excluded_exponents,
     redundancy_check,
     sample_family,
     structural_rank_bound,
@@ -144,91 +144,68 @@ def dominance_certificate(n: int, d: int) -> RankReport:
 
 
 # ---------------------------------------------------------------------------
-# strata reduction
+# strata reduction, one support shape at a time
 
-def _support(u: Exponent) -> tuple[int, ...]:
-    return tuple(compress(range(len(u)), u))
-
-
-def _relabel(u: Exponent, ordering: Sequence[int]) -> Exponent:
-    """Relabel variables so the given ordering becomes 0, 1, ..., n."""
-    return tuple(u[i] for i in ordering)
-
-
-def _split_terms(u: Exponent, v: Exponent) -> tuple[Exponent, Exponent, int, int]:
-    """Leading term (containing the smallest index), other term, and their
-    smallest indices p and q."""
-    su, sv = _support(u), _support(v)
-    if su[0] <= sv[0]:
-        return u, v, su[0], sv[0]
-    return v, u, sv[0], su[0]
-
-
-def _is_normalized(u: Exponent, v: Exponent) -> bool:
-    lead, _other, _p, q = _split_terms(u, v)
-    return _support(lead)[-1] > q
-
-
-def _diff(u: Exponent, v: Exponent) -> tuple[int, ...]:
-    return tuple(map(sub, u, v))
-
-
-def _cone_within(u: Exponent, v: Exponent, cu: Exponent, cv: Exponent) -> bool:
-    """Certify that every weight compatible with u / v is compatible with
-    cu / cv.
-
-    The chain parts coincide, so only the candidate's balance equality needs
-    to hold identically on the cone of u / v (both implied directions).
+def _chain_identity(lhs, chain) -> bool:
+    """True iff lhs = sum a_k*(e_i - e_j) over (k, i, j) in chain, expanded
+    coordinate by coordinate and exponent by exponent (a_k is the exponent
+    of x_k, and lhs lists (i, k, c) for c*a_k*e_i), and every chain term is
+    a nonnegative combination of steps e_m - e_(m+1): as a_k >= 1, i <= j.
     """
-    h, hc = _diff(u, v), _diff(cu, cv)
-    return chain_implies(h, hc) and chain_implies(h, tuple(-a for a in hc))
+    total = Counter()
+    for i, k, c in lhs:
+        total[i, k] += c
+    for k, i, j in chain:
+        total[i, k] -= 1
+        total[j, k] += 1
+    return not any(total.values()) and all(i <= j for _k, i, j in chain)
 
 
-def _normalize(u: Exponent, v: Exponent) -> tuple[Exponent, Exponent]:
-    """Swap the leading term's last index l with the other term's first index q.
+def _swap_pair(lead, other) -> tuple[int, int]:
+    """The lead's last index l and the other term's first index q."""
+    return lead[-1], other[0]
 
-    Called when l < q.  On the chain, weight(lead) >= d*w_l >= d*w_q >=
-    weight(other), and the balance makes the two ends equal, so every
-    compatible weight is constant on the run from the smallest index p to
-    the other term's last index.  The swap stays inside that run, fixes every
-    compatible weight, and so maps the stratum of u / v into the stratum of
-    the swapped pattern.  That pattern is normalized: a leading term with two
-    or more variables keeps p and now reaches q, past the other term's new
-    first index l; a pure power x_p^d hands p to the other term, which
-    primality gives two or more variables, so it reaches past q.  Both facts
-    are re-checked, by _is_normalized and by implied equalities.
+
+def _check_shape(lead: tuple[int, ...], other: tuple[int, ...]) -> bool:
+    """The reduction check for every identity-ordered prime pattern u / v
+    with its lead u, the term holding the smallest index, on `lead` and v on
+    `other`.  With h = u - v and d = sum_lead a_k = sum_other a_k:
+    - when l < q (_swap_pair), d*(e_l - e_q) = h - sum_lead a_k (e_k - e_l)
+      - sum_other a_k (e_q - e_k), at most 0 on the chain, so compatible
+      weights have w_l = w_q and swapping x_l with x_q maps the stratum into
+      the swapped shape's, which must be normalized: a lead reaching past
+      the other term's first index.  Else NormalizationError is raised;
+    - x1^d - x^v = sum_other a_k (e_1 - e_k), so x1^d outweighs the other
+      term on the chain; it is nonnegative iff the other term avoids x0.
+      With the lead reaching x2, neither term is excluded: every excluded
+      exponent lies on {x0, x1} and holds x0.
     """
-    lead, _other, _p, q = _split_terms(u, v)
-    last = _support(lead)[-1]
-    swap = list(range(len(u)))
-    swap[last], swap[q] = q, last  # a transposition is its own inverse
-    cu, cv = _relabel(u, swap), _relabel(v, swap)
-    if not (_is_normalized(cu, cv) and _cone_within(u, v, cu, cv)):
-        raise NormalizationError(
-            f"swapping x{last} and x{q} does not normalize pattern {u} / {v}")
-    return cu, cv
+    l, q = _swap_pair(lead, other)
+    if l < q:
+        h_less_dlq = ([(k, k, 1) for k in lead] + [(l, k, -1) for k in lead]
+                      + [(k, k, -1) for k in other] + [(q, k, 1) for k in other])
+        chain = [(k, k, l) for k in lead] + [(k, q, k) for k in other]
+        swap = {l: q, q: l}
+        swapped = sorted(tuple(sorted(swap.get(i, i) for i in part))
+                         for part in (lead, other))
+        certified = _chain_identity(h_less_dlq, chain)
+        if not (certified and swapped[0][-1] > swapped[1][0]):
+            raise NormalizationError(
+                f"swapping x{l} and x{q} on shape {lead} / {other} " +
+                ("does not normalize it" if certified else "is uncertified"))
+        lead, other = swapped
+    x1d_less_v = [(1, k, 1) for k in other] + [(k, k, -1) for k in other]
+    return lead[-1] >= 2 and _chain_identity(x1d_less_v,
+                                             [(k, 1, k) for k in other])
 
 
-def _check_pattern(u: Exponent, v: Exponent, x1d: Exponent,
-                   excluded: frozenset[Exponent]) -> bool:
-    """Run the reduction checks on the identity-ordered pattern u / v, with
-    x1d = x1^d and the excluded exponents built once by the caller."""
-    lead, other, _p, q = _split_terms(u, v)
-    if q == 0:
-        raise CertificateError(f"pattern {u} / {v} has x0 in both terms")
-    if _support(lead)[-1] < q:
-        u, v = _normalize(u, v)
-        _lead, other, _p, _q = _split_terms(u, v)
-    if u in excluded or v in excluded:
-        return False
-    # excluded w - x1^d = a*(e0 - e1), a >= 1, and the chain has w0 >= w1
-    return chain_implies(_diff(u, v), _diff(x1d, other))
-
-
-def _check_constants(n: int, d: int) -> tuple[Exponent, frozenset[Exponent]]:
-    """x1^d and the excluded exponents, which every pattern's check reads."""
-    x1d, _ = _spike_exponents(n, d)
-    return x1d, frozenset(excluded_exponents(n, d).members)
+def _representative(n: int, d: int,
+                    *shape: tuple[int, ...]) -> tuple[Exponent, ...]:
+    """One prime pattern of the shape: on each support, 1 at every index but
+    the first, which takes the rest of d.  One support has two or more
+    indices, so the entry 1 makes the pair coprime."""
+    return tuple(tuple(d + 1 - len(s) if i == s[0] else int(i in s)
+                       for i in range(n + 1)) for s in shape)
 
 
 def strata_reduction_check(n: int, d: int, g: BinomialPattern,
@@ -237,14 +214,10 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     compatible with the ordering) lies in a coordinate permutation of the
     restricted family.
 
-    After relabeling the ordering to the identity and, if the leading term
-    lies wholly below the other term, swapping its last index with the other
-    term's first one (see _normalize), the check demands: no excluded
-    exponent coincides with a monomial of g, and x1^d weighs at least the
-    other term on the compatible cone (every excluded exponent outweighs
-    x1^d on any cone with w0 >= w1).  Raises DomainError unless the ordering
-    is a permutation of 0..n, and NormalizationError when the swapped
-    pattern fails its re-check.
+    After relabeling the ordering to the identity, g's shape runs through
+    the survey's _check_shape.  Raises DomainError unless the ordering is a
+    permutation of 0..n, and NormalizationError when the swap that
+    normalizes g's shape is not certified.
     """
     _check_domain(n, d)
     if not classify(g).is_prime:
@@ -254,8 +227,9 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     if sorted(ordering) != list(range(n + 1)):
         raise DomainError(
             f"ordering {tuple(ordering)} is not a permutation of 0..{n}")
-    return _check_pattern(_relabel(g.u, ordering), _relabel(g.v, ordering),
-                          *_check_constants(n, d))
+    # position k of the relabeled pattern holds x_(ordering[k])
+    return _check_shape(*sorted(tuple(k for k, i in enumerate(ordering) if w[i])
+                                for w in (g.u, g.v)))
 
 
 class StrataSurvey(NamedTuple):
@@ -269,40 +243,41 @@ class StrataSurvey(NamedTuple):
 
 def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
     """Run the strata reduction check on every (prime pattern, ordering)
-    stratum.
+    stratum, once per support shape.
 
     Relabeling by an ordering maps the prime patterns onto themselves, since
     disjoint supports and a joint gcd of 1 survive any permutation of the
     variables, and the check is symmetric in the two monomials.  So the
     strata under all (n+1)! orderings are the identity-ordered strata of the
-    patterns, each met (n+1)! times: every pattern is checked once, in
-    identity order, as it streams from prime_pairs, and `checked` counts
-    patterns x (n+1)!.  The streamed count must equal the closed-form count
-    that decided the pattern budget, or CertificateError is raised.  A
-    failure is reported as (u, v, identity ordering, reason).  The survey is
-    always full; `full` is kept for callers that pass True, and any other
-    value raises DomainError.
+    patterns, each met (n+1)! times.  One _check_shape covers a shape's
+    shape_pattern_count patterns; `checked` counts patterns x (n+1)!, and
+    the patterns must add up to count_prime_patterns, or CertificateError is
+    raised.  A failing shape is reported through a representative pattern
+    as (u, v, identity ordering, reason).  The survey is always full; `full`
+    is kept for callers that pass True, and any other value raises
+    DomainError.
     """
     _check_domain(n, d)
     if full is not True:
         raise DomainError("the strata survey is always full")
-    expected = check_pattern_budget(n, d)
-    x1d, excluded = _check_constants(n, d)
+    check_shape_budget(n, d)
     identity = tuple(range(n + 1))
-    count = 0
+    sizes = Counter()
     failures = []
-    for u, v in prime_pairs(n, d):
-        count += 1
+    for shape in support_shapes(n, d):
+        sizes[tuple(map(len, shape))] += 1
         try:
-            ok, reason = _check_pattern(u, v, x1d, excluded), ""
+            ok, reason = _check_shape(*shape), ""
         except NormalizationError as exc:
             ok, reason = False, str(exc)
         if not ok:
-            failures.append((u, v, identity, reason))
+            failures.append((*_representative(n, d, *shape), identity, reason))
+    count = sum(k * shape_pattern_count(d, s, t) for (s, t), k in sizes.items())
+    expected = count_prime_patterns(n, d)
     if count != expected:
         raise CertificateError(
-            f"{count} prime patterns generated at n={n}, d={d}, but the "
-            f"closed form counts {expected}")
+            f"{count} prime patterns on the support shapes at n={n}, d={d}, "
+            f"but the closed form counts {expected}")
     return StrataSurvey(n=n, d=d, checked=count * factorial(n + 1),
                         full=True, passed=not failures,
                         failures=tuple(failures))
@@ -330,14 +305,14 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     differential codimension equals it exactly, confirms generator
     redundancy, and reduces every (prime pattern, ordering) stratum into a
     permuted copy of the restricted family with the full strata survey, at
-    every (n, d) the ambient and pattern budgets admit.  The random source
+    every (n, d) the ambient and shape budgets admit.  The random source
     feeds the family samples only.
     """
     _check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
     check_samples(samples)
-    check_pattern_budget(n, d)
+    check_shape_budget(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
     for _ in range(samples):

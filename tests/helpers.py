@@ -15,11 +15,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 from toricdegen import (
     BinomialPattern,
+    CertificateError,
     DimensionMismatchError,
     DomainError,
     FamilyPoint,
     HomogPoly,
     LinearSystem,
+    NormalizationError,
     QMatrix,
     VariableIndexError,
     chain_implies,
@@ -28,11 +30,13 @@ from toricdegen import (
     format_poly,
     initial_form,
     parse_poly,
+    prime_pairs,
     satisfies,
     solve,
     verify_certificate,
 )
 from toricdegen.poly import Exponent, RatLike, iter_exponents
+from toricdegen.theorem import _spike_exponents
 
 
 def random_poly(rng: Random, n: int, d: int, max_terms: int = 6) -> HomogPoly:
@@ -372,6 +376,96 @@ def compatible_cone(g: BinomialPattern, ordering: Sequence[int]) -> LinearSystem
     return LinearSystem(dim, (difference_functional(g.u, g.v),), tuple(weak), ())
 
 
+# ---------------------------------------------------------------------------
+# per-pattern strata reduction: the oracle for the survey's shape check,
+# deciding each prime pattern on its own through general chain implications
+
+def _support(u: Exponent) -> tuple[int, ...]:
+    return tuple(i for i, e in enumerate(u) if e)
+
+
+def _relabel(u: Exponent, ordering: Sequence[int]) -> Exponent:
+    """Relabel variables so the given ordering becomes 0, 1, ..., n."""
+    return tuple(u[i] for i in ordering)
+
+
+def _split_terms(u: Exponent, v: Exponent) -> tuple[Exponent, Exponent, int, int]:
+    """Leading term (containing the smallest index), other term, and their
+    smallest indices p and q."""
+    su, sv = _support(u), _support(v)
+    if su[0] <= sv[0]:
+        return u, v, su[0], sv[0]
+    return v, u, sv[0], su[0]
+
+
+def _is_normalized(u: Exponent, v: Exponent) -> bool:
+    lead, _other, _p, q = _split_terms(u, v)
+    return _support(lead)[-1] > q
+
+
+def _diff(u: Exponent, v: Exponent) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _cone_within(u: Exponent, v: Exponent, cu: Exponent, cv: Exponent) -> bool:
+    """Certify that every weight compatible with u / v is compatible with
+    cu / cv: the chain parts coincide, so only the candidate's balance
+    equality needs to hold on the cone of u / v (both implied directions)."""
+    h, hc = _diff(u, v), _diff(cu, cv)
+    return chain_implies(h, hc) and chain_implies(h, tuple(-a for a in hc))
+
+
+def _normalize(u: Exponent, v: Exponent) -> tuple[Exponent, Exponent]:
+    """Swap the leading term's last index with the other term's first index
+    q, re-checking that the result is normalized and that the swap keeps
+    every compatible weight."""
+    lead, _other, _p, q = _split_terms(u, v)
+    last = _support(lead)[-1]
+    swap = list(range(len(u)))
+    swap[last], swap[q] = q, last  # a transposition is its own inverse
+    cu, cv = _relabel(u, swap), _relabel(v, swap)
+    if not (_is_normalized(cu, cv) and _cone_within(u, v, cu, cv)):
+        raise NormalizationError(
+            f"swapping x{last} and x{q} does not normalize pattern {u} / {v}")
+    return cu, cv
+
+
+def _check_pattern(u: Exponent, v: Exponent, x1d: Exponent,
+                   excluded: frozenset[Exponent]) -> bool:
+    """The reduction check on the identity-ordered pattern u / v: normalize
+    if the lead lies wholly below the other term, then no monomial may be
+    excluded and x1^d must weigh at least the other term on the cone."""
+    lead, other, _p, q = _split_terms(u, v)
+    if q == 0:
+        raise CertificateError(f"pattern {u} / {v} has x0 in both terms")
+    if _support(lead)[-1] < q:
+        u, v = _normalize(u, v)
+        _lead, other, _p, _q = _split_terms(u, v)
+    if u in excluded or v in excluded:
+        return False
+    # excluded w - x1^d = a*(e0 - e1), a >= 1, and the chain has w0 >= w1
+    return chain_implies(_diff(u, v), _diff(x1d, other))
+
+
+def _check_constants(n: int, d: int) -> tuple[Exponent, frozenset[Exponent]]:
+    """x1^d and the excluded exponents, which every pattern's check reads."""
+    x1d, _ = _spike_exponents(n, d)
+    return x1d, frozenset(excluded_exponents(n, d).members)
+
+
+def pattern_verdicts(n: int, d: int) -> dict[tuple[Exponent, Exponent], bool]:
+    """The per-pattern verdict on every prime pattern (u, v) of prime_pairs;
+    a NormalizationError counts as a failure."""
+    x1d, excluded = _check_constants(n, d)
+    verdicts = {}
+    for u, v in prime_pairs(n, d):
+        try:
+            verdicts[u, v] = _check_pattern(u, v, x1d, excluded)
+        except NormalizationError:
+            verdicts[u, v] = False
+    return verdicts
+
+
 def roundtrip_text(f: HomogPoly) -> None:
     text = format_poly(f)
     again = parse_poly(text, f.n, f.d)
@@ -475,3 +569,16 @@ def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(toricdegen.theorem, "sample_family", sample)
     return draws
+
+
+def forbid_pattern_generation(monkeypatch) -> None:
+    """Make prime_pairs raise under every name a toricdegen module binds it
+    to, so a call that generates a prime pattern fails the test."""
+    import sys
+
+    def refuse(n, d):
+        raise AssertionError(f"prime_pairs({n}, {d}) was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toricdegen" and hasattr(module, "prime_pairs"):
+            monkeypatch.setattr(module, "prime_pairs", refuse)

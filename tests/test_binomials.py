@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -17,10 +18,11 @@ from toricdegen import (
     parse_poly,
     pattern_from_poly,
 )
-from toricdegen.binomials import (MAX_PATTERNS, check_listing_budget,
-                                  check_pattern_budget, count_prime_patterns,
-                                  prime_pairs)
-from helpers import (brute_prime_pairs, check_record, multiply,
+from toricdegen.binomials import (MAX_SHAPES, check_listing_budget,
+                                  check_shape_budget, count_prime_patterns,
+                                  prime_pairs,
+                                  shape_pattern_count, support_shapes)
+from helpers import (_support, brute_prime_pairs, check_record, multiply,
                      ordered_prime_pairs, permute_poly)
 
 
@@ -246,12 +248,43 @@ class TestPrimePairs:
         assert count_prime_patterns(n, d) == count
 
     def test_pattern_budget(self):
-        assert check_pattern_budget(6, 13) == 1456434 <= MAX_PATTERNS
-        with pytest.raises(DomainError, match="18128544 prime patterns at "
-                                              "n=7, d=14 exceed the limit"):
-            check_pattern_budget(7, 14)
+        # the strata survey's budget counts support shapes, each holding at
+        # least one pattern, so every point the old pattern budget admitted
+        # stays admitted
+        assert check_shape_budget(6, 13) == 945 <= MAX_SHAPES
+        assert check_shape_budget(7, 14) == 2997
+        with pytest.raises(DomainError, match="9295660 support shapes at "
+                                              "n=30, d=3 exceed the limit"):
+            check_shape_budget(30, 3)
 
     @pytest.mark.parametrize("n,d", [(-1, 3), (2, -1)])
     def test_negative_shape_rejected(self, n, d):
         with pytest.raises(DomainError, match="need n >= 0 and d >= 0"):
             count_prime_patterns(n, d)
+
+
+class TestSupportShapes:
+    @pytest.mark.parametrize("n,d,count", [
+        (2, 4, 3), (3, 6, 19), (4, 9, 80), (5, 10, 286), (7, 14, 2997),
+        (20, 2, 21945)])
+    def test_closed_form_counts_the_generated_shapes(self, n, d, count):
+        shapes = list(support_shapes(n, d))
+        assert check_shape_budget(n, d) == len(shapes) == len(set(shapes)) == count
+
+    def test_shapes_are_disjoint_and_ordered(self):
+        for lead, other in support_shapes(4, 3):
+            assert not set(lead) & set(other)
+            assert lead[0] < other[0]
+            assert lead == tuple(sorted(lead)) and other == tuple(sorted(other))
+            assert 1 <= len(lead) <= 3 and 1 <= len(other) <= 3
+            assert len(lead) + len(other) > 2
+
+    @pytest.mark.parametrize("n,d", [(3, 6), (4, 9), (5, 10)])
+    def test_shape_counts_match_the_patterns(self, n, d):
+        # prime_pairs grouped by support pair: every shape, with
+        # shape_pattern_count patterns each, and nothing else
+        streamed = Counter((_support(u), _support(v))
+                           for u, v in prime_pairs(n, d))
+        expected = {(lead, other): shape_pattern_count(d, len(lead), len(other))
+                    for lead, other in support_shapes(n, d)}
+        assert streamed == expected

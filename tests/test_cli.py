@@ -14,7 +14,7 @@ from toricdegen import (CertificateError, differential_rank, key_matrix,
                         parse_poly, pattern_from_poly, rank, sample_family,
                         solve, stratum_system)
 from toricdegen.cli import main
-from helpers import stuck_sampler
+from helpers import forbid_pattern_generation, stuck_sampler
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -264,9 +264,9 @@ class TestEnumerateStreaming:
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_short_listing_is_certificate_failure(self, capsys, monkeypatch,
                                                   fmt):
-        import toricdegen.cli
-        pairs = toricdegen.cli.prime_pairs
-        monkeypatch.setattr(toricdegen.cli, "prime_pairs",
+        import toricdegen.binomials
+        pairs = toricdegen.binomials.prime_pairs
+        monkeypatch.setattr(toricdegen.binomials, "prime_pairs",
                             lambda n, d: list(pairs(n, d))[:-1])
         code, _out, err = run(capsys, "enumerate-binomials", "--n", "2",
                               "--d", "3", "--format", fmt)
@@ -344,10 +344,10 @@ class TestOutputText:
 
 class TestPatternBudget:
     # enumerate-binomials lists at most 1,000,000 exponent entries, 2*(n+1)
-    # per pattern; nonexist surveys at most 2,000,000 patterns
+    # per pattern.  nonexist certifies at most 2,000,000 support shapes, but
+    # inside the ambient limit it reaches only n <= 7, with 2,997 shapes
     @pytest.mark.parametrize("argv", [
         ("enumerate-binomials", "--n", "6", "--d", "12"),
-        ("nonexist", "--n", "7", "--d", "14"),
     ])
     def test_oversized_rejected_before_work(self, capsys, monkeypatch, argv):
         _forbid_enumeration_and_sampling(monkeypatch)
@@ -456,6 +456,33 @@ class TestNonexist:
         code, _out, _err = run(capsys, "nonexist", "--n", "2", "--d", "3",
                                "--seed", "1")
         assert code == 64
+
+    def test_past_the_old_pattern_budget(self, capsys, monkeypatch):
+        # the survey certifies support shapes and generates no pattern;
+        # (7, 14) has 18,128,544 prime patterns and (7, 18) is the largest
+        # point past the threshold inside the ambient limit
+        forbid_pattern_generation(monkeypatch)
+        code, out, _ = run(capsys, "nonexist", "--n", "7", "--d", "14",
+                           "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["strata_checked"] == 18128544 * 40320
+        code, out, _ = run(capsys, "nonexist", "--n", "7", "--d", "18",
+                           "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["strata_reduced"] is True
+
+    def test_shape_failure_is_certificate_failure(self, capsys, monkeypatch):
+        # a shape check swapping the other term's last index instead of its
+        # first is caught by the per-shape re-check
+        import toricdegen.theorem
+        monkeypatch.setattr(toricdegen.theorem, "_swap_pair",
+                            lambda lead, other: (lead[-1], other[-1]))
+        code, out, err = run(capsys, "nonexist", "--n", "2", "--d", "4",
+                             "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("certificate failure")
+        assert "strata reduction failed" in err and "is uncertified" in err
 
 
 class TestHarness:

@@ -26,10 +26,12 @@ from toricdegen import (
     witness_weight,
     existence_witness,
 )
-from toricdegen.theorem import (_cone_within, _is_normalized, _normalize,
-                                _relabel, _split_terms, _support,
-                                check_samples)
-from helpers import check_record, forced_blocks, stuck_sampler
+from toricdegen.binomials import support_shapes
+from toricdegen.theorem import _check_shape, check_samples
+from helpers import (_cone_within, _is_normalized, _normalize, _relabel,
+                     _split_terms, _support, check_record,
+                     forbid_pattern_generation, forced_blocks,
+                     pattern_verdicts, stuck_sampler)
 
 
 class TestWitnessWeight:
@@ -208,14 +210,17 @@ class TestStrataSurvey:
 
     def test_pattern_budget(self, monkeypatch):
         import toricdegen.theorem as theorem
-        monkeypatch.setattr(theorem, "prime_pairs", None)  # never reached
-        # (7, 14) has 18,128,544 prime patterns by the closed form
-        with pytest.raises(DomainError, match="18128544 prime patterns at "
-                                              "n=7, d=14 exceed the limit "
+        monkeypatch.setattr(theorem, "support_shapes", None)  # never reached
+        # (30, 3) has 9,295,660 support shapes by the closed form
+        with pytest.raises(DomainError, match="9295660 support shapes at "
+                                              "n=30, d=3 exceed the limit "
                                               "of 2000000"):
-            strata_survey(7, 14)
+            strata_survey(30, 3)
         with pytest.raises(DomainError, match="ambient dimension"):
             strata_survey(40, 40)
+        monkeypatch.undo()
+        survey = strata_survey(6, 13)
+        assert survey.passed and survey.checked == 1456434 * 5040
 
     def test_builds_no_pattern_objects(self, monkeypatch):
         # the survey streams exponent tuples; None makes any BinomialPattern
@@ -227,14 +232,72 @@ class TestStrataSurvey:
         survey = strata_survey(3, 7)
         assert survey.passed and survey.checked == 240 * 24
 
-    def test_streamed_count_must_match_closed_form(self, monkeypatch):
+    def test_generates_no_pattern(self, monkeypatch):
+        forbid_pattern_generation(monkeypatch)
+        survey = strata_survey(6, 12)
+        assert survey.passed and survey.checked == 942102 * 5040
+
+    def test_shape_total_must_match_closed_form(self, monkeypatch):
         import toricdegen.theorem as theorem
-        real = theorem.prime_pairs
-        monkeypatch.setattr(theorem, "prime_pairs",
-                            lambda n, d: list(real(n, d))[1:])
-        with pytest.raises(CertificateError, match="119 prime patterns "
-                                                   "generated at n=3, d=6"):
+        monkeypatch.setattr(theorem, "support_shapes",
+                            lambda n, d: list(support_shapes(n, d))[1:])
+        # the first shape, (0,) / (1, 2), holds x0^6 against x1*x2^5 and
+        # x1^5*x2
+        with pytest.raises(CertificateError, match="118 prime patterns on "
+                                                   "the support shapes at "
+                                                   "n=3, d=6, but the closed "
+                                                   "form counts 120"):
             strata_survey(3, 6)
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8),
+                                     (4, 9), (5, 10)])
+    def test_shape_verdict_matches_every_pattern(self, n, d):
+        # the per-pattern oracle decides each prime pattern through general
+        # chain implications; its shape's certificate must agree on each
+        verdicts = {}
+        for (u, v), ok in pattern_verdicts(n, d).items():
+            shape = (_support(u), _support(v))
+            if shape not in verdicts:
+                verdicts[shape] = _check_shape(*shape)
+            assert ok == verdicts[shape], (u, v)
+        assert set(verdicts) == set(support_shapes(n, d))
+
+
+class TestShapeFault:
+    """A shape check that swaps the other term's last index instead of its
+    first.  The swap certificate's chain terms v_i*(e_q - e_i) then turn
+    negative, and the per-shape re-check must reject the shape, also where
+    the wrong swap happens to leave a normalized shape."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_swap(self, monkeypatch):
+        monkeypatch.setattr(toricdegen.theorem, "_swap_pair",
+                            lambda lead, other: (lead[-1], other[-1]))
+
+    def test_survey_fails_on_a_prime_representative(self):
+        survey = strata_survey(2, 4)
+        assert not survey.passed and survey.checked == 36
+        (u, v, ordering, reason), = survey.failures
+        assert classify(BinomialPattern(u, v)).is_prime
+        assert (_support(u), _support(v)) == ((0,), (1, 2))
+        assert ordering == (0, 1, 2)
+        assert reason == "swapping x0 and x2 on shape (0,) / (1, 2) is uncertified"
+
+    def test_rejected_by_the_certificate_alone(self):
+        # swapping x1 and x3 turns x0*x1 / x2*x3 into the normalized
+        # x0*x3 / x1*x2, so only the chain term v_2*(e_3 - e_2) rejects it
+        survey = strata_survey(3, 6)
+        reasons = {(_support(u), _support(v)): reason
+                   for u, v, _ordering, reason in survey.failures}
+        assert reasons[(0, 1), (2, 3)] == (
+            "swapping x1 and x3 on shape (0, 1) / (2, 3) is uncertified")
+        assert all(classify(BinomialPattern(u, v)).is_prime
+                   for u, v, _ordering, _reason in survey.failures)
+
+    def test_nonexistence_certificate_raises(self):
+        with pytest.raises(CertificateError, match="strata reduction failed "
+                                                   ".* is uncertified"):
+            nonexistence_certificate(2, 4, 1, Random(1))
 
 
 class TestNonexistence:
