@@ -36,8 +36,8 @@ from .errors import (
     VariableIndexError,
     ZeroPolynomialError,
 )
-from .family import (_check_domain, check_ambient, differential_rank, key_matrix,
-                     sample_family)
+from .family import (MAX_AMBIENT, _check_domain, check_ambient,
+                     differential_rank, key_matrix, sample_family)
 from .linalg import RankReport, rank
 from .poly import _format_monomial, format_poly, parse_poly
 from .theorem import (
@@ -146,6 +146,18 @@ def _require(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
+def _check_texts(n: int, d: int, *texts: str) -> None:
+    """Reject before parsing when a text's terms, at most 1 + its count of
+    '+' and '-', times the n + 1 exponent entries each exceed MAX_AMBIENT."""
+    check_ambient(n, d)
+    for text in texts:
+        terms = 1 + text.count("+") + text.count("-")
+        if (n + 1) * terms > MAX_AMBIENT:
+            raise DomainError(
+                f"up to {terms} terms over {n + 1} variables exceed the "
+                f"limit of {MAX_AMBIENT} exponent entries")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -218,9 +230,6 @@ def _sweep_table(payload: dict) -> list[str]:
 
 def cmd_sweep(args) -> int:
     n_max, d_max = args.n_max, args.d_max
-    _require(n_max >= 2 and d_max >= 2,
-             f"need --n-max >= 2 and --d-max >= 2, got {n_max}, {d_max}")
-    _check_domain(n_max, d_max)
     rows = threshold_sweep(n_max, d_max, strict=False)
     row_payloads = []
     all_match = True
@@ -248,7 +257,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    check_ambient(args.n, args.d)
+    _check_texts(args.n, args.d, args.poly)
     f = parse_poly(args.poly, args.n, args.d)
     verdict = classify_poly(f)
     payload = {
@@ -262,7 +271,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stratum(args) -> int:
-    check_ambient(args.n, args.d)
+    _check_texts(args.n, args.d, args.f, args.g)
     f = parse_poly(args.f, args.n, args.d)
     g_poly = parse_poly(args.g, args.n, args.d)
     pattern = pattern_from_poly(g_poly)

@@ -2,14 +2,15 @@
 
 Systems are homogeneous: every constraint compares a linear functional
 <a, w> against zero (equality, weak >=, or strict >).  Feasibility is
-decided exactly: equalities are eliminated by substitution, then
-Fourier-Motzkin elimination removes one variable at a time, a combined
-inequality being strict when either parent is strict.  A feasible system
-yields a rational witness by back-substitution (interval midpoints, or
-bound+1 on an unbounded side, denominators cleared at the end); an
-infeasible one yields a certificate: a signed rational combination of the
-original constraints summing to the zero functional while using at least
-one strict inequality positively, i.e. deriving 0 > 0.
+decided exactly on integer rows: each constraint is scaled to integers and
+carries its integer lineage over the originals.  Equalities are eliminated
+by substitution, then Fourier-Motzkin elimination removes one variable at a
+time, a combined inequality being strict when either parent is strict.  A
+feasible system yields a rational witness by back-substitution (interval
+midpoints, or bound+1 on an unbounded side, denominators cleared at the
+end); an infeasible one yields a certificate: integer multipliers with gcd
+1 on the original constraints, summing them to the zero functional while
+using at least one strict inequality positively, i.e. deriving 0 > 0.
 
 Implications over a chain cut by one balance equation have a closed form:
 chain_implies.
@@ -28,7 +29,7 @@ from .errors import (CertificateError, DimensionMismatchError, DomainError,
 from .poly import HomogPoly, RatLike, SlotRecord
 
 Functional = tuple[Fraction, ...]
-CertEntry = tuple[str, int, Fraction]  # (kind, index, multiplier)
+CertEntry = tuple[str, int, int]  # (kind, index, multiplier)
 
 # Most working constraints one Fourier-Motzkin step may produce, counted as
 # lowers * uppers + passed before the step; solve raises DomainError past it.
@@ -110,138 +111,120 @@ def verify_certificate(system: LinearSystem, cert: Sequence[CertEntry]) -> bool:
 
 # ---------------------------------------------------------------------------
 # solver
-
-_Lineage = dict[tuple[str, int], Fraction]
-
-
-class _Constraint:
-    """Working constraint: functional, strictness, provenance multipliers."""
-
-    __slots__ = ("func", "strict", "lineage")
-
-    def __init__(self, func: list[Fraction], strict: bool, lineage: _Lineage):
-        self.func = func
-        self.strict = strict
-        self.lineage = lineage
-
-    def combined_with(self, other: "_Constraint", c_self: Fraction,
-                      c_other: Fraction) -> "_Constraint":
-        func = [c_self * a + c_other * b
-                for a, b in zip(self.func, other.func)]
-        lineage: _Lineage = {}
-        for lin, c in ((self.lineage, c_self), (other.lineage, c_other)):
-            for key, mult in lin.items():
-                val = lineage.get(key, Fraction(0)) + c * mult
-                if val:
-                    lineage[key] = val
-                else:
-                    lineage.pop(key, None)
-        return _Constraint(func, self.strict or other.strict, lineage)
-
-    def is_zero(self) -> bool:
-        return not any(self.func)
+#
+# A working row is an integer list: dim functional entries, then one lineage
+# entry per original constraint (in constraints() order), each original first
+# scaled to integers by the lcm of its denominators.  So row[:dim] equals
+# sum row[dim + i] * scaled_i exactly, and every row is kept divided by the
+# gcd of all its entries.
 
 
-def _primitive(func: Sequence[Fraction]) -> tuple[int, ...]:
-    scale = lcm(*(e.denominator for e in func))
-    ints = [int(e * scale) for e in func]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [e // g for e in ints]
-    return tuple(ints)
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g < 2 else [e // g for e in row]
 
 
-def _infeasible(system: LinearSystem, con: _Constraint) -> FeasibilityResult:
-    """The 0 > 0 certificate carried by con's lineage, re-checked against
-    the original system; CertificateError if it does not derive 0 > 0."""
-    entries = [(kind, idx, mult) for (kind, idx), mult in con.lineage.items()]
-    entries.sort(key=lambda e: ({"eq": 0, "weak": 1, "strict": 2}[e[0]], e[1]))
+def _infeasible(system: LinearSystem, scales: list[int],
+                lineage: list[int]) -> FeasibilityResult:
+    """The 0 > 0 certificate a lineage carries, as integer multipliers with
+    gcd 1, re-checked against the original system; CertificateError if it
+    does not derive 0 > 0."""
+    mults = _reduced([c * s for c, s in zip(lineage, scales)])
+    entries = tuple((kind, idx, c) for (kind, idx, _f), c
+                    in zip(system.constraints(), mults) if c)
     if not verify_certificate(system, entries):
         raise CertificateError(
             f"infeasibility certificate {entries} failed self-check")
-    return FeasibilityResult(False, certificate=tuple(entries))
+    return FeasibilityResult(False, certificate=entries)
 
 
 def solve(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility; produce a witness or an infeasibility certificate."""
     dim = system.dim
-    eqs = [_Constraint(list(f), False, {("eq", i): Fraction(1)})
-           for i, f in enumerate(system.equalities)]
-    active = ([_Constraint(list(f), False, {("weak", i): Fraction(1)})
-               for i, f in enumerate(system.weak_ineqs)]
-              + [_Constraint(list(f), True, {("strict", i): Fraction(1)})
-                 for i, f in enumerate(system.strict_ineqs)])
+    originals = list(system.constraints())
+    scales = [lcm(*(a.denominator for a in f)) for _kind, _i, f in originals]
+    eqs: list[list[int]] = []
+    active: list[tuple[list[int], bool]] = []
+    for i, ((kind, _idx, f), s) in enumerate(zip(originals, scales)):
+        lineage = [0] * len(originals)
+        lineage[i] = 1
+        row = [int(a * s) for a in f] + lineage
+        if kind == "eq":
+            eqs.append(row)
+        else:
+            active.append((row, kind == "strict"))
 
-    subst_stack: list[tuple[int, list[Fraction], _Lineage]] = []
-    eliminated: set[int] = set()
-
-    # eliminate equalities by substitution
+    # eliminate equalities by substitution: with the equality's sign chosen
+    # to make its pivot p > 0 at index k, every row r becomes p*r - r[k]*eq
+    subst_stack: list[tuple[int, list[int]]] = []
     while eqs:
         eq = eqs.pop(0)
-        k = next((j for j, a in enumerate(eq.func) if a), None)
+        k = next((j for j in range(dim) if eq[j]), None)
         if k is None:
             continue  # 0 = 0
-        pivot = eq.func[k]
-        for con in eqs + active:
-            if con.func[k]:
-                factor = con.func[k] / pivot
-                merged = con.combined_with(eq, Fraction(1), -factor)
-                con.func = merged.func
-                con.func[k] = Fraction(0)
-                con.lineage = merged.lineage
-        subst_stack.append((k, eq.func[:], eq.lineage))
-        eliminated.add(k)
+        if eq[k] < 0:
+            eq = [-e for e in eq]
+        p = eq[k]
 
-    def split_trivial(cons: list[_Constraint]):
-        """Drop 0 >= 0; return a 0 > 0 contradiction if present."""
-        kept = []
-        for con in cons:
-            if con.is_zero():
-                if con.strict:
-                    return None, con
-            else:
-                kept.append(con)
-        return kept, None
+        def substituted(row: list[int]) -> list[int]:
+            c = row[k]
+            if not c:
+                return row
+            return _reduced([p * a - c * b for a, b in zip(row, eq)])
 
-    active, contradiction = split_trivial(active)
-    if contradiction is not None:
-        return _infeasible(system, contradiction)
+        eqs = [substituted(row) for row in eqs]
+        active = [(substituted(row), strict) for row, strict in active]
+        subst_stack.append((k, eq[:dim]))
+    eliminated = {k for k, _func in subst_stack}
+
+    # drop 0 >= 0; a 0 > 0 is a contradiction
+    kept = []
+    for row, strict in active:
+        if any(row[:dim]):
+            kept.append((row, strict))
+        elif strict:
+            return _infeasible(system, scales, row[dim:])
+    active = kept
 
     # Fourier-Motzkin elimination, ascending variable index
-    fm_stack: list[tuple[int, list[list[Fraction]], list[list[Fraction]]]] = []
+    fm_stack: list[tuple[int, list[list[int]], list[list[int]]]] = []
     for k in range(dim):
         if k in eliminated:
             continue
-        lowers = [c for c in active if c.func[k] > 0]
-        uppers = [c for c in active if c.func[k] < 0]
-        passed = [c for c in active if not c.func[k]]
+        lowers = [c for c in active if c[0][k] > 0]
+        uppers = [c for c in active if c[0][k] < 0]
+        passed = [c for c in active if not c[0][k]]
         size = len(lowers) * len(uppers) + len(passed)
         if size > MAX_FM_CONSTRAINTS:
             raise DomainError(
                 f"eliminating w{k} could leave {size} constraints, over the "
                 f"limit of {MAX_FM_CONSTRAINTS}")
-        fm_stack.append((k, [c.func[:] for c in lowers],
-                         [c.func[:] for c in uppers]))
-        fresh: list[_Constraint] = []
+        fm_stack.append((k, [row[:dim] for row, _s in lowers],
+                         [row[:dim] for row, _s in uppers]))
+        fresh: list[tuple[list[int], bool]] = []
         seen: set[tuple[tuple[int, ...], bool]] = set()
-        for lo in lowers:
-            for up in uppers:
-                combo = lo.combined_with(up, -up.func[k], lo.func[k])
-                if combo.is_zero():
-                    if combo.strict:
-                        return _infeasible(system, combo)
+        for lo, lo_strict in lowers:
+            for up, up_strict in uppers:
+                a, b = -up[k], lo[k]
+                combo = _reduced([a * x + b * y for x, y in zip(lo, up)])
+                strict = lo_strict or up_strict
+                func = combo[:dim]
+                if not any(func):
+                    if strict:
+                        return _infeasible(system, scales, combo[dim:])
                     continue
-                key = (_primitive(combo.func), combo.strict)
+                g = gcd(*func)
+                key = (tuple(e // g for e in func), strict)
                 if key in seen:
                     continue
                 seen.add(key)
-                fresh.append(combo)
+                fresh.append((combo, strict))
         active = passed + fresh
 
     # feasible: back-substitute
     values: dict[int, Fraction] = {}
     for k, lower_funcs, upper_funcs in reversed(fm_stack):
-        def bound(func: list[Fraction]) -> Fraction:
+        def bound(func: list[int]) -> Fraction:
             rest = sum((a * values[j] for j, a in enumerate(func)
                         if j != k and a), Fraction(0))
             return -rest / func[k]
@@ -257,7 +240,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
             values[k] = min(highs) - 1
         else:
             values[k] = Fraction(0)
-    for k, func, _lineage in reversed(subst_stack):
+    for k, func in reversed(subst_stack):
         rest = sum((a * values[j] for j, a in enumerate(func)
                     if j != k and a), Fraction(0))
         values[k] = -rest / func[k]

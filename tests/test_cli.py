@@ -152,6 +152,12 @@ class TestSweep:
         assert out == ""
         assert "ambient dimension" in err
 
+    def test_grid_below_two_is_usage(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n-max", "1", "--d-max", "3")
+        assert code == 64
+        assert out == ""
+        assert "n_max >= 2" in err
+
 
 class TestClassify:
     def test_prime(self, capsys):
@@ -176,6 +182,13 @@ class TestClassify:
         code, _out, err = run(capsys, "classify", "--poly", "x0 +* x1",
                               "--n", "1", "--d", "1")
         assert code == 64
+
+    def test_binomial_admitted_at_term_bound(self, capsys):
+        # 2 terms * 250,000 variables is exactly MAX_AMBIENT exponent entries
+        code, out, _ = run(capsys, "classify", "--poly", "x0 + x1",
+                           "--n", "249999", "--d", "1")
+        assert code == 0
+        assert json.loads(out)["verdict"]["tag"] == "Prime"
 
 
 class TestStratum:
@@ -394,6 +407,12 @@ class TestHugeInputs:
         ("stratum", "--f", "x0 + x1", "--g", "x0 - x1",
          "--n", "10000000", "--d", "1"),
         ("classify", "--poly", "x0^20 + x1^20", "--n", "10", "--d", "20"),
+        # (n + 1) * (1 + count of '+' and '-') exceeds MAX_AMBIENT entries
+        ("classify", "--poly", " + ".join(f"x{i}" for i in range(80)),
+         "--n", "499999", "--d", "1"),
+        ("stratum", "--f", " + ".join(f"x{i}" for i in range(20)),
+         "--g", "x0 - x1", "--n", "499999", "--d", "1"),
+        ("classify", "--poly", "x0 + x1", "--n", "250000", "--d", "1"),
     ])
     def test_parse_commands_rejected_before_parsing(self, capsys, monkeypatch,
                                                     argv):

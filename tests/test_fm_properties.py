@@ -4,6 +4,7 @@ solve agrees with a brute-force search of a small rational grid."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -54,6 +55,9 @@ def test_certificates_verify_and_mutations_fail(system):
     assert not result.feasible
     cert = list(result.certificate)
     assert verify_certificate(system, cert)
+    mults = [mult for _kind, _i, mult in cert]
+    assert all(type(mult) is int for mult in mults)
+    assert gcd(*mults) == 1
 
     positive = [k for k, (kind, _i, mult) in enumerate(cert)
                 if kind != "eq" and mult > 0]

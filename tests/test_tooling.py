@@ -62,6 +62,22 @@ def test_library_uses_every_name_it_imports():
     assert not found, "unused imports in the library: " + ", ".join(found)
 
 
+def test_budget_constants_named_in_readme():
+    # every module-level MAX_* budget is a limit users can hit; the README
+    # names each one, not only its value
+    readme = (ROOT / "README.md").read_text()
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {target.id}"
+                  for node in tree.body if isinstance(node, ast.Assign)
+                  for target in node.targets
+                  if isinstance(target, ast.Name)
+                  and target.id.startswith("MAX_")
+                  and target.id not in readme]
+    assert not found, "budgets the README does not name: " + ", ".join(found)
+
+
 def _names_read(tree: ast.AST):
     """Every name the tree reads: bare names, attributes and imported names."""
     for node in ast.walk(tree):
