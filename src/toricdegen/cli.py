@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Sequence
@@ -38,8 +37,8 @@ from .errors import (
 )
 from .family import (MAX_AMBIENT, _check_domain, check_ambient,
                      differential_rank, key_matrix, sample_family)
-from .linalg import RankReport, rank
-from .poly import _format_monomial, format_poly, parse_poly
+from .linalg import rank
+from .poly import format_poly, parse_poly
 from .theorem import (
     check_samples,
     existence_witness,
@@ -53,26 +52,14 @@ _USAGE_ERRORS = (DomainError, PolySyntaxError, DegreeError, VariableIndexError,
                  DimensionMismatchError)
 
 
-def _rat(x) -> str:
-    return str(Fraction(x))
-
-
-def _rank_payload(report: RankReport) -> dict:
-    return {
-        "rank": report.rank,
-        "ambient": report.ambient,
-        "codim": report.codim,
-        "surjective": report.surjective,
-        "method": report.method,
-    }
-
-
 def _json_text(value, pad: str = "") -> str:
     """value as json.dumps(value, indent=2) prints it, nested at pad."""
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return int.__repr__(value)
+    if isinstance(value, str):  # a _Laid row
+        return value
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
@@ -84,10 +71,7 @@ def _json_text(value, pad: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
-            body = sep.join(map(int.__repr__, value))
-        else:
-            body = sep.join(_json_text(v, inner) for v in value)
+        body = sep.join(_json_text(v, inner) for v in value)
         return f"[\n{inner}{body}\n{pad}]"
     return json.dumps(value)
 
@@ -129,21 +113,17 @@ def _emit(payload: dict, fmt: str, table_lines) -> None:
         _write(line + "\n" for line in table_lines(payload))
 
 
-def _kv_lines(payload: dict, prefix: str = "") -> list[str]:
-    lines = []
+def _kv_lines(payload: dict, prefix: str = "") -> Iterator[str]:
+    """'key = value' lines; a value that is an iterator gives its own lines."""
     for key, value in payload.items():
         if isinstance(value, dict):
-            lines.extend(_kv_lines(value, prefix=f"{prefix}{key}."))
+            yield from _kv_lines(value, f"{prefix}{key}.")
+        elif isinstance(value, Iterator):
+            yield from value
         elif isinstance(value, list):
-            lines.append(f"{prefix}{key} = {json.dumps(value)}")
+            yield f"{prefix}{key} = {json.dumps(value)}"
         else:
-            lines.append(f"{prefix}{key} = {value}")
-    return lines
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
+            yield f"{prefix}{key} = {value}"
 
 
 def _check_texts(n: int, d: int, *texts: str) -> None:
@@ -207,11 +187,11 @@ def cmd_witness(args) -> int:
         "d": d,
         "seed": args.seed,
         "poly": format_poly(bundle.point.to_poly()),
-        "omega": [_rat(w) for w in bundle.omega],
+        "omega": [*map(str, bundle.omega)],
         "initial": format_poly(bundle.initial),
         "initial_support": [list(u) for u in bundle.initial.support()],
         "verdict": {"tag": bundle.verdict.tag, "power": bundle.verdict.power},
-        "dominance": _rank_payload(bundle.dominance),
+        "dominance": bundle.dominance._asdict(),
     }
     _emit(payload, args.format, _kv_lines)
     return 0
@@ -231,25 +211,13 @@ def _sweep_table(payload: dict) -> list[str]:
 def cmd_sweep(args) -> int:
     n_max, d_max = args.n_max, args.d_max
     rows = threshold_sweep(n_max, d_max, strict=False)
-    row_payloads = []
-    all_match = True
-    for row in rows:
-        match = sweep_row_matches(row)
-        all_match = all_match and match
-        row_payloads.append({
-            "n": row.n,
-            "d": row.d,
-            "ambient": row.ambient,
-            "generic_rank": row.generic_rank,
-            "codim": row.codim,
-            "degenerable": row.degenerable,
-            "expected": row.d <= 2 * row.n - 1,
-        })
+    all_match = all(map(sweep_row_matches, rows))
     payload = {
         "n_max": n_max,
         "d_max": d_max,
         "seed": args.seed,
-        "rows": row_payloads,
+        "rows": [{**row._asdict(), "expected": row.d <= 2 * row.n - 1}
+                 for row in rows],
         "all_match": all_match,
     }
     _emit(payload, args.format, _sweep_table)
@@ -284,40 +252,59 @@ def cmd_stratum(args) -> int:
         "d": args.d,
         "f": format_poly(f),
         "g": format_poly(g_poly),
-        "equalities": [[_rat(a) for a in fn] for fn in system.equalities],
-        "strict_ineqs": [[_rat(a) for a in fn] for fn in system.strict_ineqs],
+        "equalities": [[*map(str, fn)] for fn in system.equalities],
+        "strict_ineqs": [[*map(str, fn)] for fn in system.strict_ineqs],
         "feasible": result.feasible,
-        "witness": ([_rat(w) for w in result.witness]
-                    if result.feasible else None),
+        "witness": [*map(str, result.witness)] if result.feasible else None,
         "certificate": (None if result.feasible else
-                        [{"kind": kind, "index": idx, "multiplier": _rat(mult)}
+                        [{"kind": kind, "index": idx, "multiplier": str(mult)}
                          for kind, idx, mult in result.certificate]),
     }
     _emit(payload, args.format, _kv_lines)
     return 0
 
 
-def _enumerate_table(payload: dict) -> Iterator[str]:
-    yield f"n = {payload['n']}"
-    yield f"d = {payload['d']}"
-    yield f"count = {payload['count']}"
-    for pat in payload["patterns"]:
-        yield f"{pat['lhs']}  |  {pat['rhs']}"
+class _Laid(str):
+    """JSON text already laid out, which _json_text prints as it is."""
+
+
+# one pattern's JSON row, nested at 4, from u's list, v's slots and lhs;
+# rhs is left as %s
+_PATTERN = ('{\n      "u": [\n        %s\n      ],\n      "v": [\n        %s'
+            '\n      ],\n      "lhs": "%s",\n      "rhs": "%%s"\n    }')
+
+
+def _pattern_rows(n: int, d: int, count: int, table: bool) -> Iterator[str]:
+    """Each listed pattern's text, built from its exponent pair (u, v): the
+    line 'lhs  |  rhs', or its row of the JSON list, nested at 4."""
+    # x{i}^{e} at [i][e]; none when nothing is listed, as at n = 1, where
+    # d may reach 499,999
+    names = [[f"x{i}^{e}" if e > 1 else f"x{i}" for e in range(d + 1)]
+             for i in range(n + 1)] if count else []
+    slots = ",\n        ".join(["%d"] * (n + 1))
+    last = None
+    for u, v in listed_pairs(n, d, count):
+        if u != last:
+            # the row of every pattern with this u, v and rhs left open
+            last, lhs = u, "*".join([names[i][e] for i, e in enumerate(u) if e])
+            row = f"{lhs}  |  %s" if table else _PATTERN % (
+                ",\n        ".join(map(str, u)), slots, lhs)
+        rhs = "*".join([names[i][e] for i, e in enumerate(v) if e])
+        yield row % rhs if table else _Laid(row % (*v, rhs))
 
 
 def cmd_enumerate(args) -> int:
-    _require(args.n >= 1 and args.d >= 1,
-             f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
+    if args.n < 1 or args.d < 1:
+        raise DomainError(f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
     count = check_listing_budget(args.n, args.d)
     payload = {
         "n": args.n,
         "d": args.d,
         "count": count,
-        "patterns": ({"u": u, "v": v, "lhs": _format_monomial(u),
-                      "rhs": _format_monomial(v)}
-                     for u, v in listed_pairs(args.n, args.d, count)),
+        "patterns": _pattern_rows(args.n, args.d, count,
+                                  args.format == "table"),
     }
-    _emit(payload, args.format, _enumerate_table)
+    _emit(payload, args.format, _kv_lines)
     return 0
 
 
@@ -378,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "of general hypersurfaces.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("verify-lemma", parents=(), help="check the key "
+    p = subs.add_parser("verify-lemma", help="check the key "
                         "matrix rank and differential codimension formulas")
     _add_common(p)
     _add_sampling(p)

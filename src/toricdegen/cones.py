@@ -83,7 +83,7 @@ def satisfies(system: LinearSystem, w: Sequence[RatLike]) -> bool:
     vals = [Fraction(e) for e in w]
 
     def value(f: Functional) -> Fraction:
-        return sum((a * b for a, b in zip(f, vals)), Fraction(0))
+        return sum((a * b for a, b in zip(f, vals) if a), Fraction(0))
 
     return (all(value(f) == 0 for f in system.equalities)
             and all(value(f) >= 0 for f in system.weak_ineqs)
@@ -148,7 +148,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
     for i, ((kind, _idx, f), s) in enumerate(zip(originals, scales)):
         lineage = [0] * len(originals)
         lineage[i] = 1
-        row = [int(a * s) for a in f] + lineage
+        row = [a.numerator * (s // a.denominator) for a in f] + lineage
         if kind == "eq":
             eqs.append(row)
         else:

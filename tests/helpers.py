@@ -35,7 +35,8 @@ from toricdegen import (
     solve,
     verify_certificate,
 )
-from toricdegen.poly import Exponent, RatLike, iter_exponents
+from toricdegen.binomials import check_listing_budget, listed_pairs
+from toricdegen.poly import Exponent, RatLike, _format_monomial, iter_exponents
 from toricdegen.theorem import _spike_exponents
 
 
@@ -290,6 +291,23 @@ def ordered_prime_pairs(n: int, d: int) -> list[tuple[Exponent, Exponent]]:
     return [(u, exps[j]) for i, u in enumerate(exps)
             for j in range(i + 1, len(exps))
             if not masks[i] & masks[j] and gcd(gcds[i], gcds[j]) == 1]
+
+
+def listing_payload(n: int, d: int) -> dict:
+    """Oracle for enumerate-binomials: its payload the plain way, one dict
+    per pattern with each monomial formatted on its own."""
+    count = check_listing_budget(n, d)
+    return {"n": n, "d": d, "count": count,
+            "patterns": [{"u": u, "v": v, "lhs": _format_monomial(u),
+                          "rhs": _format_monomial(v)}
+                         for u, v in listed_pairs(n, d, count)]}
+
+
+def listing_table(payload: dict) -> str:
+    """The --format table text of a listing_payload."""
+    lines = [f"{key} = {payload[key]}" for key in ("n", "d", "count")]
+    lines += [f"{p['lhs']}  |  {p['rhs']}" for p in payload["patterns"]]
+    return "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

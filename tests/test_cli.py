@@ -14,7 +14,8 @@ from toricdegen import (CertificateError, differential_rank, key_matrix,
                         parse_poly, pattern_from_poly, rank, sample_family,
                         solve, stratum_system)
 from toricdegen.cli import main
-from helpers import forbid_pattern_generation, stuck_sampler
+from helpers import (forbid_pattern_generation, listing_payload,
+                     listing_table, stuck_sampler)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -202,6 +203,23 @@ class TestStratum:
         assert payload["feasible"] is True
         assert payload["witness"] == ["3", "2", "0"]
 
+    def test_wide_sparse_output_pinned(self, capsys):
+        # three terms over 5,001 variables: every functional is mostly zeros
+        n = 5000
+        code, out, _ = run(capsys, "stratum", "--f", "x0 + x1 + x2",
+                           "--g", "x0 + x1", "--n", str(n), "--d", "1")
+        zeros = ["0"] * (n - 2)
+        expected = {
+            "n": n, "d": 1, "f": "x0 + x1 + x2", "g": "x0 + x1",
+            "equalities": [["1", "-1", "0"] + zeros],
+            "strict_ineqs": [["1", "0", "-1"] + zeros],
+            "feasible": True,
+            "witness": ["1", "1", "0"] + zeros,
+            "certificate": None,
+        }
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
+
     def test_support_mismatch_usage(self, capsys):
         code, _out, _err = run(capsys, "stratum",
                                "--f", "x1^3 + x2^3",
@@ -348,11 +366,38 @@ class TestOutputText:
         ("classify", "--poly", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
         ("enumerate-binomials", "--n", "1", "--d", "2"),
         ("enumerate-binomials", "--n", "4", "--d", "8"),
+        ("enumerate-binomials", "--n", "3", "--d", "7"),
     ])
     def test_json_is_indent_2(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @staticmethod
+    def _listing_matches_oracle(capsys, n, d):
+        expected = listing_payload(n, d)
+        texts = {"json": json.dumps(expected, indent=2) + "\n",
+                 "table": listing_table(expected)}
+        for fmt, text in texts.items():
+            code, out, _ = run(capsys, "enumerate-binomials", "--n", str(n),
+                               "--d", str(d), "--format", fmt)
+            assert code == 0
+            if out != text:
+                # a plain == would have pytest diff megabytes of text
+                lines = enumerate(zip(out.splitlines(), text.splitlines()))
+                k = next((k for k, (a, b) in lines if a != b), "the end")
+                pytest.fail(f"({n}, {d}) {fmt} differs at line {k}")
+
+    def test_listing_matches_dict_per_row_oracle(self, capsys):
+        # rows are rendered from each exponent pair; the oracle builds a
+        # dict per pattern and prints it with json.dumps, at every point
+        # from (1, 1) to (4, 8), the table at (4, 8) included
+        for n in range(1, 5):
+            for d in range(1, 9):
+                self._listing_matches_oracle(capsys, n, d)
+
+    def test_listing_matches_oracle_at_5_10(self, capsys):
+        self._listing_matches_oracle(capsys, 5, 10)
 
 
 class TestPatternBudget:
