@@ -330,7 +330,7 @@ def cmd_nonexist(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-class _Parser(argparse.ArgumentParser):
+class _ArgParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
@@ -360,9 +360,8 @@ def _add_sampling(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="toricdegen",
-                     description="Exact certificates for toric degenerations "
-                                 "of general hypersurfaces.")
+    parser = _ArgParser(prog="toricdegen", description="Exact certificates "
+                        "for toric degenerations of general hypersurfaces.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("verify-lemma", help="check the key "

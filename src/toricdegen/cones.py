@@ -4,12 +4,13 @@ Systems are homogeneous: every constraint compares a linear functional
 <a, w> against zero (equality, weak >=, or strict >).  Feasibility is
 decided exactly on integer rows: each constraint is scaled to integers and
 carries its integer lineage over the originals.  Equalities are eliminated
-by substitution, then Fourier-Motzkin elimination removes one variable at a
-time, a combined inequality being strict when either parent is strict.  A
-feasible system yields a rational witness by back-substitution (interval
-midpoints, or bound+1 on an unbounded side, denominators cleared at the
-end); an infeasible one yields a certificate: integer multipliers with gcd
-1 on the original constraints, summing them to the zero functional while
+by substitution, then Fourier-Motzkin elimination removes, one at a time,
+each variable some constraint holds, a combined inequality being strict
+when either parent is strict.  A feasible system yields a rational witness
+by back-substitution (interval midpoints, bound+1 on an unbounded side, 0
+on a variable no constraint holds, denominators cleared at the end); an
+infeasible one yields a certificate: integer multipliers with gcd 1 on the
+original constraints, summing them to the zero functional while
 using at least one strict inequality positively, i.e. deriving 0 > 0.
 
 Implications over a chain cut by one balance equation have a closed form:
@@ -28,7 +29,7 @@ from .errors import (CertificateError, DimensionMismatchError, DomainError,
                      SupportMismatchError)
 from .poly import HomogPoly, RatLike, SlotRecord
 
-Functional = tuple[Fraction, ...]
+Functional = tuple[RatLike, ...]
 CertEntry = tuple[str, int, int]  # (kind, index, multiplier)
 
 # Most working constraints one Fourier-Motzkin step may produce, counted as
@@ -38,10 +39,10 @@ MAX_FM_CONSTRAINTS = 20_000
 
 
 def difference_functional(u: Sequence[int], v: Sequence[int]) -> Functional:
-    """Functional whose value at w is weight(u) - weight(v)."""
+    """Functional whose value at w is weight(u) - weight(v), in integers."""
     if len(u) != len(v):
         raise DimensionMismatchError(f"lengths {len(u)} vs {len(v)}")
-    return tuple(Fraction(a - b) for a, b in zip(u, v))
+    return tuple(a - b for a, b in zip(u, v))
 
 
 class LinearSystem(SlotRecord):
@@ -71,7 +72,7 @@ class LinearSystem(SlotRecord):
 
 class FeasibilityResult(NamedTuple):
     feasible: bool
-    witness: tuple[Fraction, ...] | None = None
+    witness: tuple[RatLike, ...] | None = None
     certificate: tuple[CertEntry, ...] | None = None
 
 
@@ -80,7 +81,7 @@ def satisfies(system: LinearSystem, w: Sequence[RatLike]) -> bool:
     if len(w) != system.dim:
         raise DimensionMismatchError(
             f"witness length {len(w)} vs dim {system.dim}")
-    vals = [Fraction(e) for e in w]
+    vals = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in w]
 
     def value(f: Functional) -> Fraction:
         return sum((a * b for a, b in zip(f, vals) if a), Fraction(0))
@@ -175,7 +176,6 @@ def solve(system: LinearSystem) -> FeasibilityResult:
         eqs = [substituted(row) for row in eqs]
         active = [(substituted(row), strict) for row, strict in active]
         subst_stack.append((k, eq[:dim]))
-    eliminated = {k for k, _func in subst_stack}
 
     # drop 0 >= 0; a 0 > 0 is a contradiction
     kept = []
@@ -186,11 +186,12 @@ def solve(system: LinearSystem) -> FeasibilityResult:
             return _infeasible(system, scales, row[dim:])
     active = kept
 
-    # Fourier-Motzkin elimination, ascending variable index
+    # Fourier-Motzkin elimination over the columns some row holds, ascending;
+    # a combination of rows holds no other column
+    columns = sorted({j for row, _s in active
+                      for j, a in enumerate(row[:dim]) if a})
     fm_stack: list[tuple[int, list[list[int]], list[list[int]]]] = []
-    for k in range(dim):
-        if k in eliminated:
-            continue
+    for k in columns:
         lowers = [c for c in active if c[0][k] > 0]
         uppers = [c for c in active if c[0][k] < 0]
         passed = [c for c in active if not c[0][k]]
@@ -221,8 +222,8 @@ def solve(system: LinearSystem) -> FeasibilityResult:
                 fresh.append((combo, strict))
         active = passed + fresh
 
-    # feasible: back-substitute
-    values: dict[int, Fraction] = {}
+    # feasible: back-substitute; a column no row holds is 0
+    values: dict[int, RatLike] = {}
     for k, lower_funcs, upper_funcs in reversed(fm_stack):
         def bound(func: list[int]) -> Fraction:
             rest = sum((a * values[j] for j, a in enumerate(func)
@@ -241,11 +242,11 @@ def solve(system: LinearSystem) -> FeasibilityResult:
         else:
             values[k] = Fraction(0)
     for k, func in reversed(subst_stack):
-        rest = sum((a * values[j] for j, a in enumerate(func)
+        rest = sum((a * values.get(j, 0) for j, a in enumerate(func)
                     if j != k and a), Fraction(0))
         values[k] = -rest / func[k]
 
-    witness = [values[j] for j in range(dim)]
+    witness = [values.get(j, 0) for j in range(dim)]
     scale = lcm(*(v.denominator for v in witness))
     witness = tuple(v * scale for v in witness)
     if not satisfies(system, witness):

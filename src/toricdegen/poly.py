@@ -5,12 +5,18 @@ A polynomial in variables x0..xn is stored as a map from exponent tuples
 coefficients.  Terms are kept in descending graded-lexicographic order, so
 iteration and formatting are deterministic.
 
-Text grammar (whitespace insignificant)::
+Text grammar::
 
-    poly   := ['-'] term (('+'|'-') term)*
-    term   := [coeff] ['*'] factor ('*' factor)*
+    poly   := [sign] term (sign term)*
+    term   := [coeff ['*']] factor ('*' factor)* ['*']
     factor := 'x' index ['^' exponent]
-    coeff  := integer | integer '/' integer
+    coeff  := integer ['/' integer]
+    sign   := '+' | '-'
+
+Whitespace may separate tokens but not split a number: ``1 2*x0`` is
+malformed.  A leading '+' and a '*' closing a term are accepted.  A text is
+checked against the whole grammar first, so a malformed text raises
+PolySyntaxError before any index or degree error.
 
 Example: ``3*x0^2*x1 - 5/2*x2^3``.
 """
@@ -181,114 +187,47 @@ class HomogPoly:
 # ---------------------------------------------------------------------------
 # parsing / formatting
 
-_TOKEN = re.compile(r"\s*(\d+|[x^*/+-])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise PolySyntaxError(
-                    f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], n: int, d: int):
-        self.tokens = tokens
-        self.i = 0
-        self.n = n
-        self.d = d
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def advance(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise PolySyntaxError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect_int(self, what: str) -> int:
-        tok = self.advance()
-        if not tok.isdigit():
-            raise PolySyntaxError(f"expected {what}, found {tok!r}")
-        return int(tok)
-
-    def parse_term(self) -> tuple[Exponent, Fraction]:
-        coeff = Fraction(1)
-        tok = self.peek()
-        if tok is not None and tok.isdigit():
-            num = int(self.advance())
-            if self.peek() == "/":
-                self.advance()
-                den = self.expect_int("denominator")
-                if den == 0:
-                    raise PolySyntaxError("zero denominator")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            if self.peek() == "*":
-                self.advance()
-        exps = [0] * (self.n + 1)
-        saw_factor = False
-        while True:
-            if self.peek() == "x":
-                self.advance()
-                idx = self.expect_int("variable index")
-                if idx > self.n:
-                    raise VariableIndexError(
-                        f"variable x{idx} exceeds ambient index {self.n}")
-                e = 1
-                if self.peek() == "^":
-                    self.advance()
-                    e = self.expect_int("exponent")
-                exps[idx] += e
-                saw_factor = True
-                if self.peek() == "*":
-                    self.advance()
-                    continue
-            break
-        if not saw_factor:
-            raise PolySyntaxError(
-                f"expected a variable factor, found {self.peek()!r}")
-        if sum(exps) != self.d:
-            raise DegreeError(
-                f"term of degree {sum(exps)} in a degree-{self.d} polynomial")
-        return tuple(exps), coeff
+# The grammar as patterns over the text with its whitespace removed.  They
+# stay strings, compiled on first use through re's cache, so importing this
+# module compiles none.  Each text has at most one parse, so a failing match
+# backtracks only within one digit run or across one '*' at a time.
+_FACTOR = r"x\d+(?:\^\d+)?"
+_COEFF = r"\d+(?:/\d+)?"
+_TERM = rf"(?:{_COEFF}\*?)?{_FACTOR}(?:\*{_FACTOR})*\*?"
+_POLY = rf"[+-]?{_TERM}(?:[+-]{_TERM})*"
 
 
 def parse_poly(text: str, n: int, d: int) -> HomogPoly:
     """Parse the text grammar into a degree-d polynomial in x0..xn.
 
+    The whole text is checked against the grammar first, so a malformed
+    text raises PolySyntaxError before any index or degree error.
     Coefficients of repeated monomials are collected exactly; if everything
     cancels, the result would be zero and ZeroPolynomialError is raised.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolySyntaxError("empty polynomial text")
-    parser = _Parser(tokens, n, d)
-    sign = 1
-    if parser.peek() in ("+", "-"):
-        sign = -1 if parser.advance() == "-" else 1
+    if re.search(r"\d\s+\d", text):
+        raise PolySyntaxError("whitespace splits a number")
+    text = "".join(text.split())
+    if not re.fullmatch(_POLY, text):
+        raise PolySyntaxError("polynomial text does not follow the grammar")
     acc: dict[Exponent, Fraction] = {}
-    while True:
-        u, c = parser.parse_term()
-        acc[u] = acc.get(u, Fraction(0)) + sign * c
-        tok = parser.peek()
-        if tok is None:
-            break
-        if tok not in ("+", "-"):
-            raise PolySyntaxError(f"expected '+' or '-', found {tok!r}")
-        parser.advance()
-        sign = -1 if tok == "-" else 1
+    for sign, num, den, factors in re.findall(
+            r"([+-]?)(?:(\d+)(?:/(\d+))?)?([^+-]+)", text):
+        if den and not int(den):
+            raise PolySyntaxError("zero denominator")
+        coeff = Fraction(int(num or 1), int(den or 1))
+        u = [0] * (n + 1)
+        for index, power in re.findall(r"x(\d+)\^?(\d*)", factors):
+            i = int(index)
+            if i > n:
+                raise VariableIndexError(
+                    f"variable x{i} exceeds ambient index {n}")
+            u[i] += int(power or 1)
+        if sum(u) != d:
+            raise DegreeError(
+                f"term of degree {sum(u)} in a degree-{d} polynomial")
+        key = tuple(u)
+        acc[key] = acc.get(key, _ZERO) + (-coeff if sign == "-" else coeff)
     poly = HomogPoly(n, d, acc)
     if poly.is_zero():
         raise ZeroPolynomialError("all terms cancelled; zero polynomial rejected")

@@ -7,6 +7,7 @@ passes while the acceptance suite runs the full counts.
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -16,14 +17,17 @@ from typing import Iterable, NamedTuple, Sequence
 from toricdegen import (
     BinomialPattern,
     CertificateError,
+    DegreeError,
     DimensionMismatchError,
     DomainError,
     FamilyPoint,
     HomogPoly,
     LinearSystem,
     NormalizationError,
+    PolySyntaxError,
     QMatrix,
     VariableIndexError,
+    ZeroPolynomialError,
     chain_implies,
     difference_functional,
     excluded_exponents,
@@ -489,6 +493,122 @@ def roundtrip_text(f: HomogPoly) -> None:
     again = parse_poly(text, f.n, f.d)
     assert again == f
     assert format_poly(again) == text
+
+
+# ---------------------------------------------------------------------------
+# token-by-token parser: the oracle for parse_poly, which matches the grammar
+# as a whole.  It reads the same texts to the same polynomials; the one
+# difference is that it raises an index, degree or zero-denominator error at
+# the token where it meets one, before it sees a syntax error further on.
+
+_TOKEN = re.compile(r"\s*(\d+|[x^*/+-])")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise PolySyntaxError(
+                    f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[str], n: int, d: int):
+        self.tokens = tokens
+        self.i = 0
+        self.n = n
+        self.d = d
+
+    def peek(self) -> str | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def advance(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise PolySyntaxError("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect_int(self, what: str) -> int:
+        tok = self.advance()
+        if not tok.isdigit():
+            raise PolySyntaxError(f"expected {what}, found {tok!r}")
+        return int(tok)
+
+    def parse_term(self) -> tuple[Exponent, Fraction]:
+        coeff = Fraction(1)
+        tok = self.peek()
+        if tok is not None and tok.isdigit():
+            num = int(self.advance())
+            if self.peek() == "/":
+                self.advance()
+                den = self.expect_int("denominator")
+                if den == 0:
+                    raise PolySyntaxError("zero denominator")
+                coeff = Fraction(num, den)
+            else:
+                coeff = Fraction(num)
+            if self.peek() == "*":
+                self.advance()
+        exps = [0] * (self.n + 1)
+        saw_factor = False
+        while True:
+            if self.peek() == "x":
+                self.advance()
+                idx = self.expect_int("variable index")
+                if idx > self.n:
+                    raise VariableIndexError(
+                        f"variable x{idx} exceeds ambient index {self.n}")
+                e = 1
+                if self.peek() == "^":
+                    self.advance()
+                    e = self.expect_int("exponent")
+                exps[idx] += e
+                saw_factor = True
+                if self.peek() == "*":
+                    self.advance()
+                    continue
+            break
+        if not saw_factor:
+            raise PolySyntaxError(
+                f"expected a variable factor, found {self.peek()!r}")
+        if sum(exps) != self.d:
+            raise DegreeError(
+                f"term of degree {sum(exps)} in a degree-{self.d} polynomial")
+        return tuple(exps), coeff
+
+
+def oracle_parse_poly(text: str, n: int, d: int) -> HomogPoly:
+    """Parse the text grammar token by token."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PolySyntaxError("empty polynomial text")
+    parser = _Parser(tokens, n, d)
+    sign = 1
+    if parser.peek() in ("+", "-"):
+        sign = -1 if parser.advance() == "-" else 1
+    acc: dict[Exponent, Fraction] = {}
+    while True:
+        u, c = parser.parse_term()
+        acc[u] = acc.get(u, Fraction(0)) + sign * c
+        tok = parser.peek()
+        if tok is None:
+            break
+        if tok not in ("+", "-"):
+            raise PolySyntaxError(f"expected '+' or '-', found {tok!r}")
+        parser.advance()
+        sign = -1 if tok == "-" else 1
+    poly = HomogPoly(n, d, acc)
+    if poly.is_zero():
+        raise ZeroPolynomialError("all terms cancelled; zero polynomial rejected")
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from toricdegen import (
     stratum_system,
     verify_certificate,
 )
-from helpers import check_record, compatible_cone, implies, run_solver_suite
+from helpers import (check_record, compatible_cone, implies, random_system,
+                     run_solver_suite)
 
 
 def F(*entries):
@@ -166,6 +167,36 @@ class TestSolve:
         feasible, infeasible = run_solver_suite(Random(11), 60)
         assert feasible + infeasible == 60
         assert feasible > 0 and infeasible > 0
+
+    def test_zero_columns_change_nothing(self):
+        # solve eliminates only the columns some row holds: all-zero columns
+        # leave the verdict and certificate as they are, and the witness
+        # gains a 0 at each of them and nothing else
+        rng = Random(13)
+        for _ in range(300):
+            system = random_system(rng)
+            wide = system.dim + rng.randint(1, 4)
+            zeros = set(rng.sample(range(wide), wide - system.dim))
+            keep = [j for j in range(wide) if j not in zeros]
+
+            def widened(group):
+                out = []
+                for f in group:
+                    row = [0] * wide
+                    for j, a in zip(keep, f):
+                        row[j] = a
+                    out.append(tuple(row))
+                return tuple(out)
+
+            result = solve(system)
+            padded = solve(LinearSystem(
+                wide, widened(system.equalities), widened(system.weak_ineqs),
+                widened(system.strict_ineqs)))
+            assert padded.feasible == result.feasible
+            assert padded.certificate == result.certificate
+            if result.feasible:
+                assert [padded.witness[j] for j in keep] == list(result.witness)
+                assert all(padded.witness[j] == 0 for j in zeros)
 
     def test_witness_self_check_raises(self, monkeypatch):
         monkeypatch.setattr(toricdegen.cones, "satisfies",

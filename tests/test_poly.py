@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -63,6 +64,25 @@ class TestParse:
     def test_leading_minus(self):
         f = parse_poly("-x0^2 + x1^2", 1, 2)
         assert f.coeff((2, 0)) == -1
+
+    @pytest.mark.parametrize("bad", ["x0^2 + x1 x1", "x9 ++ x0", "1 2*x0"])
+    def test_syntax_error_first(self, bad):
+        # checked before any degree or index; whitespace may not split a number
+        with pytest.raises(PolySyntaxError):
+            parse_poly(bad, 1, 1)
+
+    def test_leading_plus_and_trailing_star(self):
+        assert parse_poly("+x0", 1, 1) == parse_poly("x0", 1, 1)
+        assert parse_poly("x0* + x1", 1, 1) == parse_poly("x0 + x1", 1, 1)
+
+    @pytest.mark.parametrize("bad", ["3" + " " * 100_000 + "y",
+                                     "x0" + " * x0" * 30_000 + "^",
+                                     "+" * 100_000])
+    def test_long_malformed_text_rejected_fast(self, bad):
+        start = time.perf_counter()
+        with pytest.raises(PolySyntaxError):
+            parse_poly(bad, 1, 1)
+        assert time.perf_counter() - start < 1
 
 
 class TestFormat:

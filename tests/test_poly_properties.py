@@ -1,5 +1,6 @@
-"""Property test: parse_poly reads generated text to the terms it spells,
-and format_poly's text parses back to the same polynomial."""
+"""Property tests: parse_poly reads generated text to the terms it spells,
+format_poly's text parses back to the same polynomial, and on any text over
+the grammar's tokens parse_poly agrees with the token-by-token oracle."""
 
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from toricdegen import HomogPoly, ZeroPolynomialError, format_poly, parse_poly
+from helpers import oracle_parse_poly
+from toricdegen import (HomogPoly, PolySyntaxError, ZeroPolynomialError,
+                        format_poly, parse_poly)
 
 
 @st.composite
@@ -65,7 +68,29 @@ def test_parse_then_format_round_trips(case):
         return
     f = parse_poly(text, n, d)
     assert f == HomogPoly(n, d, terms)
+    assert oracle_parse_poly(text, n, d) == f
     canonical = format_poly(f)
     again = parse_poly(canonical, n, d)
     assert again == f
     assert format_poly(again) == canonical
+
+
+# single tokens of the grammar, a few glued as they often are, and spaces
+_TOKENS = ["x", "0", "1", "2", "3", "10", "^", "*", "/", "+", "-", " ",
+           "x0", "x1", "x2^2", "3/2"]
+
+
+@hypothesis.settings(max_examples=600, deadline=None, derandomize=True)
+@hypothesis.given(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+                  st.integers(0, 3), st.integers(0, 4))
+def test_parse_agrees_with_token_oracle(text, n, d):
+    # the token-by-token parser accepts the same texts with the same terms;
+    # matching the grammar first may only turn its error into a syntax error
+    try:
+        expected = oracle_parse_poly(text, n, d)
+    except ValueError as oracle_error:
+        with pytest.raises(ValueError) as caught:
+            parse_poly(text, n, d)
+        assert caught.type in (type(oracle_error), PolySyntaxError)
+    else:
+        assert parse_poly(text, n, d) == expected

@@ -153,3 +153,34 @@ def test_cli_import_skips_dataclasses_and_inspect():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _run_at_import(node: ast.AST):
+    """Every node that runs when its module is imported: all but the bodies
+    of functions and lambdas."""
+    yield node
+    for name, value in ast.iter_fields(node):
+        if name == "body" and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _run_at_import(child)
+
+
+def test_no_pattern_compiled_at_import():
+    # every CLI call imports the whole library, and re.compile runs in pure
+    # Python (a grammar-sized pattern costs several times a one-token one),
+    # so a pattern is kept as a string and compiled through re's cache on
+    # first use
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+                  for node in _run_at_import(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "compile"
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "re"]
+    assert not found, "patterns compiled at import: " + ", ".join(found)
