@@ -74,7 +74,6 @@ from .theorem import (
     dominance_certificate,
     existence_witness,
     nonexistence_certificate,
-    strata_reduction_check,
     strata_survey,
     sweep_row_matches,
     threshold_sweep,

@@ -5,8 +5,10 @@ and flags produce byte-identical output.  Exact rational values are emitted
 as strings like "5/2" so nothing is rounded through floating point.  Exit
 codes: 0 success / claims verified, 1 claim mismatch, 2 genericity or
 certificate failure, 64 usage error, 74 stdout closed before the output
-ended (EX_IOERR).  Output is written as it is produced, so after exit 2
-or 74 stdout may stop partway through a listing.
+ended (EX_IOERR).  JSON is printed as json.dumps(payload, indent=2) by the
+standard library's encoder; only the enumerate-binomials listing is
+streamed, row by row as it is drawn, so after exit 2 or 74 stdout may stop
+partway through it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Sequence
 
@@ -52,43 +53,21 @@ _USAGE_ERRORS = (DomainError, PolySyntaxError, DegreeError, VariableIndexError,
                  DimensionMismatchError)
 
 
-def _json_text(value, pad: str = "") -> str:
-    """value as json.dumps(value, indent=2) prints it, nested at pad."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if isinstance(value, str):  # a _Laid row
-        return value
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                        for k, v in value.items())
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = sep.join(_json_text(v, inner) for v in value)
-        return f"[\n{inner}{body}\n{pad}]"
-    return json.dumps(value)
-
-
 def _json_pieces(payload: dict) -> Iterator[str]:
-    """The text of json.dumps(payload, indent=2) plus a newline, in pieces;
-    a value that is an iterator is drawn and printed one item at a time."""
+    """The text of json.dumps(payload, indent=2) plus a newline, in pieces.
+    A value that is an iterator, the listing's patterns, yields JSON rows
+    already laid out at depth 4, which are written as they are drawn."""
     head = "{\n  "
     for key, value in payload.items():
-        yield f"{head}{encode_basestring_ascii(key)}: "
+        yield f"{head}{json.dumps(key)}: "
         head = ",\n  "
         if not isinstance(value, Iterator):
-            yield _json_text(value, "  ")
+            # strings are printed with \n escaped, so each newline is layout
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
         sep = "[\n    "
-        for item in value:
-            yield sep + _json_text(item, "    ")
+        for row in value:
+            yield sep + row
             sep = ",\n    "
         yield "[]" if sep[0] == "[" else "\n  ]"
     yield "{}\n" if head[0] == "{" else "\n}\n"
@@ -264,10 +243,6 @@ def cmd_stratum(args) -> int:
     return 0
 
 
-class _Laid(str):
-    """JSON text already laid out, which _json_text prints as it is."""
-
-
 # one pattern's JSON row, nested at 4, from u's list, v's slots and lhs;
 # rhs is left as %s
 _PATTERN = ('{\n      "u": [\n        %s\n      ],\n      "v": [\n        %s'
@@ -290,7 +265,7 @@ def _pattern_rows(n: int, d: int, count: int, table: bool) -> Iterator[str]:
             row = f"{lhs}  |  %s" if table else _PATTERN % (
                 ",\n        ".join(map(str, u)), slots, lhs)
         rhs = "*".join([names[i][e] for i, e in enumerate(v) if e])
-        yield row % rhs if table else _Laid(row % (*v, rhs))
+        yield row % rhs if table else row % (*v, rhs)
 
 
 def cmd_enumerate(args) -> int:

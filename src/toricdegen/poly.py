@@ -14,9 +14,10 @@ Text grammar::
     sign   := '+' | '-'
 
 Whitespace may separate tokens but not split a number: ``1 2*x0`` is
-malformed.  A leading '+' and a '*' closing a term are accepted.  A text is
-checked against the whole grammar first, so a malformed text raises
-PolySyntaxError before any index or degree error.
+malformed, and no number may have more digits than the interpreter's
+integer string limit (4,300 by default).  A leading '+' and a '*' closing a
+term are accepted.  A text is checked against the whole grammar first, so a
+malformed text raises PolySyntaxError before any index or degree error.
 
 Example: ``3*x0^2*x1 - 5/2*x2^3``.
 """
@@ -24,6 +25,7 @@ Example: ``3*x0^2*x1 - 5/2*x2^3``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -210,6 +212,10 @@ def parse_poly(text: str, n: int, d: int) -> HomogPoly:
     text = "".join(text.split())
     if not re.fullmatch(_POLY, text):
         raise PolySyntaxError("polynomial text does not follow the grammar")
+    # int() refuses longer digit runs; interpreters before the limit have none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max(map(len, re.findall(r"\d+", text))) > limit:
+        raise PolySyntaxError(f"a number exceeds the limit of {limit} digits")
     acc: dict[Exponent, Fraction] = {}
     for sign, num, den, factors in re.findall(
             r"([+-]?)(?:(\d+)(?:/(\d+))?)?([^+-]+)", text):

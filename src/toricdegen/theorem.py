@@ -20,10 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .binomials import (BinomialPattern, PrimeVerdict, check_shape_budget,
-                        classify, count_prime_patterns, pattern_from_poly,
+from .binomials import (PrimeVerdict, check_shape_budget, classify,
+                        count_prime_patterns, pattern_from_poly,
                         shape_pattern_count, support_shapes)
 from .errors import CertificateError, DomainError, GenericityError, NormalizationError
 from .family import (
@@ -206,30 +206,6 @@ def _representative(n: int, d: int,
     indices, so the entry 1 makes the pair coprime."""
     return tuple(tuple(d + 1 - len(s) if i == s[0] else int(i in s)
                        for i in range(n + 1)) for s in shape)
-
-
-def strata_reduction_check(n: int, d: int, g: BinomialPattern,
-                           ordering: Sequence[int]) -> bool:
-    """Certify that the stratum of forms with initial form g (under weights
-    compatible with the ordering) lies in a coordinate permutation of the
-    restricted family.
-
-    After relabeling the ordering to the identity, g's shape runs through
-    the survey's _check_shape.  Raises DomainError unless the ordering is a
-    permutation of 0..n, and NormalizationError when the swap that
-    normalizes g's shape is not certified.
-    """
-    _check_domain(n, d)
-    if not classify(g).is_prime:
-        raise DomainError("strata reduction applies to prime patterns only")
-    if g.d != d or g.n != n:
-        raise DomainError(f"pattern shape ({g.n},{g.d}) vs given ({n},{d})")
-    if sorted(ordering) != list(range(n + 1)):
-        raise DomainError(
-            f"ordering {tuple(ordering)} is not a permutation of 0..{n}")
-    # position k of the relabeled pattern holds x_(ordering[k])
-    return _check_shape(*sorted(tuple(k for k, i in enumerate(ordering) if w[i])
-                                for w in (g.u, g.v)))
 
 
 class StrataSurvey(NamedTuple):

@@ -29,6 +29,7 @@ from toricdegen import (
     VariableIndexError,
     ZeroPolynomialError,
     chain_implies,
+    classify,
     difference_functional,
     excluded_exponents,
     format_poly,
@@ -41,7 +42,8 @@ from toricdegen import (
 )
 from toricdegen.binomials import check_listing_budget, listed_pairs
 from toricdegen.poly import Exponent, RatLike, _format_monomial, iter_exponents
-from toricdegen.theorem import _spike_exponents
+from toricdegen.family import _check_domain
+from toricdegen.theorem import _check_shape, _spike_exponents
 
 
 def random_poly(rng: Random, n: int, d: int, max_terms: int = 6) -> HomogPoly:
@@ -486,6 +488,30 @@ def pattern_verdicts(n: int, d: int) -> dict[tuple[Exponent, Exponent], bool]:
         except NormalizationError:
             verdicts[u, v] = False
     return verdicts
+
+
+def strata_reduction_check(n: int, d: int, g: BinomialPattern,
+                           ordering: Sequence[int]) -> bool:
+    """The survey's _check_shape on one (pattern, ordering) stratum: certify
+    that the forms with initial form g, under weights compatible with the
+    ordering, lie in a coordinate permutation of the restricted family.
+
+    After relabeling the ordering to the identity, g's shape runs through
+    _check_shape.  Raises DomainError unless the ordering is a
+    permutation of 0..n, and NormalizationError when the swap that
+    normalizes g's shape is not certified.
+    """
+    _check_domain(n, d)
+    if not classify(g).is_prime:
+        raise DomainError("strata reduction applies to prime patterns only")
+    if g.d != d or g.n != n:
+        raise DomainError(f"pattern shape ({g.n},{g.d}) vs given ({n},{d})")
+    if sorted(ordering) != list(range(n + 1)):
+        raise DomainError(
+            f"ordering {tuple(ordering)} is not a permutation of 0..{n}")
+    # position k of the relabeled pattern holds x_(ordering[k])
+    return _check_shape(*sorted(tuple(k for k, i in enumerate(ordering) if w[i])
+                                for w in (g.u, g.v)))
 
 
 def roundtrip_text(f: HomogPoly) -> None:

@@ -364,6 +364,9 @@ class TestOutputText:
         ("stratum", "--f", "x1^3+x0^2*x2+x2^3", "--g", "x1^3 + x0^2*x2",
          "--n", "2", "--d", "3"),
         ("classify", "--poly", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
+        # infeasible: a null witness and a list of certificate dicts
+        ("stratum", "--f", "x1^3 + x0^2*x2 + x0*x1*x2 + x0*x1^2",
+         "--g", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
         ("enumerate-binomials", "--n", "1", "--d", "2"),
         ("enumerate-binomials", "--n", "4", "--d", "8"),
         ("enumerate-binomials", "--n", "3", "--d", "7"),
@@ -467,6 +470,26 @@ class TestHugeInputs:
         assert code == 64
         assert out == ""
         assert "exceed" in err
+
+    # one digit past the interpreter's integer string limit, where int()
+    # raises a bare ValueError
+    @pytest.mark.parametrize("number", ["coefficient", "exponent"])
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--poly", "{coefficient}*x0 + x1^{exponent}",
+         "--n", "1", "--d", "1"),
+        ("stratum", "--f", "{coefficient}*x1 + x0^{exponent}",
+         "--g", "x0 + x1", "--n", "1", "--d", "1"),
+        ("stratum", "--f", "x0 + x1", "--g",
+         "{coefficient}*x0 + x1^{exponent}", "--n", "1", "--d", "1"),
+    ])
+    def test_overlong_number_is_usage(self, capsys, argv, number):
+        limit = sys.get_int_max_str_digits()
+        values = {"coefficient": "1", "exponent": "1", number: "1" * (limit + 1)}
+        code, out, err = run(capsys, *(arg.format(**values) for arg in argv))
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"exceeds the limit of {limit} digits" in err
 
 
 class TestRemovedFlags:

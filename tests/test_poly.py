@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from random import Random
@@ -83,6 +84,17 @@ class TestParse:
         with pytest.raises(PolySyntaxError):
             parse_poly(bad, 1, 1)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("template", ["{}*x0", "1/{}*x0", "x{}", "x0^{}"])
+    def test_number_past_the_digit_limit(self, template):
+        # int() would raise a bare ValueError past the interpreter's limit
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(PolySyntaxError,
+                           match=f"exceeds the limit of {limit} digits"):
+            parse_poly(template.format("1" * (limit + 1)), 1, 1)
+        # a run of exactly the limit parses as far as its value allows
+        with pytest.raises((DegreeError, VariableIndexError)):
+            parse_poly(template.format("1" * limit) + " + x1^2", 1, 1)
 
 
 class TestFormat:

@@ -19,7 +19,6 @@ from toricdegen import (
     enumerate_patterns,
     initial_form,
     nonexistence_certificate,
-    strata_reduction_check,
     strata_survey,
     sweep_row_matches,
     threshold_sweep,
@@ -31,7 +30,8 @@ from toricdegen.theorem import _check_shape, check_samples
 from helpers import (_cone_within, _is_normalized, _normalize, _relabel,
                      _split_terms, _support, check_record,
                      forbid_pattern_generation, forced_blocks,
-                     pattern_verdicts, stuck_sampler)
+                     pattern_verdicts, strata_reduction_check,
+                     stuck_sampler)
 
 
 class TestWitnessWeight:

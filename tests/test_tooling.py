@@ -184,3 +184,26 @@ def test_no_pattern_compiled_at_import():
                   and isinstance(node.func.value, ast.Name)
                   and node.func.value.id == "re"]
     assert not found, "patterns compiled at import: " + ", ".join(found)
+
+
+def test_cli_runs_optimized_in_dev_mode():
+    # -O strips assert statements, so a check written as one would vanish
+    # here; -X dev -W error turns resource and deprecation warnings into
+    # failures.  The output must match a plain run byte for byte.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cli = "import sys, toricdegen.cli; sys.exit(toricdegen.cli.main())"
+    for argv in [
+        ("witness", "--n", "2", "--d", "3"),
+        ("stratum", "--f", "x1^3 + x0^2*x2 + x0*x1*x2 + x0*x1^2",
+         "--g", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
+        ("enumerate-binomials", "--n", "3", "--d", "7"),
+        ("nonexist", "--n", "2", "--d", "4", "--seed", "2"),
+    ]:
+        plain, strict = [
+            subprocess.run([sys.executable, *flags, "-c", cli, *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+            for flags in ((), ("-O", "-X", "dev", "-W", "error"))]
+        assert strict.returncode == 0, (argv, strict.stderr)
+        assert strict.stderr == ""
+        assert strict.stdout == plain.stdout, argv
