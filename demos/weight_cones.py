@@ -3,8 +3,7 @@
 The solver eliminates equalities by substitution and inequalities by
 Fourier-Motzkin, tracking strictness; feasible systems come back with an
 exact rational witness, infeasible ones with a nonnegative combination of
-constraints deriving 0 > 0.  Implications over a chain of weights cut by
-one balance equation have a closed form (chain_implies).  Run:
+constraints deriving 0 > 0.  Run:
 
     python demos/weight_cones.py
 """
@@ -13,7 +12,6 @@ from fractions import Fraction
 
 from toricdegen import (
     LinearSystem,
-    chain_implies,
     parse_poly,
     pattern_from_poly,
     satisfies,
@@ -37,9 +35,3 @@ result = solve(bad)
 print("\nw0 > w1 and w1 > w0 feasible?", result.feasible)
 print("certificate:", result.certificate)
 print("certificate expands to 0 > 0:", verify_certificate(bad, result.certificate))
-
-# implied inequalities over the cone w0 >= w1 >= w2 cut by g's balance
-h = tuple(a - b for a, b in zip(g.u, g.v))
-print("\ncone of g under 0 > 1 > 2 has balance functional", h)
-print("w0 - w2 >= 0 implied:", chain_implies(h, (1, 0, -1)))
-print("w2 - w0 >= 0 implied:", chain_implies(h, (-1, 0, 1)))

@@ -21,7 +21,6 @@ from .binomials import (
 from .cones import (
     FeasibilityResult,
     LinearSystem,
-    chain_implies,
     difference_functional,
     satisfies,
     solve,

@@ -11,16 +11,14 @@ on support patterns with fixed coefficients 1 and -1.
 prime_pairs generates the prime patterns directly as exponent pairs, each
 exponent paired only with the exponents on the variables it leaves free, so
 the work is about twice the pattern count rather than C(C(n+d, d), 2)
-monomial pairs.  support_shapes generates the pairs of supports those
-patterns sit on, and shape_pattern_count counts the patterns on one pair in
-closed form.  count_prime_patterns and check_shape_budget give the totals
-in closed form, which decide the budgets before anything is generated.
+monomial pairs.  shape_pattern_count counts the patterns on one pair of
+supports in closed form, and count_prime_patterns gives their total, which
+decides the listing budget before anything is generated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -33,11 +31,6 @@ PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
 SHARED_VARIABLE = "SharedVariable"
 PROPER_POWER = "ProperPower"
-
-# Most support shapes a strata survey certifies, one check each: (7, 14)
-# has 2,997, the most of any point past the threshold inside the ambient
-# limit, and (30, 3) 9,295,660.
-MAX_SHAPES = 2_000_000
 
 # Most exponent entries, 2*(n+1) per pattern, that a listing of every
 # pattern holds and enumerate-binomials prints: (5, 11) has 934,920,
@@ -162,20 +155,6 @@ def count_prime_patterns(n: int, d: int) -> int:
                for t in range(1, min(n + 1 - s, d) + 1)) // 2
 
 
-def check_shape_budget(n: int, d: int) -> int:
-    """The number of pairs support_shapes(n, d) yields, or DomainError past
-    MAX_SHAPES.  In closed form, they are the unordered pairs of disjoint
-    supports of sizes 1 <= s, t <= d, two single variables aside."""
-    count = sum(comb(n + 1, s) * comb(n + 1 - s, t)
-                for s in range(1, min(n + 1, d) + 1)
-                for t in range(1 + (s == 1), min(n + 1 - s, d) + 1)) // 2
-    if count > MAX_SHAPES:
-        raise DomainError(
-            f"{count} support shapes at n={n}, d={d} exceed the limit of "
-            f"{MAX_SHAPES}")
-    return count
-
-
 def check_listing_budget(n: int, d: int) -> int:
     """The prime-pattern count, or DomainError when listing every pattern
     takes more than MAX_LISTED exponent entries."""
@@ -214,19 +193,6 @@ def prime_pairs(n: int, d: int) -> Iterator[tuple[Exponent, Exponent]]:
                 for i, e in zip(free, w):
                     v[i] = e
                 yield u, tuple(v)
-
-
-def support_shapes(n: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The supports (S, T) of the prime patterns of degree d >= 2 in n+1
-    variables, S holding the smallest index: disjoint, 1 <= |S|, |T| <= d,
-    and not both single variables, as x_i^d and x_j^d share the gcd d.
-    Every such pair carries at least one prime pattern."""
-    for s in range(1, min(n + 1, d) + 1):
-        for lead in combinations(range(n + 1), s):
-            free = [i for i in range(lead[0] + 1, n + 1) if i not in lead]
-            for t in range(1 + (s == 1), min(len(free), d) + 1):
-                for other in combinations(free, t):
-                    yield lead, other
 
 
 def listed_pairs(n: int, d: int, count: int) -> Iterator[tuple[Exponent, ...]]:

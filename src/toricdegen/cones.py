@@ -12,15 +12,11 @@ on a variable no constraint holds, denominators cleared at the end); an
 infeasible one yields a certificate: integer multipliers with gcd 1 on the
 original constraints, summing them to the zero functional while
 using at least one strict inequality positively, i.e. deriving 0 > 0.
-
-Implications over a chain cut by one balance equation have a closed form:
-chain_implies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -255,39 +251,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
 
 
 # ---------------------------------------------------------------------------
-# implied inequalities and cone builders
-
-def chain_implies(h: Sequence[RatLike], f: Sequence[RatLike]) -> bool:
-    """True iff <f, w> >= 0 on the cone w0 >= w1 >= ... >= wn, <h, w> = 0.
-
-    With t_k = w_k - w_(k+1) >= 0 and prefix sums H_k, F_k (k < n), both
-    functionals summing to zero, <f, w> = sum F_k t_k on the cone.  By Farkas
-    the implication holds exactly when some lam has F_k - lam*H_k >= 0 for
-    every k, i.e. f = lam*h + sum mu_k (e_k - e_(k+1)) with mu_k >= 0.  The
-    candidate lam is the tightest bound from one side; the n inequalities are
-    then re-checked exactly, which certifies a True answer.
-    """
-    if len(h) != len(f):
-        raise DimensionMismatchError(f"lengths {len(h)} vs {len(f)}")
-    if sum(h) != 0 or sum(f) != 0:
-        raise DomainError("chain implication needs functionals summing to zero")
-    # (F_k, H_k) for every k; the last pair is (0, 0) and constrains nothing
-    pairs = list(zip(accumulate(f), accumulate(h)))
-    # lam = num/den with den > 0: the smallest F_j/H_j over H_j > 0, else the
-    # largest over H_j < 0, else 0.  Ratios are compared and the inequalities
-    # checked by cross-multiplying, so integers stay integers.
-    num = den = None
-    for a, b in pairs:
-        if b > 0 and (den is None or a * den < num * b):
-            num, den = a, b
-    if den is None:
-        for a, b in pairs:
-            if b < 0 and (den is None or a * den < num * b):
-                num, den = -a, -b
-    if den is None:
-        num, den = 0, 1
-    return all(a * den >= num * b for a, b in pairs)
-
+# the stratum of an initial form
 
 def stratum_system(f: HomogPoly, g: BinomialPattern) -> LinearSystem:
     """Weights making g the initial form of f.

@@ -11,20 +11,20 @@ ambient dimension by a positive codimension at every sampled point, the
 product generators beyond the structural list are confirmed redundant, and
 every (prime pattern, variable ordering) stratum reduces into a coordinate
 permutation of the restricted family.  The reduction's chain certificates
-are linear in the exponents, so they are checked once per support shape of
-the prime patterns rather than once per pattern.
+are linear in the exponents, and whether they hold depends only on how the
+indices of the two supports interleave, so they are checked once per class
+(case, |S|, |T|) of support shapes, whose shapes are counted in closed form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 from random import Random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .binomials import (PrimeVerdict, check_shape_budget, classify,
-                        count_prime_patterns, pattern_from_poly,
-                        shape_pattern_count, support_shapes)
+from .binomials import (PrimeVerdict, classify, count_prime_patterns,
+                        pattern_from_poly, shape_pattern_count)
 from .errors import CertificateError, DomainError, GenericityError, NormalizationError
 from .family import (
     FamilyPoint,
@@ -144,7 +144,7 @@ def dominance_certificate(n: int, d: int) -> RankReport:
 
 
 # ---------------------------------------------------------------------------
-# strata reduction, one support shape at a time
+# strata reduction, one class of support shapes at a time
 
 def _chain_identity(lhs, chain) -> bool:
     """True iff lhs = sum a_k*(e_i - e_j) over (k, i, j) in chain, expanded
@@ -208,6 +208,28 @@ def _representative(n: int, d: int,
                        for i in range(n + 1)) for s in shape)
 
 
+def _shape_classes(
+        n: int, d: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """One representative (S, T) of each class (case, |S|, |T|) of the
+    supports of the prime patterns of degree d in n+1 variables, with the
+    number of shapes in the class: (S, T, count).
+
+    S holds the smallest index, 1 <= |S|, |T| <= d, and the two are not both
+    single variables, as x_i^d and x_j^d share the gcd d.  The s + t indices
+    of a shape can be chosen in m = C(n+1, s+t) ways; the smallest goes to
+    S, and C(s+t-1, s-1) ways remain to fill the rest of S.  In exactly one
+    of them all of S lies below all of T (the swap case); the others have
+    max S > min T (the no-swap case, which needs s >= 2).
+    """
+    for s in range(1, min(n + 1, d) + 1):
+        for t in range(1 + (s == 1), min(n + 1 - s, d) + 1):
+            m = comb(n + 1, s + t)
+            yield tuple(range(s)), tuple(range(s, s + t)), m
+            if s >= 2:
+                yield ((0, *range(t + 1, s + t)), tuple(range(1, t + 1)),
+                       m * (comb(s + t - 1, s - 1) - 1))
+
+
 class StrataSurvey(NamedTuple):
     n: int
     d: int
@@ -219,16 +241,27 @@ class StrataSurvey(NamedTuple):
 
 def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
     """Run the strata reduction check on every (prime pattern, ordering)
-    stratum, once per support shape.
+    stratum, once per class (case, |S|, |T|) of support shapes.
 
     Relabeling by an ordering maps the prime patterns onto themselves, since
     disjoint supports and a joint gcd of 1 survive any permutation of the
     variables, and the check is symmetric in the two monomials.  So the
     strata under all (n+1)! orderings are the identity-ordered strata of the
     patterns, each met (n+1)! times.  One _check_shape covers a shape's
-    shape_pattern_count patterns; `checked` counts patterns x (n+1)!, and
-    the patterns must add up to count_prime_patterns, or CertificateError is
-    raised.  A failing shape is reported through a representative pattern
+    shape_pattern_count patterns, and one representative covers its class
+    from _shape_classes.  With l = max S and q = min T, the check's verdict
+    cannot depend on which indices fill the class:
+    1. both chain identities of _check_shape hold term by term whatever the
+       index labels are;
+    2. each chain direction i <= j reads k <= l for k in S, q <= k for k in
+       T, and 1 <= k for the other term, and holds on every shape, because
+       S holds the smallest index;
+    3. the normalization test and lead[-1] >= 2 depend only on the case:
+       when l > q, l >= 2; when l < q and |S| >= 2, the new lead's largest
+       index is q > l > min S; when l < q and |S| = 1, max T > q > l.
+    `checked` counts patterns x (n+1)!, and the patterns must add up to
+    count_prime_patterns, or CertificateError is raised.  A failing class is
+    reported through a representative pattern of its representative shape
     as (u, v, identity ordering, reason).  The survey is always full; `full`
     is kept for callers that pass True, and any other value raises
     DomainError.
@@ -236,23 +269,22 @@ def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
     _check_domain(n, d)
     if full is not True:
         raise DomainError("the strata survey is always full")
-    check_shape_budget(n, d)
     identity = tuple(range(n + 1))
-    sizes = Counter()
+    count = 0
     failures = []
-    for shape in support_shapes(n, d):
-        sizes[tuple(map(len, shape))] += 1
+    for lead, other, shapes in _shape_classes(n, d):
+        count += shapes * shape_pattern_count(d, len(lead), len(other))
         try:
-            ok, reason = _check_shape(*shape), ""
+            ok, reason = _check_shape(lead, other), ""
         except NormalizationError as exc:
             ok, reason = False, str(exc)
         if not ok:
-            failures.append((*_representative(n, d, *shape), identity, reason))
-    count = sum(k * shape_pattern_count(d, s, t) for (s, t), k in sizes.items())
+            failures.append((*_representative(n, d, lead, other), identity,
+                             reason))
     expected = count_prime_patterns(n, d)
     if count != expected:
         raise CertificateError(
-            f"{count} prime patterns on the support shapes at n={n}, d={d}, "
+            f"{count} prime patterns on the shape classes at n={n}, d={d}, "
             f"but the closed form counts {expected}")
     return StrataSurvey(n=n, d=d, checked=count * factorial(n + 1),
                         full=True, passed=not failures,
@@ -281,14 +313,13 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     differential codimension equals it exactly, confirms generator
     redundancy, and reduces every (prime pattern, ordering) stratum into a
     permuted copy of the restricted family with the full strata survey, at
-    every (n, d) the ambient and shape budgets admit.  The random source
-    feeds the family samples only.
+    every (n, d) the ambient limit admits.  The random source feeds the
+    family samples only.
     """
     _check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
     check_samples(samples)
-    check_shape_budget(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
     for _ in range(samples):

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import accumulate, combinations
+from math import comb, gcd
 from random import Random
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from toricdegen import (
     BinomialPattern,
@@ -28,7 +29,6 @@ from toricdegen import (
     QMatrix,
     VariableIndexError,
     ZeroPolynomialError,
-    chain_implies,
     classify,
     difference_functional,
     excluded_exponents,
@@ -351,8 +351,41 @@ def run_solver_suite(rng: Random, cases: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin oracle for implied inequalities (chain_implies), and the
+# implied inequalities over a weight chain cut by one balance equation: the
+# closed form chain_implies, its Fourier-Motzkin oracle implies, and the
 # forced-equal weight runs of a pattern's cone
+
+def chain_implies(h: Sequence[RatLike], f: Sequence[RatLike]) -> bool:
+    """True iff <f, w> >= 0 on the cone w0 >= w1 >= ... >= wn, <h, w> = 0.
+
+    With t_k = w_k - w_(k+1) >= 0 and prefix sums H_k, F_k (k < n), both
+    functionals summing to zero, <f, w> = sum F_k t_k on the cone.  By Farkas
+    the implication holds exactly when some lam has F_k - lam*H_k >= 0 for
+    every k, i.e. f = lam*h + sum mu_k (e_k - e_(k+1)) with mu_k >= 0.  The
+    candidate lam is the tightest bound from one side; the n inequalities are
+    then re-checked exactly, which certifies a True answer.
+    """
+    if len(h) != len(f):
+        raise DimensionMismatchError(f"lengths {len(h)} vs {len(f)}")
+    if sum(h) != 0 or sum(f) != 0:
+        raise DomainError("chain implication needs functionals summing to zero")
+    # (F_k, H_k) for every k; the last pair is (0, 0) and constrains nothing
+    pairs = list(zip(accumulate(f), accumulate(h)))
+    # lam = num/den with den > 0: the smallest F_j/H_j over H_j > 0, else the
+    # largest over H_j < 0, else 0.  Ratios are compared and the inequalities
+    # checked by cross-multiplying, so integers stay integers.
+    num = den = None
+    for a, b in pairs:
+        if b > 0 and (den is None or a * den < num * b):
+            num, den = a, b
+    if den is None:
+        for a, b in pairs:
+            if b < 0 and (den is None or a * den < num * b):
+                num, den = -a, -b
+    if den is None:
+        num, den = 0, 1
+    return all(a * den >= num * b for a, b in pairs)
+
 
 def implies(cone: LinearSystem, func: Sequence) -> bool:
     """True iff <func, w> >= 0 holds on every point of the cone.
@@ -512,6 +545,56 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     # position k of the relabeled pattern holds x_(ordering[k])
     return _check_shape(*sorted(tuple(k for k, i in enumerate(ordering) if w[i])
                                 for w in (g.u, g.v)))
+
+
+# ---------------------------------------------------------------------------
+# per-shape strata survey: the oracle for the survey's shape classes
+
+def support_shapes(n: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The supports (S, T) of the prime patterns of degree d >= 2 in n+1
+    variables, S holding the smallest index: disjoint, 1 <= |S|, |T| <= d,
+    and not both single variables, as x_i^d and x_j^d share the gcd d.
+    Every such pair carries at least one prime pattern."""
+    for s in range(1, min(n + 1, d) + 1):
+        for lead in combinations(range(n + 1), s):
+            free = [i for i in range(lead[0] + 1, n + 1) if i not in lead]
+            for t in range(1 + (s == 1), min(len(free), d) + 1):
+                for other in combinations(free, t):
+                    yield lead, other
+
+
+def shape_count(n: int, d: int) -> int:
+    """The number of pairs support_shapes(n, d) yields, in closed form: the
+    unordered pairs of disjoint supports of sizes 1 <= s, t <= d, two single
+    variables aside."""
+    return sum(comb(n + 1, s) * comb(n + 1 - s, t)
+               for s in range(1, min(n + 1, d) + 1)
+               for t in range(1 + (s == 1), min(n + 1 - s, d) + 1)) // 2
+
+
+def shape_class(lead: tuple[int, ...],
+                other: tuple[int, ...]) -> tuple[bool, int, int]:
+    """The class (case, |S|, |T|) of a shape; the case is True when all of S
+    lies below all of T, so that the check swaps max S with min T."""
+    return lead[-1] < other[0], len(lead), len(other)
+
+
+def shape_verdict(lead: tuple[int, ...], other: tuple[int, ...]) -> bool:
+    """_check_shape on one shape, a NormalizationError counting as False."""
+    try:
+        return _check_shape(lead, other)
+    except NormalizationError:
+        return False
+
+
+def shape_survey(n: int, d: int) -> dict[tuple[bool, int, int], Counter]:
+    """The survey shape by shape: the verdicts on every shape of
+    support_shapes(n, d), counted per class as {class: {verdict: shapes}}."""
+    classes: dict[tuple[bool, int, int], Counter] = {}
+    for lead, other in support_shapes(n, d):
+        key = shape_class(lead, other)
+        classes.setdefault(key, Counter())[shape_verdict(lead, other)] += 1
+    return classes
 
 
 def roundtrip_text(f: HomogPoly) -> None:

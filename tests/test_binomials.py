@@ -18,12 +18,11 @@ from toricdegen import (
     parse_poly,
     pattern_from_poly,
 )
-from toricdegen.binomials import (MAX_SHAPES, check_listing_budget,
-                                  check_shape_budget, count_prime_patterns,
-                                  prime_pairs,
-                                  shape_pattern_count, support_shapes)
+from toricdegen.binomials import (check_listing_budget, count_prime_patterns,
+                                  prime_pairs, shape_pattern_count)
 from helpers import (_support, brute_prime_pairs, check_record, multiply,
-                     ordered_prime_pairs, permute_poly)
+                     ordered_prime_pairs, permute_poly, shape_count,
+                     support_shapes)
 
 
 def pat(u, v, a=1, b=1):
@@ -248,14 +247,13 @@ class TestPrimePairs:
         assert count_prime_patterns(n, d) == count
 
     def test_pattern_budget(self):
-        # the strata survey's budget counts support shapes, each holding at
-        # least one pattern, so every point the old pattern budget admitted
-        # stays admitted
-        assert check_shape_budget(6, 13) == 945 <= MAX_SHAPES
-        assert check_shape_budget(7, 14) == 2997
-        with pytest.raises(DomainError, match="9295660 support shapes at "
-                                              "n=30, d=3 exceed the limit"):
-            check_shape_budget(30, 3)
+        # counting takes no budget of its own: the closed form reaches
+        # (30, 3), with its 9,295,660 support shapes, and only the ambient
+        # limit stops it
+        assert shape_count(30, 3) == 9295660
+        assert count_prime_patterns(30, 3) == 11291440
+        with pytest.raises(DomainError, match="ambient dimension"):
+            count_prime_patterns(40, 40)
 
     @pytest.mark.parametrize("n,d", [(-1, 3), (2, -1)])
     def test_negative_shape_rejected(self, n, d):
@@ -269,7 +267,7 @@ class TestSupportShapes:
         (20, 2, 21945)])
     def test_closed_form_counts_the_generated_shapes(self, n, d, count):
         shapes = list(support_shapes(n, d))
-        assert check_shape_budget(n, d) == len(shapes) == len(set(shapes)) == count
+        assert shape_count(n, d) == len(shapes) == len(set(shapes)) == count
 
     def test_shapes_are_disjoint_and_ordered(self):
         for lead, other in support_shapes(4, 3):

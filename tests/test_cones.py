@@ -12,7 +12,6 @@ from toricdegen import (
     FeasibilityResult,
     LinearSystem,
     SupportMismatchError,
-    chain_implies,
     difference_functional,
     iter_exponents,
     parse_poly,
@@ -22,8 +21,8 @@ from toricdegen import (
     stratum_system,
     verify_certificate,
 )
-from helpers import (check_record, compatible_cone, implies, random_system,
-                     run_solver_suite)
+from helpers import (chain_implies, check_record, compatible_cone, implies,
+                     random_system, run_solver_suite)
 
 
 def F(*entries):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -25,13 +26,14 @@ from toricdegen import (
     witness_weight,
     existence_witness,
 )
-from toricdegen.binomials import support_shapes
-from toricdegen.theorem import _check_shape, check_samples
+from toricdegen.binomials import count_prime_patterns
+from toricdegen.theorem import _check_shape, _shape_classes, check_samples
 from helpers import (_cone_within, _is_normalized, _normalize, _relabel,
                      _split_terms, _support, check_record,
                      forbid_pattern_generation, forced_blocks,
-                     pattern_verdicts, strata_reduction_check,
-                     stuck_sampler)
+                     pattern_verdicts, shape_class, shape_survey,
+                     shape_verdict, strata_reduction_check, stuck_sampler,
+                     support_shapes)
 
 
 class TestWitnessWeight:
@@ -208,17 +210,14 @@ class TestStrataSurvey:
         assert survey.passed
         assert survey.checked == len(patterns) * math.factorial(n + 1)
 
-    def test_pattern_budget(self, monkeypatch):
-        import toricdegen.theorem as theorem
-        monkeypatch.setattr(theorem, "support_shapes", None)  # never reached
-        # (30, 3) has 9,295,660 support shapes by the closed form
-        with pytest.raises(DomainError, match="9295660 support shapes at "
-                                              "n=30, d=3 exceed the limit "
-                                              "of 2000000"):
-            strata_survey(30, 3)
+    def test_pattern_budget(self):
+        # the survey checks one shape per class, so only the ambient limit
+        # bounds it: (30, 3) has 9,295,660 support shapes in 14 classes
+        survey = strata_survey(30, 3)
+        assert survey.passed and survey.checked == (
+            count_prime_patterns(30, 3) * math.factorial(31))
         with pytest.raises(DomainError, match="ambient dimension"):
             strata_survey(40, 40)
-        monkeypatch.undo()
         survey = strata_survey(6, 13)
         assert survey.passed and survey.checked == 1456434 * 5040
 
@@ -239,15 +238,44 @@ class TestStrataSurvey:
 
     def test_shape_total_must_match_closed_form(self, monkeypatch):
         import toricdegen.theorem as theorem
-        monkeypatch.setattr(theorem, "support_shapes",
-                            lambda n, d: list(support_shapes(n, d))[1:])
-        # the first shape, (0,) / (1, 2), holds x0^6 against x1*x2^5 and
-        # x1^5*x2
-        with pytest.raises(CertificateError, match="118 prime patterns on "
-                                                   "the support shapes at "
+        classes = theorem._shape_classes
+        monkeypatch.setattr(theorem, "_shape_classes",
+                            lambda n, d: list(classes(n, d))[1:])
+        # the first class, a single variable below two others, has 4 shapes
+        # such as (0,) / (1, 2), whose x0^6 faces x1*x2^5 and x1^5*x2
+        with pytest.raises(CertificateError, match="112 prime patterns on "
+                                                   "the shape classes at "
                                                    "n=3, d=6, but the closed "
                                                    "form counts 120"):
             strata_survey(3, 6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9])
+    def test_classes_match_the_per_shape_survey(self, n):
+        # each class's representative verdict and closed-form count equal
+        # the verdicts of the shapes in it, checked one by one
+        for d in [18] if n == 9 else range(2, 2 * n + 4):
+            shapes = set(support_shapes(n, d))
+            reps = list(_shape_classes(n, d))
+            assert all((lead, other) in shapes
+                       for lead, other, _count in reps), (n, d)
+            classes = {shape_class(lead, other):
+                       Counter({shape_verdict(lead, other): count})
+                       for lead, other, count in reps}
+            assert len(classes) == len(reps), (n, d)
+            assert classes == shape_survey(n, d), (n, d)
+
+    @pytest.mark.parametrize("n,d,calls", [(2, 4, 3), (7, 14, 48)])
+    def test_one_check_per_class(self, monkeypatch, n, d, calls):
+        import toricdegen.theorem as theorem
+        check, shapes = theorem._check_shape, []
+
+        def counted(lead, other):
+            shapes.append((lead, other))
+            return check(lead, other)
+
+        monkeypatch.setattr(theorem, "_check_shape", counted)
+        assert strata_survey(n, d).passed
+        assert len(shapes) == calls
 
     @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8),
                                      (4, 9), (5, 10)])

@@ -91,9 +91,13 @@ def _names_read(tree: ast.AST):
 
 def test_every_library_definition_is_used():
     # a top-level def or class that nothing but itself names is dead code;
-    # __init__.py files only re-export, so their imports do not count
-    paths = [path for root in (SRC, ROOT / "tests", ROOT / "demos")
+    # __init__.py files only re-export, so their imports do not count, and
+    # code that only an oracle test reads belongs in tests/, so of the tests
+    # only the acceptance suite counts
+    paths = [path for root in (SRC, ROOT / "demos")
              for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in paths}
     uses = Counter(name for tree in trees.values() for name in _names_read(tree))
