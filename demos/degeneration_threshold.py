@@ -25,7 +25,7 @@ rng = Random(1)
 
 point = sample_family(2, 3, rng)
 print("sampled family member:", format_poly(point.to_poly()))
-print("key matrix:", [[int(e) for e in row] for row in key_matrix(point).entries])
+print("key matrix:", [[int(e) for e in row] for row in key_matrix(point)])
 report = differential_rank(point)
 print("differential rank:", report.rank, "of", report.ambient,
       "->", "surjective" if report.surjective else f"codim {report.codim}")

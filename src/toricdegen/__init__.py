@@ -40,7 +40,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .family import (
-    ExclusionSet,
     FamilyPoint,
     RedundancyReport,
     differential_rank,
@@ -53,7 +52,7 @@ from .family import (
     sample_family,
     structural_rank_bound,
 )
-from .linalg import QMatrix, RankReport, rank
+from .linalg import RankReport, rank
 from .poly import (
     Exponent,
     HomogPoly,

@@ -141,14 +141,13 @@ def shape_pattern_count(d: int, s: int, t: int) -> int:
 
 def count_prime_patterns(n: int, d: int) -> int:
     """The number of prime patterns of degree d in n+1 variables, in closed
-    form.  check_ambient runs first, which keeps the sum short.
+    form.  check_ambient runs first, which rejects a negative n or d and
+    keeps the sum short.
 
     The ordered pairs of disjoint supports of sizes s and t number
     C(n+1, s) C(n+1-s, t), and each carries shape_pattern_count(d, s, t)
     patterns; summing over s and t counts every pattern twice.
     """
-    if n < 0 or d < 0:
-        raise DomainError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     check_ambient(n, d)
     return sum(comb(n + 1, s) * comb(n + 1 - s, t) * shape_pattern_count(d, s, t)
                for s in range(1, min(n + 1, d) + 1)
@@ -213,7 +212,8 @@ def enumerate_patterns(n: int, d: int) -> list[BinomialPattern]:
     prime_pairs lists them, with symbolic coefficients 1 and -1.
 
     Raises DomainError when the list would hold more than MAX_LISTED
-    exponent entries.
+    exponent entries, and CertificateError unless the patterns listed add
+    up to the closed-form count.
     """
-    check_listing_budget(n, d)
-    return [BinomialPattern(u, v, _ONE, _MINUS_ONE) for u, v in prime_pairs(n, d)]
+    return [BinomialPattern(u, v, _ONE, _MINUS_ONE)
+            for u, v in listed_pairs(n, d, check_listing_budget(n, d))]

@@ -10,13 +10,22 @@ spanned by two groups of generators: the non-excluded monomials themselves,
 and the (n+1)^2 products (df_c/dx_i) * x_j.  The monomial generators are unit
 vectors on every non-excluded exponent, so the rank of the whole span is
 (ambient - d) plus the rank of the products' coefficients on the d excluded
-exponents: the (n+1)^2 x d block built by excluded_block.  That identity
-holds at every point, not only at generic ones.  Rows with j >= 2 vanish,
-since no excluded exponent contains x2..xn.  At a family point the rows
-(i, 0) and (i, 1) for i >= 2 carry the banded key matrix, the row (1, 0)
-carries a single spike at x0*x1^(d-1), and every other row is zero.
+exponents.  That identity holds at every point, not only at generic ones.
+Products with j >= 2 have no coefficient there, since no excluded exponent
+contains x2..xn, so the block built by excluded_block holds the 2(n+1)
+rows (i, 0) and (i, 1).
 
-The block reads only the face, the 1 + (n-1)*d non-excluded exponents one
+Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i, so it can be nonzero
+at some family point only where u is not excluded.  Those positions, the
+block's support, follow from the exponents alone (_block_support): the key
+rows (i, 0) and (i, 1) for i >= 2 on the first d - 1 columns, where they
+form the banded key matrix, and the last column x0*x1^(d-1), which also
+holds the spike of row (1, 0).  structural_rank_bound certifies from the
+support that the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every
+family point, and that rows (0, 0), (0, 1) and (1, 1) vanish off the last
+column, which is the redundancy claim.
+
+The support reads only the face, the 1 + (n-1)*d non-excluded exponents one
 product step from the excluded ones (face_exponents): x1^d and
 x0^a*x1^(d-1-a)*x_i for i >= 2.  So a family point is sampled on the face
 alone, and the whole degree-d monomial basis is never built.
@@ -30,37 +39,26 @@ from math import comb
 from random import Random
 from typing import Mapping, NamedTuple
 
-from .errors import DomainError
-from .linalg import QMatrix, RankReport, rank
-from .poly import Exponent, HomogPoly, RatLike, SlotRecord, count_exponents
+from .errors import CertificateError, DomainError
+from .linalg import RankReport, rank
+from .poly import Exponent, HomogPoly, RatLike, count_exponents
 
 # Largest ambient dimension C(n+d, d) admitted, which fixes the (n, d)
 # domain of every command.  Sampling and the rank certificates read only
 # the face, 1 + (n-1)*d coefficients, so their cost does not depend on it.
 MAX_AMBIENT = 500_000
 
-
-class ExclusionSet(SlotRecord):
-    """The d excluded exponents, descending graded-lex (x0^d first)."""
-
-    __slots__ = ("n", "d", "members", "_member_set")
-
-    def __init__(self, n: int, d: int, members: tuple[Exponent, ...]):
-        self.n = n
-        self.d = d
-        self.members = members
-        self._member_set = frozenset(members)
-
-    def __contains__(self, u: Exponent) -> bool:
-        return tuple(u) in self._member_set
-
-    def __len__(self) -> int:
-        return len(self.members)
+# The key rows of the block are (i, 0) and (i, 1) for i >= _KEY_I, block
+# rows 2 * _KEY_I onward.
+_KEY_I = 2
 
 
 def check_ambient(n: int, d: int) -> None:
-    """Reject (n, d) with more than MAX_AMBIENT degree-d monomials, or more
-    than MAX_AMBIENT variables (which C(n+d, d) misses at d = 0)."""
+    """Reject a negative n or d, and (n, d) with more than MAX_AMBIENT
+    degree-d monomials, or more than MAX_AMBIENT variables (which C(n+d, d)
+    misses at d = 0)."""
+    if n < 0 or d < 0:
+        raise DomainError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     if n + 1 > MAX_AMBIENT:
         raise DomainError(
             f"{n + 1} variables at n={n} exceed the limit of {MAX_AMBIENT}")
@@ -77,15 +75,17 @@ def _check_domain(n: int, d: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def excluded_exponents(n: int, d: int) -> ExclusionSet:
+def excluded_exponents(n: int, d: int) -> tuple[Exponent, ...]:
+    """The d excluded exponents x0^(d-k)*x1^k, 0 <= k <= d-1, descending
+    graded-lex (x0^d first)."""
     _check_domain(n, d)
-    members = []
-    for u1 in range(d):
-        u = [0] * (n + 1)
-        u[0] = d - u1
-        u[1] = u1
-        members.append(tuple(u))
-    return ExclusionSet(n, d, tuple(members))
+    return tuple((d - k, k) + (0,) * (n - 1) for k in range(d))
+
+
+def _excluded(u: Exponent) -> bool:
+    """Whether a degree-d exponent is excluded: it holds x0 and lies on
+    {x0, x1}."""
+    return u[0] > 0 and not any(u[2:])
 
 
 def _step(w: Exponent, i: int, j: int) -> Exponent:
@@ -97,17 +97,24 @@ def _step(w: Exponent, i: int, j: int) -> Exponent:
     return tuple(u)
 
 
+def _block_support(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
+    """The block entries that can be nonzero at some family point: (i, j, k)
+    to u = w_k - e_j + e_i, for every excluded w_k with w_k[j] >= 1 and every
+    i, where u is not excluded.  Entry ((i, j), w_k) is u_i * c[u], and a
+    family point has c[u] = 0 on every excluded u."""
+    return {(i, j, k): u for k, w in enumerate(excluded_exponents(n, d))
+            for j in range(n + 1) if w[j] for i in range(n + 1)
+            if not _excluded(u := _step(w, i, j))}
+
+
 @lru_cache(maxsize=None)
 def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
     """The exponents whose coefficients excluded_block reads, excluded ones
-    aside: every w - e_j + e_i with w excluded and w_j >= 1 that is not
-    excluded itself.  They are x1^d and x0^a*x1^(d-1-a)*x_i for
-    0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all, descending graded-lex.
+    aside: the exponents of the block's support.  They are x1^d and
+    x0^a*x1^(d-1-a)*x_i for 0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all,
+    descending graded-lex.
     """
-    excluded = excluded_exponents(n, d)
-    face = {_step(w, i, j) for w in excluded.members
-            for j in range(n + 1) if w[j] for i in range(n + 1)}
-    return tuple(sorted(face.difference(excluded.members), reverse=True))
+    return tuple(sorted(set(_block_support(n, d).values()), reverse=True))
 
 
 class FamilyPoint:
@@ -117,11 +124,11 @@ class FamilyPoint:
     __slots__ = ("n", "d", "_poly", "_block")
 
     def __init__(self, n: int, d: int, coeffs: Mapping[Exponent, RatLike]):
-        excluded = excluded_exponents(n, d)
+        _check_domain(n, d)
         self.n = n
         self.d = d
         self._poly = HomogPoly(n, d, coeffs)
-        bad = [u for u in self._poly.support() if u in excluded]
+        bad = [u for u in self._poly.support() if _excluded(u)]
         if bad:
             raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
 
@@ -139,7 +146,7 @@ class FamilyPoint:
         return self._poly
 
     @property
-    def block(self) -> QMatrix:
+    def block(self) -> tuple[tuple[RatLike, ...], ...]:
         """excluded_block(self), built on first use and kept."""
         try:
             return self._block
@@ -186,47 +193,60 @@ def dominance_point(n: int, d: int) -> FamilyPoint:
     return FamilyPoint(n, d, coeffs)
 
 
-def excluded_block(point: FamilyPoint) -> QMatrix:
-    """The (n+1)^2 x d coefficients of the products (df/dx_i) * x_j on the
-    excluded exponents; rows in row-major (i, j) order, columns in
-    excluded-set order.
+def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
+    """The 2(n+1) x d coefficients of the products (df/dx_i) * x_j with
+    j <= 1 on the excluded exponents; row (i, j) is row 2*i + j, columns in
+    excluded_exponents order.  Products with j >= 2 have none.
 
     Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
-    and 0 otherwise.
+    and 0 otherwise.  Every such u is read, excluded ones included, so a
+    point built past the constructor's check shows in the block.
     """
-    n, d = point.n, point.d
-    members = excluded_exponents(n, d).members
-    zero = (0,) * d  # rows with j >= 2: no excluded exponent holds x_j
-    rows = []
-    for i in range(n + 1):
-        for j in (0, 1):
-            row = []
-            for w in members:
-                if not w[j]:
-                    row.append(0)
-                    continue
-                u = _step(w, i, j)
-                row.append(u[i] * point.coeff(u))
-            rows.append(row)
-        rows.extend([zero] * (n - 1))
-    return QMatrix(rows)
+    excluded = excluded_exponents(point.n, point.d)
+    return tuple(
+        tuple((w[i] + (i != j)) * point.coeff(_step(w, i, j)) if w[j] else 0
+              for w in excluded)
+        for i in range(point.n + 1) for j in (0, 1))
 
 
-def key_matrix(point: FamilyPoint) -> QMatrix:
+def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     """The (2n-2) x (d-1) block of product-generator coefficients on the
-    excluded exponents other than x0*x1^(d-1).
+    excluded exponents other than x0*x1^(d-1): the key rows of the block
+    without their last column.
 
     For each i in 2..n there are two rows: the coefficient run for the
     product with x0, then the same run shifted right once for the product
     with x1.  Columns follow x0^d, x0^(d-1)*x1, ..., x0^2*x1^(d-2).
     """
-    n = point.n
-    return QMatrix(point.block.row(i * (n + 1) + j)[:-1]
-                   for i in range(2, n + 1) for j in (0, 1))
+    return tuple(row[:-1] for row in point.block[2 * _KEY_I:])
 
 
+@lru_cache(maxsize=None)
 def structural_rank_bound(n: int, d: int) -> int:
-    """Upper bound for the differential rank, exact at generic points."""
+    """ambient - d + 1 + min(d-1, 2n-2), certified from the block's support
+    as an upper bound for the differential rank at every family point; it is
+    exact at generic points.
+
+    Off the last column x0*x1^(d-1), the support must lie in the key rows
+    and the first d - 1 columns, so the block's rank is at most 1 plus the
+    smaller of the counts of rows and columns it meets there, which must
+    equal 1 + min(d-1, 2n-2).  Every support entry must also have j <= 1,
+    the rows excluded_block keeps.  Else CertificateError is raised.
+    """
+    support = _block_support(n, d)
+    stray = sorted((i, j, k) for i, j, k in support
+                   if j > 1 or (k < d - 1 and i < _KEY_I))
+    if stray:
+        raise CertificateError(
+            f"block support at n={n}, d={d} leaves the rows j <= 1, or off "
+            f"the last column the key rows, at {stray}")
+    body = [(i, j, k) for i, j, k in support if k < d - 1]
+    rows = len({(i, j) for i, j, _k in body})
+    cols = len({k for _i, _j, k in body})
+    if min(rows, cols) != min(d - 1, 2 * n - 2):
+        raise CertificateError(
+            f"block support at n={n}, d={d} meets {rows} key rows and {cols} "
+            f"columns, not min(d-1, 2n-2) = {min(d - 1, 2 * n - 2)}")
     return comb(n + d, d) - d + 1 + min(d - 1, 2 * n - 2)
 
 
@@ -258,13 +278,13 @@ def redundancy_check(point: FamilyPoint) -> RedundancyReport:
     beyond the monomial generators and x0*x1^(d-1).
 
     Such a product lies in that span exactly when its coefficients vanish on
-    the excluded exponents other than x0*x1^(d-1); offenders are reported
-    per (i, j) pair.
+    the excluded exponents other than x0*x1^(d-1).  Products with j > 1 have
+    no coefficient there, so the rows (0, 0), (0, 1) and (1, 1) of the
+    block, those below the key rows but the spike (1, 0), are scanned;
+    offenders are reported per (i, j) pair.  At a family point the check
+    passes: structural_rank_bound certifies it for every point at once.
     """
-    n = point.n
     block = point.block
-    failures = tuple(
-        (i, j) for i in range(n + 1) for j in range(n + 1)
-        if (i == 0 or (i, j) == (1, 1) or j > 1)
-        and any(block.row(i * (n + 1) + j)[:-1]))
+    failures = tuple((i, j) for i in range(_KEY_I) for j in (0, 1)
+                     if (i, j) != (1, 0) and any(block[2 * i + j][:-1]))
     return RedundancyReport(ok=not failures, failures=failures)

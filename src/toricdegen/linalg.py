@@ -1,4 +1,4 @@
-"""Exact rational matrices and their rank.
+"""Exact rank of rational matrices, given as rows.
 
 Entries are int or Fraction.  Rank runs fraction-free (Bareiss) elimination
 on integer rows: a row of ints reaches it unscaled, and only a row holding a
@@ -12,38 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatchError
 from .poly import RatLike
-
-
-class QMatrix:
-    """Dense rational matrix (immutable).  Entries are kept as int when given
-    as int, and converted with Fraction otherwise."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable[RatLike]]):
-        data = tuple(tuple(e if type(e) is int else Fraction(e) for e in row)
-                     for row in entries)
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise DimensionMismatchError("ragged rows")
-        self.entries = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-
-    def row(self, i: int) -> tuple[RatLike, ...]:
-        return self.entries[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.rows}x{self.cols})"
 
 
 class RankReport(NamedTuple):
@@ -63,11 +32,11 @@ class RankReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # dense rank
 
-def _integer_rows(M: QMatrix | Iterable[Iterable[RatLike]]) -> list[Sequence[int]]:
+def _integer_rows(rows: Iterable[Iterable[RatLike]]) -> list[Sequence[int]]:
     """Each row as integers: a row of ints unchanged, any other row scaled
     by the lcm of its entries' denominators."""
     out = []
-    for row in (M.entries if isinstance(M, QMatrix) else M):
+    for row in rows:
         row = tuple(row)
         if not all(type(e) is int for e in row):
             row = [Fraction(e) for e in row]
@@ -108,6 +77,6 @@ def _rank_bareiss(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-def rank(M: QMatrix | Iterable[Iterable[RatLike]]) -> int:
-    """Exact rank over the rationals."""
-    return _rank_bareiss(_integer_rows(M))
+def rank(rows: Iterable[Iterable[RatLike]]) -> int:
+    """Exact rank over the rationals of the matrix with these rows."""
+    return _rank_bareiss(_integer_rows(rows))

@@ -275,10 +275,11 @@ def weight_vector(entries: Iterable[RatLike]) -> WeightVector:
 
 
 def weight_of(u: Sequence[int], w: Sequence[RatLike]) -> Fraction:
-    """Scalar product of an exponent with a weight vector."""
+    """Scalar product of an exponent with a weight vector; zero entries of
+    the exponent add nothing and are skipped."""
     if len(u) != len(w):
         raise DimensionMismatchError(f"lengths {len(u)} vs {len(w)}")
-    return sum((Fraction(wi) * ui for ui, wi in zip(u, w)), Fraction(0))
+    return sum((Fraction(wi) * ui for ui, wi in zip(u, w) if ui), Fraction(0))
 
 
 def initial_form(f: HomogPoly, w: Sequence[RatLike]) -> HomogPoly:

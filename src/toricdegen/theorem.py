@@ -6,14 +6,16 @@ disjoint supports and coprime exponents (a prime binomial); the bundle is
 degeneration-grade evidence exactly when the attached dominance report is
 surjective, which happens precisely up to the threshold d = 2n - 1.
 
-Non-existence side (d > 2n - 1): the differential rank falls short of the
-ambient dimension by a positive codimension at every sampled point, the
-product generators beyond the structural list are confirmed redundant, and
-every (prime pattern, variable ordering) stratum reduces into a coordinate
-permutation of the restricted family.  The reduction's chain certificates
-are linear in the exponents, and whether they hold depends only on how the
-indices of the two supports interleave, so they are checked once per class
-(case, |S|, |T|) of support shapes, whose shapes are counted in closed form.
+Non-existence side (d > 2n - 1): the block's exponent support certifies,
+for every family point at once, that the differential rank is at most the
+structural bound and that the product generators beyond the structural list
+are redundant; the rank falls short of the ambient dimension by exactly the
+positive codimension d - 2n + 1 at every sampled point; and every (prime
+pattern, variable ordering) stratum reduces into a coordinate permutation
+of the restricted family.  The reduction's chain certificates are linear in
+the exponents, and whether they hold depends only on how the indices of the
+two supports interleave, so they are checked once per class (case, |S|,
+|T|) of support shapes, whose shapes are counted in closed form.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .family import (
     _check_domain,
     differential_rank,
     dominance_point,
-    redundancy_check,
     sample_family,
     structural_rank_bound,
 )
@@ -126,13 +127,16 @@ def existence_witness(n: int, d: int, rng: Random,
 
 
 def dominance_certificate(n: int, d: int) -> RankReport:
-    """Exact differential-rank report at dominance_point(n, d).
+    """Exact differential-rank report at dominance_point(n, d), whose rank
+    is the generic rank, certified from both sides.
 
-    A rank at any point is a lower bound for the generic rank, and the
-    structural bound is an upper one, so a report that reaches the bound
-    gives the generic rank; a surjective one certifies that the image of the
-    construction fills a dense open subset of the degree-d coefficient
-    space.  Raises CertificateError unless the rank meets the bound.
+    The exact rank at the point bounds the generic rank from below, and
+    structural_rank_bound, certified from the block's exponent support,
+    bounds the rank at every family point from above; a report that reaches
+    the bound therefore gives the generic rank, and a surjective one
+    certifies that the image of the construction fills a dense open subset
+    of the degree-d coefficient space.  Raises CertificateError unless the
+    rank meets the bound, or the support fails to certify it.
     """
     report = differential_rank(dominance_point(n, d))
     target = structural_rank_bound(n, d)
@@ -309,28 +313,27 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
                              bound: int = 1000) -> NonexistenceReport:
     """Certificate that past the threshold no dense open set degenerates.
 
-    Records the positive codimension bound d - 2n + 1, confirms the sampled
-    differential codimension equals it exactly, confirms generator
-    redundancy, and reduces every (prime pattern, ordering) stratum into a
-    permuted copy of the restricted family with the full strata survey, at
-    every (n, d) the ambient limit admits.  The random source feeds the
-    family samples only.
+    Records the positive codimension bound d - 2n + 1, certifies from the
+    block's exponent support, before any sample is drawn, the rank upper
+    bound and generator redundancy at every family point
+    (structural_rank_bound), confirms the sampled differential codimension
+    equals the bound exactly, and reduces every (prime pattern, ordering)
+    stratum into a permuted copy of the restricted family with the full
+    strata survey, at every (n, d) the ambient limit admits.  The random
+    source feeds the family samples only.
     """
     _check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
     check_samples(samples)
+    structural_rank_bound(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
     for _ in range(samples):
-        point, report = _generic_point(n, d, rng, bound)
+        _point, report = _generic_point(n, d, rng, bound)
         if report.codim != codim_bound:
             raise CertificateError(
                 f"sampled codim {report.codim} != bound {codim_bound}")
-        red = redundancy_check(point)
-        if not red.ok:
-            raise CertificateError(
-                f"redundant generators leak onto excluded monomials: {red.failures}")
         sampled.append(report.codim)
     survey = strata_survey(n, d)
     if not survey.passed:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, gcd
@@ -26,7 +27,6 @@ from toricdegen import (
     LinearSystem,
     NormalizationError,
     PolySyntaxError,
-    QMatrix,
     VariableIndexError,
     ZeroPolynomialError,
     classify,
@@ -176,8 +176,8 @@ def apply_linear_change(f: HomogPoly, matrix: Sequence[Sequence[RatLike]]) -> Ho
     return total
 
 
-def transpose(m: QMatrix) -> QMatrix:
-    return QMatrix(zip(*m.entries)) if m.rows else QMatrix(())
+def transpose(rows: Sequence[Sequence[RatLike]]) -> list[tuple[RatLike, ...]]:
+    return list(zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def _check_pattern(u: Exponent, v: Exponent, x1d: Exponent,
 def _check_constants(n: int, d: int) -> tuple[Exponent, frozenset[Exponent]]:
     """x1^d and the excluded exponents, which every pattern's check reads."""
     x1d, _ = _spike_exponents(n, d)
-    return x1d, frozenset(excluded_exponents(n, d).members)
+    return x1d, frozenset(excluded_exponents(n, d))
 
 
 def pattern_verdicts(n: int, d: int) -> dict[tuple[Exponent, Exponent], bool]:
@@ -816,6 +816,25 @@ def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(toricdegen.theorem, "sample_family", sample)
     return draws
+
+
+@contextmanager
+def patched_support(change) -> Iterator[None]:
+    """Within the block, family._block_support(n, d) returns
+    change(support) for the true support; the caches built from it are
+    cleared on entry and on exit."""
+    import toricdegen.family as family
+    support = family._block_support
+    caches = (family.structural_rank_bound, family.face_exponents)
+    family._block_support = lambda n, d: change(support(n, d))
+    try:
+        for cached in caches:
+            cached.cache_clear()
+        yield
+    finally:
+        family._block_support = support
+        for cached in caches:
+            cached.cache_clear()
 
 
 def forbid_pattern_generation(monkeypatch) -> None:

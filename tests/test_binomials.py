@@ -7,6 +7,7 @@ import pytest
 
 from toricdegen import (
     BinomialPattern,
+    CertificateError,
     DegreeError,
     DimensionMismatchError,
     DomainError,
@@ -219,6 +220,16 @@ class TestEnumerate:
         # C(80, 40) monomials: rejected before any count is taken
         with pytest.raises(DomainError, match="ambient dimension"):
             enumerate_patterns(40, 40)
+
+    def test_short_listing_is_a_certificate_failure(self, monkeypatch):
+        import toricdegen.binomials as binomials
+        pairs = binomials.prime_pairs
+        monkeypatch.setattr(binomials, "prime_pairs",
+                            lambda n, d: list(pairs(n, d))[1:])
+        with pytest.raises(CertificateError, match="5 prime patterns listed "
+                                                   "at n=2, d=3, but the "
+                                                   "closed form counts 6"):
+            enumerate_patterns(2, 3)
 
     def test_shared_coefficients(self):
         pats = enumerate_patterns(3, 4)

@@ -15,7 +15,7 @@ from toricdegen import (CertificateError, differential_rank, key_matrix,
                         solve, stratum_system)
 from toricdegen.cli import main
 from helpers import (forbid_pattern_generation, listing_payload,
-                     listing_table, stuck_sampler)
+                     listing_table, patched_support, stuck_sampler)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -183,6 +183,17 @@ class TestClassify:
         code, _out, err = run(capsys, "classify", "--poly", "x0 +* x1",
                               "--n", "1", "--d", "1")
         assert code == 64
+
+    @pytest.mark.parametrize("command", [
+        ("classify", "--poly", "x0 + x1"),
+        ("stratum", "--f", "x0 + x1", "--g", "x0 - x1"),
+    ])
+    @pytest.mark.parametrize("nd", [("1", "-1"), ("-1", "1")])
+    def test_negative_n_or_d_is_usage(self, capsys, command, nd):
+        code, out, err = run(capsys, *command, "--n", nd[0], "--d", nd[1])
+        assert code == 64
+        assert out == ""
+        assert f"need n >= 0 and d >= 0, got n={nd[0]}, d={nd[1]}" in err
 
     def test_binomial_admitted_at_term_bound(self, capsys):
         # 2 terms * 250,000 variables is exactly MAX_AMBIENT exponent entries
@@ -538,6 +549,32 @@ class TestNonexist:
         assert code == 0
         assert payload["codim_bound"] == 1
         assert payload["strata_full"] is True
+
+    def test_stray_support_is_certificate_failure(self, capsys):
+        with patched_support(lambda s: {**s, (0, 0, 0): s[2, 0, 0]}):
+            code, out, err = run(capsys, "nonexist", "--n", "2", "--d", "4",
+                                 "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("certificate failure")
+        assert "off the last column the key rows, at [(0, 0, 0)]" in err
+
+    def test_calls_no_redundancy_check(self, capsys, monkeypatch):
+        # the support certificate covers every point, so no sample is
+        # checked on its own
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "toricdegen" and \
+                    hasattr(module, "redundancy_check"):
+                check = module.redundancy_check
+                monkeypatch.setattr(module, "redundancy_check",
+                                    lambda point, check=check:
+                                    calls.append(point) or check(point))
+        for n, d in [("2", "4"), ("3", "7")]:
+            code, out, _ = run(capsys, "nonexist", "--n", n, "--d", d)
+            assert code == 0
+            assert json.loads(out)["redundancy_ok"] is True
+        assert calls == []
 
     def test_below_threshold_usage(self, capsys):
         code, _out, _err = run(capsys, "nonexist", "--n", "2", "--d", "3",

@@ -5,10 +5,10 @@ from random import Random
 import pytest
 
 from toricdegen import (
+    CertificateError,
     DegreeError,
     DimensionMismatchError,
     DomainError,
-    ExclusionSet,
     FamilyPoint,
     HomogPoly,
     RankReport,
@@ -32,12 +32,13 @@ from toricdegen import (
     weight_of,
     witness_weight,
 )
-from toricdegen.family import MAX_AMBIENT
+from toricdegen.family import MAX_AMBIENT, _block_support
 from helpers import (
     apply_linear_change,
     check_record,
     differential_generators,
     full_span_rank,
+    patched_support,
     rank_sparse_exact,
     sparse_rows,
 )
@@ -72,7 +73,7 @@ class _ReadRecorder:
 class TestExclusionSet:
     def test_n2_d3_members(self):
         excl = excluded_exponents(2, 3)
-        assert excl.members == ((3, 0, 0), (2, 1, 0), (1, 2, 0))
+        assert excl == ((3, 0, 0), (2, 1, 0), (1, 2, 0))
 
     def test_pure_x1_power_not_member(self):
         for n in (2, 3, 4):
@@ -117,15 +118,15 @@ class TestRecords:
             RedundancyReport(ok=True, failures=())
 
     def test_exclusion_set(self):
-        members = ((3, 0, 0), (2, 1, 0), (1, 2, 0))
-        excl = check_record(ExclusionSet, {"n": 2, "d": 3, "members": members})
-        assert excl == excluded_exponents(2, 3)
-        assert hash(excl) == hash(excluded_exponents(2, 3))
-        assert excl != ExclusionSet(2, 3, members[:2])
-        assert [2, 1, 0] in excl and (0, 3, 0) not in excl
-        assert len(excl) == 3
-        assert repr(excl) == ("ExclusionSet(n=2, d=3, members=((3, 0, 0), "
-                              "(2, 1, 0), (1, 2, 0)))")
+        # a plain tuple of exponent tuples, and membership in closed form:
+        # an exponent is excluded when it holds x0 and lies on {x0, x1}
+        from toricdegen.family import _excluded
+        for n, d in [(2, 3), (3, 5), (4, 2)]:
+            excl = excluded_exponents(n, d)
+            assert type(excl) is tuple and len(excl) == d
+            assert all(type(u) is tuple for u in excl)
+            for u in iter_exponents(n, d):
+                assert _excluded(u) == (u in excl), (n, d, u)
 
 
 class TestIntegerPath:
@@ -136,7 +137,7 @@ class TestIntegerPath:
         for n, d in self.GRID:
             point = sample_family(n, d, rng)
             for m in (excluded_block(point), key_matrix(point)):
-                assert all(type(e) is int for row in m.entries for e in row), (n, d)
+                assert all(type(e) is int for row in m for e in row), (n, d)
 
     def test_rational_point_ranks_like_the_integral_one(self):
         rng = Random(32)
@@ -144,7 +145,7 @@ class TestIntegerPath:
             point = sample_family(n, d, rng)
             third = FamilyPoint(n, d, {u: Fraction(1, 3) * c
                                        for u, c in point.coeffs.items()})
-            entries = [e for row in excluded_block(third).entries for e in row]
+            entries = [e for row in excluded_block(third) for e in row]
             assert any(type(e) is Fraction for e in entries)
             assert differential_rank(third) == differential_rank(point), (n, d)
             assert rank(key_matrix(third)) == rank(key_matrix(point)), (n, d)
@@ -162,7 +163,7 @@ class TestFace:
             for d in range(2, 10):
                 recorder = _ReadRecorder(n, d)
                 excluded_block(recorder)
-                excl = set(excluded_exponents(n, d).members)
+                excl = set(excluded_exponents(n, d))
                 face = face_exponents(n, d)
                 assert set(face) == recorder.read - excl, (n, d)
                 assert len(face) == 1 + (n - 1) * d
@@ -175,6 +176,39 @@ class TestFace:
                       for a in range(d) for i in range(2, n + 1)]
             assert face_exponents(n, d) == \
                 tuple(sorted([x1d] + spokes, reverse=True))
+
+
+class TestBlockSupport:
+    def test_support_is_the_nonzero_positions_of_sampled_blocks(self):
+        rng = Random(3)
+        for n in range(2, 7):
+            for d in range(2, 15):
+                block = excluded_block(sample_family(n, d, rng))
+                nonzero = {(i, j, k) for i in range(n + 1) for j in (0, 1)
+                           for k in range(d) if block[2 * i + j][k]}
+                assert set(_block_support(n, d)) == nonzero, (n, d)
+
+    def test_support_maps_each_entry_to_its_step(self):
+        for n, d in [(2, 2), (3, 5), (5, 4)]:
+            excl = excluded_exponents(n, d)
+            for (i, j, k), u in _block_support(n, d).items():
+                w = list(excl[k])
+                w[j] -= 1
+                w[i] += 1
+                assert u == tuple(w) and u not in excl, (n, d, i, j, k)
+
+    @pytest.mark.parametrize("change, reason", [
+        (lambda s: {**s, (0, 0, 0): s[2, 0, 0]}, r"at \[\(0, 0, 0\)\]"),
+        (lambda s: {**s, (1, 1, 2): s[2, 0, 0]}, r"at \[\(1, 1, 2\)\]"),
+        (lambda s: {**s, (2, 2, 4): s[2, 0, 0]}, r"at \[\(2, 2, 4\)\]"),
+        (lambda s: {key: u for key, u in s.items() if key[2] != 3},
+         "meets 4 key rows and 3 columns"),
+    ], ids=["row-0-0", "row-1-1", "row-2-2", "no-column-3"])
+    def test_a_stray_support_is_rejected(self, change, reason):
+        with patched_support(change):
+            with pytest.raises(CertificateError, match=reason):
+                structural_rank_bound(3, 5)
+        assert structural_rank_bound(3, 5) == comb(8, 5) - 5 + 1 + 4
 
 
 class TestSampling:
@@ -245,7 +279,7 @@ class TestGenerators:
             gens = {g.origin: g.poly for g in differential_generators(point)
                     if g.kind == "product"}
             prod = gens[(1, 0)]
-            members = excluded_exponents(n, d).members
+            members = excluded_exponents(n, d)
             x1d = tuple(d if i == 1 else 0 for i in range(n + 1))
             assert prod.coeff(members[-1]) == d * point.coeff(x1d) != 0
             assert all(prod.coeff(u) == 0 for u in members[:-1])
@@ -266,13 +300,16 @@ class TestKeyMatrix:
         m = key_matrix(point)
         c_21 = point.coeff((2, 0, 1))  # u(2, m=2)
         c_11 = point.coeff((1, 1, 1))  # u(2, m=1)
-        assert m.entries == ((c_21, c_11), (Fraction(0), c_21))
+        assert m == ((c_21, c_11), (Fraction(0), c_21))
 
     def test_shape(self):
-        assert key_matrix(sample_family(3, 5, Random(9))).rows == 4
-        assert key_matrix(sample_family(3, 5, Random(9))).cols == 4
-        m = key_matrix(sample_family(4, 3, Random(9)))
-        assert (m.rows, m.cols) == (6, 2)
+        # the key rows, (i, 0) and (i, 1) for i >= 2, without the last column
+        for n, d in [(3, 5), (4, 3), (2, 2)]:
+            point = sample_family(n, d, Random(9))
+            m = key_matrix(point)
+            assert len(m) == 2 * n - 2
+            assert all(type(row) is tuple and len(row) == d - 1 for row in m)
+            assert m == tuple(row[:-1] for row in excluded_block(point)[4:])
 
     def test_rank_at_2_3(self):
         point = sample_family(2, 3, Random(10))
@@ -393,12 +430,24 @@ class TestDifferentialRank:
             differential_rank(point, "modular")
 
     def test_excluded_block_shape_and_zero_rows(self):
+        # the 2(n+1) rows (i, j) with j <= 1, row (i, j) at 2*i + j, against
+        # the product generators' coefficients on the excluded exponents;
+        # the products with j >= 2 have none there
         n, d = 3, 5
-        block = excluded_block(sample_family(n, d, Random(23)))
-        assert (block.rows, block.cols) == ((n + 1) ** 2, d)
-        for i in range(n + 1):
-            for j in range(2, n + 1):
-                assert not any(block.row(i * (n + 1) + j))
+        point = sample_family(n, d, Random(23))
+        block = excluded_block(point)
+        assert type(block) is tuple and len(block) == 2 * (n + 1)
+        assert all(type(row) is tuple and len(row) == d for row in block)
+        excl = excluded_exponents(n, d)
+        for g in differential_generators(point):
+            if g.kind == "product":
+                i, j = g.origin
+                coeffs = tuple(g.poly.coeff(w) for w in excl)
+                if j <= 1:
+                    assert coeffs == block[2 * i + j], (i, j)
+                else:
+                    assert not any(coeffs), (i, j)
+        assert not any(block[0] + block[1] + block[3])
 
     def test_decomposition_identity(self):
         # rank = (ambient - d) + 1 + key_matrix_rank at sampled points
@@ -445,7 +494,7 @@ class TestRedundancy:
         point = sample_family(2, 4, Random(20))
         gens = differential_generators(point)
         rows = [g.poly for g in gens if g.kind == "monomial"]
-        rows.append(HomogPoly.monomial(excluded_exponents(2, 4).members[-1]))
+        rows.append(HomogPoly.monomial(excluded_exponents(2, 4)[-1]))
         verdicts = []
         for g in gens:
             i, j = g.origin if g.kind == "product" else (None, None)

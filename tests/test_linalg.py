@@ -2,7 +2,8 @@ from fractions import Fraction
 from math import comb
 from random import Random
 
-from toricdegen import QMatrix, iter_exponents, rank
+from toricdegen import iter_exponents, rank
+from toricdegen.linalg import _integer_rows
 from toricdegen.poly import count_exponents
 from helpers import rank_sparse_exact, transpose
 
@@ -54,8 +55,8 @@ class TestRank:
         for _ in range(20):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
-            m = QMatrix([[rng.randint(-9, 9) for _ in range(cols)]
-                         for _ in range(rows)])
+            m = [[rng.randint(-9, 9) for _ in range(cols)]
+                 for _ in range(rows)]
             assert rank(m) == rank(transpose(m))
 
     def test_row_permutation_and_scaling_invariance(self):
@@ -72,7 +73,7 @@ class TestRank:
 
     def test_mixed_entries_match_fraction_oracle(self):
         # int and Fraction entries, with all-zero rows interleaved, passed
-        # as lists, tuples, iterators and a QMatrix
+        # as lists, tuples and iterators
         rng = Random(5)
         for _ in range(60):
             cols = rng.randint(1, 6)
@@ -90,15 +91,14 @@ class TestRank:
             assert rank(rows) == oracle
             assert rank([tuple(row) for row in rows]) == oracle
             assert rank(iter(row) for row in rows) == oracle
-            assert rank(QMatrix(rows)) == oracle
 
-    def test_qmatrix_keeps_ints(self):
-        m = QMatrix([[1, Fraction(2), Fraction(1, 2)], (0, -3, 4)])
-        assert [[type(e) for e in row] for row in m.entries] == \
-            [[int, Fraction, Fraction], [int, int, int]]
-        assert m == QMatrix([[Fraction(1), 2, Fraction(1, 2)], [0, -3, 4]])
-        assert hash(m) == hash(QMatrix([[Fraction(1), 2, Fraction(1, 2)],
-                                        [0, -3, 4]]))
+    def test_integer_rows_keep_ints(self):
+        # a row of ints reaches the elimination unscaled; a row holding a
+        # Fraction is scaled by the lcm of its denominators
+        rows = _integer_rows([(0, -3, 4), [1, Fraction(2), Fraction(1, 6)],
+                              iter([Fraction(4, 2), 6])])
+        assert rows == [(0, -3, 4), [6, 12, 1], [2, 6]]
+        assert [type(e) for row in rows for e in row] == [int] * 8
 
     def test_sparse_agrees_with_dense(self):
         rng = Random(4)

@@ -15,7 +15,9 @@ from toricdegen import (
     format_poly,
     initial_form,
     parse_poly,
+    sample_family,
     weight_of,
+    witness_weight,
 )
 from helpers import (SingularMatrixError, apply_linear_change, multiply,
                      partial_derivative, permute_poly, random_poly,
@@ -127,6 +129,17 @@ class TestWeightOf:
     def test_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             weight_of((1, 2), (1, 2, 3))
+
+    def test_wide_face_point_is_quick(self):
+        # 1,995 face exponents over 999 variables, each with at most three
+        # nonzero entries: zero entries must cost no Fraction product
+        f = sample_family(998, 2, Random(1)).to_poly()
+        omega = witness_weight(998, 2)
+        start = time.perf_counter()
+        init = initial_form(f, omega)
+        assert time.perf_counter() - start < 2
+        assert init.support() == ((1, 0, 1) + (0,) * 996,
+                                  (0, 2) + (0,) * 997)
 
 
 class TestInitialForm:

@@ -30,7 +30,7 @@ from toricdegen.binomials import count_prime_patterns
 from toricdegen.theorem import _check_shape, _shape_classes, check_samples
 from helpers import (_cone_within, _is_normalized, _normalize, _relabel,
                      _split_terms, _support, check_record,
-                     forbid_pattern_generation, forced_blocks,
+                     forbid_pattern_generation, forced_blocks, patched_support,
                      pattern_verdicts, shape_class, shape_survey,
                      shape_verdict, strata_reduction_check, stuck_sampler,
                      support_shapes)
@@ -352,6 +352,14 @@ class TestNonexistence:
         assert report.codim_bound == 1
         assert report.strata_full and report.strata_reduced
         assert report.strata_checked == 2630 * 120  # patterns x 5!
+
+    def test_stray_support_fails_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(toricdegen.theorem, "sample_family", None)
+        with patched_support(lambda s: {**s, (0, 1, 1): s[2, 0, 0]}):
+            with pytest.raises(CertificateError, match="the key rows"):
+                nonexistence_certificate(2, 4, 3, Random(1))
+            with pytest.raises(CertificateError, match="the key rows"):
+                dominance_certificate(3, 5)
 
     def test_requires_past_threshold(self):
         with pytest.raises(DomainError):

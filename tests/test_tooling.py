@@ -202,6 +202,8 @@ def test_cli_runs_optimized_in_dev_mode():
          "--g", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
         ("enumerate-binomials", "--n", "3", "--d", "7"),
         ("nonexist", "--n", "2", "--d", "4", "--seed", "2"),
+        ("verify-lemma", "--n", "3", "--d", "6"),
+        ("sweep", "--n-max", "3", "--d-max", "7"),
     ]:
         plain, strict = [
             subprocess.run([sys.executable, *flags, "-c", cli, *argv],
