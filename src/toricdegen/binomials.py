@@ -63,7 +63,7 @@ class BinomialPattern(SlotRecord):
         if len(u) != len(v):
             raise DimensionMismatchError(f"exponent lengths {len(u)} vs {len(v)}")
         for w in (u, v):
-            if any(e < 0 for e in w):
+            if min(w, default=0) < 0:
                 raise DegreeError(f"negative exponent in {w}")
         if u == v:
             raise DegreeError("the two monomials must be distinct")

@@ -44,14 +44,12 @@ _ZERO = Fraction(0)
 
 
 class SlotRecord:
-    """Equality, hash and repr over the public __slots__, in their order;
-    a slot whose name starts with an underscore is derived state."""
+    """Equality, hash and repr over the __slots__, in their order."""
 
     __slots__ = ()
 
     def _items(self) -> tuple[tuple[str, object], ...]:
-        return tuple((name, getattr(self, name)) for name in self.__slots__
-                     if name[0] != "_")
+        return tuple((name, getattr(self, name)) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -93,12 +91,13 @@ def count_exponents(n: int, d: int, limit: int) -> int:
 
 
 class HomogPoly:
-    """Homogeneous polynomial of fixed degree with exact coefficients.
+    """Homogeneous polynomial of fixed degree with exact coefficients: a
+    validated map from exponents to nonzero Fractions, in descending
+    graded-lex order.  It has no arithmetic.
 
-    Immutable by convention: no method mutates an instance.  The zero
-    polynomial (empty term map) is representable so that derivatives may
-    vanish, but operations that are undefined on it raise
-    ZeroPolynomialError.
+    Immutable by convention: no method mutates an instance.  The empty map
+    is representable, but parse_poly and initial_form reject the zero
+    polynomial with ZeroPolynomialError.
     """
 
     __slots__ = ("n", "d", "_terms")
@@ -112,7 +111,7 @@ class HomogPoly:
             if len(u) != n + 1:
                 raise DimensionMismatchError(
                     f"exponent {u} has length {len(u)}, expected {n + 1}")
-            if any(e < 0 for e in u):
+            if min(u) < 0:
                 raise DegreeError(f"negative exponent in {u}")
             if sum(u) != d:
                 raise DegreeError(f"term {u} has degree {sum(u)}, expected {d}")
@@ -123,10 +122,6 @@ class HomogPoly:
         self.d = d
         # descending graded-lex; dicts preserve insertion order
         self._terms = {u: clean[u] for u in sorted(clean, reverse=True)}
-
-    @classmethod
-    def zero(cls, n: int, d: int) -> "HomogPoly":
-        return cls(n, d, {})
 
     @classmethod
     def monomial(cls, u: Sequence[int], coeff: RatLike = 1) -> "HomogPoly":
@@ -155,32 +150,6 @@ class HomogPoly:
 
     def __hash__(self) -> int:
         return hash((self.n, self.d, tuple(self._terms.items())))
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        self._check_same_shape(other)
-        out = dict(self._terms)
-        for u, c in other._terms.items():
-            out[u] = out.get(u, Fraction(0)) + c
-        return HomogPoly(self.n, self.d, out)
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        self._check_same_shape(other)
-        out = dict(self._terms)
-        for u, c in other._terms.items():
-            out[u] = out.get(u, Fraction(0)) - c
-        return HomogPoly(self.n, self.d, out)
-
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.n, self.d, {u: -c for u, c in self._terms.items()})
-
-    def scale(self, c: RatLike) -> "HomogPoly":
-        c = Fraction(c)
-        return HomogPoly(self.n, self.d, {u: c * v for u, v in self._terms.items()})
-
-    def _check_same_shape(self, other: "HomogPoly") -> None:
-        if self.n != other.n or self.d != other.d:
-            raise DimensionMismatchError(
-                f"shape ({self.n},{self.d}) vs ({other.n},{other.d})")
 
     def __repr__(self) -> str:
         return f"HomogPoly({self.n}, {self.d}, {format_poly(self)!r})"

@@ -166,14 +166,15 @@ def apply_linear_change(f: HomogPoly, matrix: Sequence[Sequence[RatLike]]) -> Ho
             powers[i][e] = cached
         return cached
 
-    total = HomogPoly.zero(f.n, f.d)
+    total: dict[Exponent, Fraction] = {}
     for u, c in f.terms():
         piece = HomogPoly.monomial((0,) * size)
         for i, e in enumerate(u):
             if e:
                 piece = multiply(piece, power(i, e))
-        total = total + piece.scale(c)
-    return total
+        for v, cv in piece.terms():
+            total[v] = total.get(v, Fraction(0)) + c * cv
+    return HomogPoly(f.n, f.d, total)
 
 
 def transpose(rows: Sequence[Sequence[RatLike]]) -> list[tuple[RatLike, ...]]:

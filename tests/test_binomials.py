@@ -73,8 +73,15 @@ class TestClassify:
         with pytest.raises(DegreeError):
             pat((1, 0), (0, 1), a=0)
 
+    def test_empty_exponents_are_not_distinct(self):
+        # the negative-entry scan must not trip on an empty exponent
+        with pytest.raises(DegreeError, match="must be distinct"):
+            pat((), ())
+
     @pytest.mark.parametrize("u,v", [((5, -1, 0), (0, 0, 4)),
-                                     ((0, 0, 4), (5, -1, 0))])
+                                     ((0, 0, 4), (5, -1, 0)),
+                                     ((5, 0, -1), (0, 0, 4)),
+                                     ((0, 0, 4), (5, 0, -1))])
     def test_negative_exponent_rejected(self, u, v):
         # the same error HomogPoly raises for the same exponent
         with pytest.raises(DegreeError, match="negative exponent in"):
@@ -155,15 +162,17 @@ class TestFactorizationWitnesses:
             b_exp = tuple(e // k for e in g.v)
             a = HomogPoly.monomial(a_exp)
             b = HomogPoly.monomial(b_exp)
-            linear = a - b
-            cofactor = HomogPoly.zero(g.n, (k - 1) * sum(a_exp))
+            linear = HomogPoly(g.n, sum(a_exp), {a_exp: 1, b_exp: -1})
+            terms = {}
             for i in range(k):
                 piece = HomogPoly.monomial(tuple(0 for _ in a_exp), 1)
                 for _ in range(i):
                     piece = multiply(piece, a)
                 for _ in range(k - 1 - i):
                     piece = multiply(piece, b)
-                cofactor = cofactor + piece
+                for u, c in piece.terms():
+                    terms[u] = terms.get(u, 0) + c
+            cofactor = HomogPoly(g.n, (k - 1) * sum(a_exp), terms)
             assert multiply(linear, cofactor) == g.to_poly()
 
 

@@ -28,6 +28,27 @@ def mono(u, c=1):
     return HomogPoly.monomial(u, c)
 
 
+class TestConstruct:
+    @pytest.mark.parametrize("u", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])
+    def test_negative_exponent_rejected(self, u):
+        with pytest.raises(DegreeError, match="negative exponent in"):
+            HomogPoly(2, 3, {u: 1})
+
+    def test_length_checked_before_sign(self):
+        with pytest.raises(DimensionMismatchError):
+            HomogPoly(2, 3, {(4, -1): 1})
+
+    def test_no_arithmetic(self):
+        # a term map, not an algebra: nothing the certificates run adds,
+        # negates or scales a polynomial
+        f = parse_poly("x0 - x1", 1, 1)
+        for op in (lambda: f + f, lambda: f - f, lambda: -f):
+            with pytest.raises(TypeError):
+                op()
+        for name in ("zero", "scale"):
+            assert not hasattr(HomogPoly, name)
+
+
 class TestParse:
     def test_two_terms(self):
         f = parse_poly("x1^3 + x0^2*x2", 2, 3)
@@ -159,7 +180,7 @@ class TestInitialForm:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
-            initial_form(HomogPoly.zero(2, 3), (1, 1, 1))
+            initial_form(HomogPoly(2, 3, {}), (1, 1, 1))
 
 
 class TestDerivative:

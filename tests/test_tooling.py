@@ -89,8 +89,27 @@ def _names_read(tree: ast.AST):
             yield node.name
 
 
+def _definitions(tree: ast.Module, library_classes: set[str]):
+    """Every top-level def and class, and every named method, classmethod
+    and property of a class whose bases are all library classes or
+    NamedTuple; dunders are called by the interpreter, and a base from
+    elsewhere, such as argparse.ArgumentParser, may call a method by name."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node, node.name
+        if isinstance(node, ast.ClassDef) and all(
+                isinstance(base, ast.Name)
+                and base.id in library_classes | {"NamedTuple"}
+                for base in node.bases):
+            yield from ((sub, f"{node.name}.{sub.name}") for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not (sub.name.startswith("__")
+                                 and sub.name.endswith("__")))
+
+
 def test_every_library_definition_is_used():
-    # a top-level def or class that nothing but itself names is dead code;
+    # a def, class or method that nothing but itself names is dead code;
     # __init__.py files only re-export, so their imports do not count, and
     # code that only an oracle test reads belongs in tests/, so of the tests
     # only the acceptance suite counts
@@ -101,11 +120,14 @@ def test_every_library_definition_is_used():
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in paths}
     uses = Counter(name for tree in trees.values() for name in _names_read(tree))
-    found = [f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}"
-             for path, tree in trees.items() if path.is_relative_to(SRC)
-             for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-             and uses[node.name] == Counter(_names_read(node))[node.name]]
+    library = {path: tree for path, tree in trees.items()
+               if path.is_relative_to(SRC)}
+    classes = {node.name for tree in library.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno} {label}"
+             for path, tree in library.items()
+             for node, label in _definitions(tree, classes)
+             if uses[node.name] == Counter(_names_read(node))[node.name]]
     assert not found, "definitions nothing else uses: " + ", ".join(found)
 
 
