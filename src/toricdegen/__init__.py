@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     GenericityError,
-    NormalizationError,
     PolySyntaxError,
     SupportMismatchError,
     VariableIndexError,

@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     GenericityError,
-    NormalizationError,
     PolySyntaxError,
     SupportMismatchError,
     VariableIndexError,
@@ -405,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GenericityError as exc:
         print(f"genericity failure: {exc}", file=sys.stderr)
         return 2
-    except (CertificateError, NormalizationError) as exc:
+    except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 2
 

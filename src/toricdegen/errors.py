@@ -33,9 +33,5 @@ class GenericityError(RuntimeError):
     """Random sampling failed to reach the generic locus within budget."""
 
 
-class NormalizationError(RuntimeError):
-    """No coordinate permutation normalizes the pattern for the strata check."""
-
-
 class CertificateError(RuntimeError):
     """A verification step inside a certificate failed."""

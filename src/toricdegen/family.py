@@ -33,7 +33,6 @@ alone, and the whole degree-d monomial basis is never built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from random import Random
@@ -131,10 +130,6 @@ class FamilyPoint:
         bad = [u for u in self._poly.support() if _excluded(u)]
         if bad:
             raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
-
-    @property
-    def coeffs(self) -> dict[Exponent, Fraction]:
-        return dict(self._poly.terms())
 
     def coeff(self, u: Exponent) -> RatLike:
         """The coefficient of x^u: an int when it is integral, so that

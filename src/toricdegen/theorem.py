@@ -1,10 +1,11 @@
 """End-to-end certificates for the degeneration threshold.
 
-Existence side: for any degrees, a sampled member of the restricted family
-together with the staircase weight vector has a two-term initial form with
-disjoint supports and coprime exponents (a prime binomial); the bundle is
-degeneration-grade evidence exactly when the attached dominance report is
-surjective, which happens precisely up to the threshold d = 2n - 1.
+Existence side: for any degrees, every sampled member of the restricted
+family together with the staircase weight vector has a two-term initial
+form with disjoint supports and coprime exponents (a prime binomial); the
+bundle is degeneration-grade evidence exactly when the dominance report,
+certified at the dominance point of (n, d), is surjective, which happens
+precisely up to the threshold d = 2n - 1.
 
 Non-existence side (d > 2n - 1): the block's exponent support certifies,
 for every family point at once, that the differential rank is at most the
@@ -27,8 +28,9 @@ from typing import Iterator, NamedTuple
 
 from .binomials import (PrimeVerdict, classify, count_prime_patterns,
                         pattern_from_poly, shape_pattern_count)
-from .errors import CertificateError, DomainError, GenericityError, NormalizationError
+from .errors import CertificateError, DomainError, GenericityError
 from .family import (
+    MAX_AMBIENT,
     FamilyPoint,
     _check_domain,
     differential_rank,
@@ -87,34 +89,18 @@ def check_samples(samples: int) -> None:
         raise DomainError(f"samples exceed the limit of {MAX_SAMPLES}")
 
 
-def _generic_point(n: int, d: int, rng: Random,
-                   bound: int) -> tuple[FamilyPoint, RankReport]:
-    """Sample until the differential rank meets the structural bound; after
-    1 + _RESAMPLE_BUDGET draws that miss it, raise GenericityError."""
-    target = structural_rank_bound(n, d)
-    for _ in range(1 + _RESAMPLE_BUDGET):
-        point = sample_family(n, d, rng, bound)
-        report = differential_rank(point)
-        if report.rank == target:
-            return point, report
-    raise GenericityError(
-        f"no generic sample at n={n}, d={d} after {_RESAMPLE_BUDGET} resamples")
-
-
 def existence_witness(n: int, d: int, rng: Random,
                       bound: int = 1000) -> WitnessBundle:
-    """Sampled family member whose initial form is a prime binomial.
+    """A sampled family member whose initial form is a prime binomial, and
+    dominance_certificate(n, d): the generic rank, which needs no sample.
 
-    The point comes from _generic_point, so its dominance report meets the
-    structural rank bound (surjective iff d <= 2n - 1).  The initial form is
-    recomputed from scratch and must be supported on x1^d and x0^(d-1)*x2
-    with a Prime verdict, or CertificateError is raised: every face
-    coefficient is nonzero, and only those two monomials reach the top
-    weight d(d-1), so a failure is a fault, not bad luck in the draw.
+    The initial form is computed from scratch and must be supported on x1^d
+    and x0^(d-1)*x2 with a Prime verdict, or CertificateError is raised:
+    every face coefficient is nonzero, and only those two monomials reach
+    the top weight d(d-1), so any one draw serves and a failure is a fault.
     """
-    _check_domain(n, d)
     omega = witness_weight(n, d)
-    point, report = _generic_point(n, d, rng, bound)
+    point = sample_family(n, d, rng, bound)
     init = initial_form(point.to_poly(), omega)
     if set(init.support()) != set(_spike_exponents(n, d)):
         raise CertificateError(
@@ -123,7 +109,8 @@ def existence_witness(n: int, d: int, rng: Random,
     if not verdict.is_prime:
         raise CertificateError(f"initial form {init} is {verdict.tag}")
     return WitnessBundle(n=n, d=d, point=point, omega=omega,
-                         initial=init, verdict=verdict, dominance=report)
+                         initial=init, verdict=verdict,
+                         dominance=dominance_certificate(n, d))
 
 
 def dominance_certificate(n: int, d: int) -> RankReport:
@@ -170,7 +157,8 @@ def _swap_pair(lead, other) -> tuple[int, int]:
     return lead[-1], other[0]
 
 
-def _check_shape(lead: tuple[int, ...], other: tuple[int, ...]) -> bool:
+def _check_shape(lead: tuple[int, ...],
+                 other: tuple[int, ...]) -> tuple[bool, str]:
     """The reduction check for every identity-ordered prime pattern u / v
     with its lead u, the term holding the smallest index, on `lead` and v on
     `other`.  With h = u - v and d = sum_lead a_k = sum_other a_k:
@@ -178,7 +166,7 @@ def _check_shape(lead: tuple[int, ...], other: tuple[int, ...]) -> bool:
       - sum_other a_k (e_q - e_k), at most 0 on the chain, so compatible
       weights have w_l = w_q and swapping x_l with x_q maps the stratum into
       the swapped shape's, which must be normalized: a lead reaching past
-      the other term's first index.  Else NormalizationError is raised;
+      the other term's first index.  Else (False, reason) is returned;
     - x1^d - x^v = sum_other a_k (e_1 - e_k), so x1^d outweighs the other
       term on the chain; it is nonnegative iff the other term avoids x0.
       With the lead reaching x2, neither term is excluded: every excluded
@@ -194,13 +182,13 @@ def _check_shape(lead: tuple[int, ...], other: tuple[int, ...]) -> bool:
                          for part in (lead, other))
         certified = _chain_identity(h_less_dlq, chain)
         if not (certified and swapped[0][-1] > swapped[1][0]):
-            raise NormalizationError(
+            return False, (
                 f"swapping x{l} and x{q} on shape {lead} / {other} " +
                 ("does not normalize it" if certified else "is uncertified"))
         lead, other = swapped
     x1d_less_v = [(1, k, 1) for k in other] + [(k, k, -1) for k in other]
-    return lead[-1] >= 2 and _chain_identity(x1d_less_v,
-                                             [(k, 1, k) for k in other])
+    return lead[-1] >= 2 and _chain_identity(
+        x1d_less_v, [(k, 1, k) for k in other]), ""
 
 
 def _representative(n: int, d: int,
@@ -278,10 +266,7 @@ def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
     failures = []
     for lead, other, shapes in _shape_classes(n, d):
         count += shapes * shape_pattern_count(d, len(lead), len(other))
-        try:
-            ok, reason = _check_shape(lead, other), ""
-        except NormalizationError as exc:
-            ok, reason = False, str(exc)
+        ok, reason = _check_shape(lead, other)
         if not ok:
             failures.append((*_representative(n, d, lead, other), identity,
                              reason))
@@ -320,17 +305,25 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     equals the bound exactly, and reduces every (prime pattern, ordering)
     stratum into a permuted copy of the restricted family with the full
     strata survey, at every (n, d) the ambient limit admits.  The random
-    source feeds the family samples only.
+    source feeds the family samples only; a sample whose rank misses the
+    structural bound is redrawn, and after 1 + _RESAMPLE_BUDGET such draws
+    GenericityError is raised.
     """
     _check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
     check_samples(samples)
-    structural_rank_bound(n, d)
+    target = structural_rank_bound(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
     for _ in range(samples):
-        _point, report = _generic_point(n, d, rng, bound)
+        for _ in range(1 + _RESAMPLE_BUDGET):
+            report = differential_rank(sample_family(n, d, rng, bound))
+            if report.rank == target:
+                break
+        else:
+            raise GenericityError(f"no generic sample at n={n}, d={d} "
+                                  f"after {_RESAMPLE_BUDGET} resamples")
         if report.codim != codim_bound:
             raise CertificateError(
                 f"sampled codim {report.codim} != bound {codim_bound}")
@@ -366,11 +359,19 @@ def threshold_sweep(n_max: int, d_max: int,
 
     Each row is degenerable exactly when the dominance report is surjective;
     in strict mode a row contradicting the d <= 2n - 1 threshold raises
-    CertificateError.  Nothing is sampled.
+    CertificateError.  Nothing is sampled.  Each row builds a 2(n+1) x d
+    block of (n+1)-entry exponents, so a grid whose rows hold more than
+    MAX_AMBIENT exponent entries in all raises DomainError before any row.
     """
     if n_max < 2 or d_max < 2:
         raise DomainError("need n_max >= 2 and d_max >= 2")
-    _check_domain(n_max, d_max)  # the largest grid point bounds all others
+    _check_domain(n_max, d_max)
+    entries = (2 * sum((n + 1) ** 2 for n in range(2, n_max + 1))
+               * sum(range(2, d_max + 1)))
+    if entries > MAX_AMBIENT:
+        raise DomainError(
+            f"the sweep's blocks hold {entries} exponent entries, over the "
+            f"limit of {MAX_AMBIENT}")
     rows = []
     for n in range(2, n_max + 1):
         for d in range(2, d_max + 1):

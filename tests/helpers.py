@@ -25,7 +25,6 @@ from toricdegen import (
     FamilyPoint,
     HomogPoly,
     LinearSystem,
-    NormalizationError,
     PolySyntaxError,
     VariableIndexError,
     ZeroPolynomialError,
@@ -438,6 +437,10 @@ def compatible_cone(g: BinomialPattern, ordering: Sequence[int]) -> LinearSystem
 # per-pattern strata reduction: the oracle for the survey's shape check,
 # deciding each prime pattern on its own through general chain implications
 
+class NormalizationError(RuntimeError):
+    """No certified swap normalizes the pattern for the reduction check."""
+
+
 def _support(u: Exponent) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(u) if e)
 
@@ -531,9 +534,8 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     ordering, lie in a coordinate permutation of the restricted family.
 
     After relabeling the ordering to the identity, g's shape runs through
-    _check_shape.  Raises DomainError unless the ordering is a
-    permutation of 0..n, and NormalizationError when the swap that
-    normalizes g's shape is not certified.
+    _check_shape, and its verdict is returned.  Raises DomainError unless
+    the ordering is a permutation of 0..n.
     """
     _check_domain(n, d)
     if not classify(g).is_prime:
@@ -545,7 +547,7 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
             f"ordering {tuple(ordering)} is not a permutation of 0..{n}")
     # position k of the relabeled pattern holds x_(ordering[k])
     return _check_shape(*sorted(tuple(k for k, i in enumerate(ordering) if w[i])
-                                for w in (g.u, g.v)))
+                                for w in (g.u, g.v)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -580,21 +582,13 @@ def shape_class(lead: tuple[int, ...],
     return lead[-1] < other[0], len(lead), len(other)
 
 
-def shape_verdict(lead: tuple[int, ...], other: tuple[int, ...]) -> bool:
-    """_check_shape on one shape, a NormalizationError counting as False."""
-    try:
-        return _check_shape(lead, other)
-    except NormalizationError:
-        return False
-
-
 def shape_survey(n: int, d: int) -> dict[tuple[bool, int, int], Counter]:
     """The survey shape by shape: the verdicts on every shape of
     support_shapes(n, d), counted per class as {class: {verdict: shapes}}."""
     classes: dict[tuple[bool, int, int], Counter] = {}
     for lead, other in support_shapes(n, d):
         key = shape_class(lead, other)
-        classes.setdefault(key, Counter())[shape_verdict(lead, other)] += 1
+        classes.setdefault(key, Counter())[_check_shape(lead, other)[0]] += 1
     return classes
 
 

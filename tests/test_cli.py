@@ -153,6 +153,19 @@ class TestSweep:
         assert out == ""
         assert "ambient dimension" in err
 
+    @pytest.mark.parametrize("n_max,d_max", [("71", "2"), ("2", "236")])
+    def test_grid_over_budget_rejected_before_any_row(self, capsys,
+                                                      monkeypatch, n_max,
+                                                      d_max):
+        import toricdegen.theorem
+        # None makes any call fail the test
+        monkeypatch.setattr(toricdegen.theorem, "dominance_certificate", None)
+        code, out, err = run(capsys, "sweep", "--n-max", n_max,
+                             "--d-max", d_max)
+        assert code == 64
+        assert out == ""
+        assert "exponent entries" in err
+
     def test_grid_below_two_is_usage(self, capsys):
         code, out, err = run(capsys, "sweep", "--n-max", "1", "--d-max", "3")
         assert code == 64
@@ -529,16 +542,19 @@ class TestRemovedFlags:
 
 
 class TestGenericityFailure:
-    @pytest.mark.parametrize("argv", [
-        ("witness", "--n", "3", "--d", "5"),
-        ("nonexist", "--n", "3", "--d", "6"),
-    ])
-    def test_exits_2(self, capsys, monkeypatch, argv):
+    def test_exits_2(self, capsys, monkeypatch):
         stuck_sampler(monkeypatch)
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "nonexist", "--n", "3", "--d", "6")
         assert code == 2
         assert out == ""
         assert err.startswith("genericity failure")
+
+    def test_witness_exits_0_after_one_draw(self, capsys, monkeypatch):
+        draws = stuck_sampler(monkeypatch)
+        code, out, _err = run(capsys, "witness", "--n", "3", "--d", "5")
+        assert code == 0
+        assert draws == [(3, 5)]
+        assert json.loads(out)["dominance"]["surjective"] is True
 
 
 class TestNonexist:

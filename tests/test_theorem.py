@@ -32,8 +32,7 @@ from helpers import (_cone_within, _is_normalized, _normalize, _relabel,
                      _split_terms, _support, check_record,
                      forbid_pattern_generation, forced_blocks, patched_support,
                      pattern_verdicts, shape_class, shape_survey,
-                     shape_verdict, strata_reduction_check, stuck_sampler,
-                     support_shapes)
+                     strata_reduction_check, stuck_sampler, support_shapes)
 
 
 class TestWitnessWeight:
@@ -86,6 +85,20 @@ class TestExistenceWitness:
         self.check_bundle(bundle, 3, 5)
         assert bundle.dominance.surjective
 
+    def test_dominance_is_the_certificate(self, monkeypatch):
+        # one draw per witness, at every bound; the report is (n, d)'s own
+        sample, draws = toricdegen.theorem.sample_family, []
+        monkeypatch.setattr(toricdegen.theorem, "sample_family",
+                            lambda *args: draws.append(args) or sample(*args))
+        for n in range(2, 7):
+            for d in range(2, 14):
+                report = dominance_certificate(n, d)
+                for bound in (2, 3, 1000):
+                    for seed in range(5):
+                        bundle = existence_witness(n, d, Random(seed), bound)
+                        assert bundle.dominance == report, (n, d, seed, bound)
+        assert len(draws) == 5 * 12 * 3 * 5
+
     def test_witness_exists_far_past_threshold(self):
         bundle = existence_witness(2, 100, Random(4))
         self.check_bundle(bundle, 2, 100)
@@ -95,14 +108,23 @@ class TestExistenceWitness:
 
 class TestResampleBudget:
     @pytest.mark.parametrize("certify", [
-        lambda rng: existence_witness(3, 5, rng),
         lambda rng: nonexistence_certificate(3, 6, 3, rng),
-    ], ids=["witness", "nonexist"])
+    ], ids=["nonexist"])
     def test_gives_up_after_the_budget(self, monkeypatch, certify):
         draws = stuck_sampler(monkeypatch)
         with pytest.raises(GenericityError):
             certify(Random(1))
         assert len(draws) == 1 + toricdegen.theorem._RESAMPLE_BUDGET == 6
+
+    def test_witness_draws_once(self, monkeypatch):
+        # the stuck point misses the structural bound, but the witness takes
+        # its dominance report from the dominance point, not from the draw
+        draws = stuck_sampler(monkeypatch)
+        bundle = existence_witness(3, 5, Random(1))
+        assert draws == [(3, 5)]
+        assert bundle.verdict.is_prime
+        assert bundle.dominance == dominance_certificate(3, 5)
+        assert bundle.dominance.surjective
 
 
 class TestDominance:
@@ -259,7 +281,7 @@ class TestStrataSurvey:
             assert all((lead, other) in shapes
                        for lead, other, _count in reps), (n, d)
             classes = {shape_class(lead, other):
-                       Counter({shape_verdict(lead, other): count})
+                       Counter({_check_shape(lead, other)[0]: count})
                        for lead, other, count in reps}
             assert len(classes) == len(reps), (n, d)
             assert classes == shape_survey(n, d), (n, d)
@@ -286,7 +308,7 @@ class TestStrataSurvey:
         for (u, v), ok in pattern_verdicts(n, d).items():
             shape = (_support(u), _support(v))
             if shape not in verdicts:
-                verdicts[shape] = _check_shape(*shape)
+                verdicts[shape] = _check_shape(*shape)[0]
             assert ok == verdicts[shape], (u, v)
         assert set(verdicts) == set(support_shapes(n, d))
 
@@ -378,6 +400,11 @@ class TestSweep:
         rows = [r for r in threshold_sweep(2, 5)]
         flags = {r.d: r.degenerable for r in rows}
         assert flags == {2: True, 3: True, 4: False, 5: False}
+
+    @pytest.mark.parametrize("n_max,d_max", [(70, 2), (2, 235)])
+    def test_largest_grids_in_the_budget(self, n_max, d_max):
+        # 2 * sum (n+1)^2 * sum d exponent entries, at most MAX_AMBIENT
+        assert len(threshold_sweep(n_max, d_max)) == (n_max - 1) * (d_max - 1)
 
 
 class TestRecords:

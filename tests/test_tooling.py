@@ -89,6 +89,13 @@ def _names_read(tree: ast.AST):
             yield node.name
 
 
+def _attributes_read(tree: ast.AST):
+    """Every attribute name the tree reads, as `member` in `obj.member`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def _definitions(tree: ast.Module, library_classes: set[str]):
     """Every top-level def and class, and every named method, classmethod
     and property of a class whose bases are all library classes or
@@ -112,7 +119,9 @@ def test_every_library_definition_is_used():
     # a def, class or method that nothing but itself names is dead code;
     # __init__.py files only re-export, so their imports do not count, and
     # code that only an oracle test reads belongs in tests/, so of the tests
-    # only the acceptance suite counts
+    # only the acceptance suite counts.  A class member is read as
+    # obj.member, so only attribute reads count for it: a local variable
+    # of the same name does not use it
     paths = [path for root in (SRC, ROOT / "demos")
              for path in sorted(root.rglob("*.py")) if path.name != "__init__.py"]
     paths += sorted((ROOT / "perfbench").glob("*.py"))
@@ -120,14 +129,20 @@ def test_every_library_definition_is_used():
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in paths}
     uses = Counter(name for tree in trees.values() for name in _names_read(tree))
+    attrs = Counter(name for tree in trees.values()
+                    for name in _attributes_read(tree))
     library = {path: tree for path, tree in trees.items()
                if path.is_relative_to(SRC)}
     classes = {node.name for tree in library.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
-    found = [f"{path.relative_to(SRC.parent)}:{node.lineno} {label}"
-             for path, tree in library.items()
-             for node, label in _definitions(tree, classes)
-             if uses[node.name] == Counter(_names_read(node))[node.name]]
+    found = []
+    for path, tree in library.items():
+        for node, label in _definitions(tree, classes):
+            read, own = ((attrs, _attributes_read) if "." in label
+                         else (uses, _names_read))
+            if read[node.name] == Counter(own(node))[node.name]:
+                found.append(f"{path.relative_to(SRC.parent)}:{node.lineno} "
+                             f"{label}")
     assert not found, "definitions nothing else uses: " + ", ".join(found)
 
 
@@ -220,6 +235,7 @@ def test_cli_runs_optimized_in_dev_mode():
     cli = "import sys, toricdegen.cli; sys.exit(toricdegen.cli.main())"
     for argv in [
         ("witness", "--n", "2", "--d", "3"),
+        ("witness", "--n", "3", "--d", "5", "--seed", "13", "--bound", "2"),
         ("stratum", "--f", "x1^3 + x0^2*x2 + x0*x1*x2 + x0*x1^2",
          "--g", "x1^3 + x0^2*x2", "--n", "2", "--d", "3"),
         ("enumerate-binomials", "--n", "3", "--d", "7"),
