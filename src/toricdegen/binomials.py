@@ -24,8 +24,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (CertificateError, DegreeError, DimensionMismatchError,
                      DomainError)
-from .family import check_ambient
-from .poly import Exponent, HomogPoly, RatLike, SlotRecord, iter_exponents
+from .poly import (Exponent, HomogPoly, RatLike, SlotRecord, check_ambient,
+                   iter_exponents)
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
@@ -76,13 +76,6 @@ class BinomialPattern(SlotRecord):
     @property
     def n(self) -> int:
         return len(self.u) - 1
-
-    @property
-    def d(self) -> int:
-        return sum(self.u)
-
-    def to_poly(self) -> HomogPoly:
-        return HomogPoly(self.n, self.d, {self.u: self.a, self.v: self.b})
 
 
 def classify(g: BinomialPattern) -> PrimeVerdict:

@@ -40,31 +40,11 @@ from typing import Mapping, NamedTuple
 
 from .errors import CertificateError, DomainError
 from .linalg import RankReport, rank
-from .poly import Exponent, HomogPoly, RatLike, count_exponents
-
-# Largest ambient dimension C(n+d, d) admitted, which fixes the (n, d)
-# domain of every command.  Sampling and the rank certificates read only
-# the face, 1 + (n-1)*d coefficients, so their cost does not depend on it.
-MAX_AMBIENT = 500_000
+from .poly import Exponent, HomogPoly, RatLike, check_ambient
 
 # The key rows of the block are (i, 0) and (i, 1) for i >= _KEY_I, block
 # rows 2 * _KEY_I onward.
 _KEY_I = 2
-
-
-def check_ambient(n: int, d: int) -> None:
-    """Reject a negative n or d, and (n, d) with more than MAX_AMBIENT
-    degree-d monomials, or more than MAX_AMBIENT variables (which C(n+d, d)
-    misses at d = 0)."""
-    if n < 0 or d < 0:
-        raise DomainError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
-    if n + 1 > MAX_AMBIENT:
-        raise DomainError(
-            f"{n + 1} variables at n={n} exceed the limit of {MAX_AMBIENT}")
-    if count_exponents(n, d, MAX_AMBIENT) > MAX_AMBIENT:
-        raise DomainError(
-            f"ambient dimension C({n + d}, {d}) at n={n}, d={d} exceeds the "
-            f"limit of {MAX_AMBIENT}")
 
 
 def _check_domain(n: int, d: int) -> None:

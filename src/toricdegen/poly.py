@@ -27,11 +27,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DegreeError,
     DimensionMismatchError,
+    DomainError,
     PolySyntaxError,
     VariableIndexError,
     ZeroPolynomialError,
@@ -74,20 +76,30 @@ def iter_exponents(n: int, d: int) -> Iterator[Exponent]:
             yield (first,) + rest
 
 
-def count_exponents(n: int, d: int, limit: int) -> int:
-    """C(n+d, d), the number of degree-d exponents in n+1 variables, or
-    limit + 1 once it is known to pass limit.
+# Largest ambient dimension C(n+d, d) admitted, which fixes the (n, d)
+# domain of every command.  Sampling and the rank certificates read only
+# the face, 1 + (n-1)*d coefficients, so their cost does not depend on it.
+MAX_AMBIENT = 500_000
 
-    C(n+d, k) grows with k up to min(n, d), so it is multiplied out one k
-    at a time and abandoned at the first value past limit: no number much
-    larger than limit is ever built.
+
+def check_ambient(n: int, d: int) -> None:
+    """Reject a negative n or d, and (n, d) with more than MAX_AMBIENT
+    degree-d exponents, or more than MAX_AMBIENT variables (which C(n+d, d)
+    misses at d = 0).
+
+    For m = min(n, d), C(n+d, d) >= C(2m, m) >= 2^m, so 2^m past the limit
+    rejects at once; otherwise m <= 18, and comb multiplies at most 18
+    factors.
     """
-    count = 1
-    for k in range(1, min(n, d) + 1):
-        count = count * (n + d + 1 - k) // k
-        if count > limit:
-            return limit + 1
-    return count
+    if n < 0 or d < 0:
+        raise DomainError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
+    if n + 1 > MAX_AMBIENT:
+        raise DomainError(
+            f"{n + 1} variables at n={n} exceed the limit of {MAX_AMBIENT}")
+    if 2 ** min(n, d) > MAX_AMBIENT or comb(n + d, d) > MAX_AMBIENT:
+        raise DomainError(
+            f"ambient dimension C({n + d}, {d}) at n={n}, d={d} exceeds the "
+            f"limit of {MAX_AMBIENT}")
 
 
 class HomogPoly:

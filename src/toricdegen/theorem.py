@@ -30,7 +30,6 @@ from .binomials import (PrimeVerdict, classify, count_prime_patterns,
                         pattern_from_poly, shape_pattern_count)
 from .errors import CertificateError, DomainError, GenericityError
 from .family import (
-    MAX_AMBIENT,
     FamilyPoint,
     _check_domain,
     differential_rank,
@@ -39,7 +38,8 @@ from .family import (
     structural_rank_bound,
 )
 from .linalg import RankReport
-from .poly import Exponent, HomogPoly, WeightVector, initial_form, weight_vector
+from .poly import (MAX_AMBIENT, Exponent, HomogPoly, WeightVector, initial_form,
+                   weight_vector)
 
 
 def witness_weight(n: int, d: int) -> WeightVector:
@@ -353,12 +353,11 @@ def sweep_row_matches(row: SweepRow) -> bool:
     return row.degenerable == (row.d <= 2 * row.n - 1)
 
 
-def threshold_sweep(n_max: int, d_max: int,
-                    strict: bool = True) -> list[SweepRow]:
+def threshold_sweep(n_max: int, d_max: int) -> list[SweepRow]:
     """Dominance certificates over the grid 2 <= n <= n_max, 2 <= d <= d_max.
 
-    Each row is degenerable exactly when the dominance report is surjective;
-    in strict mode a row contradicting the d <= 2n - 1 threshold raises
+    Each row is degenerable exactly when the dominance report is surjective,
+    and a row contradicting the d <= 2n - 1 threshold raises
     CertificateError.  Nothing is sampled.  Each row builds a 2(n+1) x d
     block of (n+1)-entry exponents, so a grid whose rows hold more than
     MAX_AMBIENT exponent entries in all raises DomainError before any row.
@@ -379,7 +378,7 @@ def threshold_sweep(n_max: int, d_max: int,
             row = SweepRow(n=n, d=d, ambient=report.ambient,
                            generic_rank=report.rank, codim=report.codim,
                            degenerable=report.surjective)
-            if strict and not sweep_row_matches(row):
+            if not sweep_row_matches(row):
                 raise CertificateError(
                     f"threshold violated at n={n}, d={d}: {row}")
             rows.append(row)

@@ -67,6 +67,11 @@ def random_shape(rng: Random) -> tuple[int, int]:
     return rng.randint(1, 3), rng.randint(1, 3)
 
 
+def pattern_poly(g: BinomialPattern) -> HomogPoly:
+    """The binomial a*x^u + b*x^v of a pattern."""
+    return HomogPoly(g.n, sum(g.u), {g.u: g.a, g.v: g.b})
+
+
 def permute_poly(f: HomogPoly, perm: tuple[int, ...]) -> HomogPoly:
     terms = {}
     for u, c in f.terms():
@@ -540,8 +545,9 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     _check_domain(n, d)
     if not classify(g).is_prime:
         raise DomainError("strata reduction applies to prime patterns only")
-    if g.d != d or g.n != n:
-        raise DomainError(f"pattern shape ({g.n},{g.d}) vs given ({n},{d})")
+    if sum(g.u) != d or g.n != n:
+        raise DomainError(
+            f"pattern shape ({g.n},{sum(g.u)}) vs given ({n},{d})")
     if sorted(ordering) != list(range(n + 1)):
         raise DomainError(
             f"ordering {tuple(ordering)} is not a permutation of 0..{n}")

@@ -22,8 +22,8 @@ from toricdegen import (
 from toricdegen.binomials import (check_listing_budget, count_prime_patterns,
                                   prime_pairs, shape_pattern_count)
 from helpers import (_support, brute_prime_pairs, check_record, multiply,
-                     ordered_prime_pairs, permute_poly, shape_count,
-                     support_shapes)
+                     ordered_prime_pairs, pattern_poly, permute_poly,
+                     shape_count, support_shapes)
 
 
 def pat(u, v, a=1, b=1):
@@ -62,7 +62,8 @@ class TestClassify:
         for g in enumerate_patterns(2, 4)[:10]:
             perm = list(range(3))
             rng.shuffle(perm)
-            permuted = pattern_from_poly(permute_poly(g.to_poly(), tuple(perm)))
+            permuted = pattern_from_poly(
+                permute_poly(pattern_poly(g), tuple(perm)))
             assert classify(permuted).tag == classify(g).tag
 
     def test_invalid_patterns_rejected(self):
@@ -109,7 +110,7 @@ class TestRecords:
         g = BinomialPattern([1, 0, 2], [0, 3, 0], 2, -1)
         assert g.u == (1, 0, 2) and g.v == (0, 3, 0)
         assert type(g.a) is Fraction and type(g.b) is Fraction
-        assert (g.n, g.d) == (2, 3)
+        assert (g.n, sum(g.u)) == (2, 3)
 
     def test_binomial_pattern_repr(self):
         assert repr(BinomialPattern((1, 0, 2), (0, 3, 0))) == (
@@ -144,11 +145,11 @@ class TestFactorizationWitnesses:
             shared = next(i for i, (x, y) in enumerate(zip(g.u, g.v))
                           if x > 0 and y > 0)
             e = tuple(1 if i == shared else 0 for i in range(g.n + 1))
-            reduced = HomogPoly(g.n, g.d - 1, {
+            reduced = HomogPoly(g.n, sum(g.u) - 1, {
                 tuple(a - b for a, b in zip(g.u, e)): g.a,
                 tuple(a - b for a, b in zip(g.v, e)): g.b,
             })
-            assert multiply(HomogPoly.monomial(e), reduced) == g.to_poly()
+            assert multiply(HomogPoly.monomial(e), reduced) == pattern_poly(g)
 
     def test_proper_power_difference_factors(self):
         # with coefficients 1, -1 a joint gcd k factors as A^k - B^k
@@ -173,7 +174,7 @@ class TestFactorizationWitnesses:
                 for u, c in piece.terms():
                     terms[u] = terms.get(u, 0) + c
             cofactor = HomogPoly(g.n, (k - 1) * sum(a_exp), terms)
-            assert multiply(linear, cofactor) == g.to_poly()
+            assert multiply(linear, cofactor) == pattern_poly(g)
 
 
 class TestEnumerate:

@@ -557,6 +557,30 @@ class TestGenericityFailure:
         assert json.loads(out)["dominance"]["surjective"] is True
 
 
+
+class TestContradictedClaims:
+    """A printed rank off d <= 2n - 1 can only come from a wrong certificate,
+    so it exits 2 like every other certificate failure."""
+
+    def test_sweep_row_off_the_threshold_is_certificate_failure(
+            self, capsys, monkeypatch):
+        import toricdegen.theorem
+        monkeypatch.setattr(toricdegen.theorem, "sweep_row_matches",
+                            lambda row: False)
+        code, out, err = run(capsys, "sweep", "--n-max", "2", "--d-max", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "certificate failure: threshold violated at n=2, d=2")
+
+    def test_verify_lemma_above_the_law_is_certificate_failure(
+            self, capsys, monkeypatch):
+        import toricdegen.cli
+        monkeypatch.setattr(toricdegen.cli, "rank", lambda rows: 10**6)
+        code, out, _err = run(capsys, "verify-lemma", "--n", "2", "--d", "4")
+        assert code == 2
+        assert json.loads(out)["key_matrix_rank"] == 10**6
+
 class TestNonexist:
     def test_2_4(self, capsys):
         code, out, _ = run(capsys, "nonexist", "--n", "2", "--d", "4",

@@ -32,7 +32,8 @@ from toricdegen import (
     weight_of,
     witness_weight,
 )
-from toricdegen.family import MAX_AMBIENT, _block_support
+from toricdegen.family import _block_support
+from toricdegen.poly import MAX_AMBIENT
 from helpers import (
     apply_linear_change,
     check_record,

@@ -2,9 +2,12 @@ from fractions import Fraction
 from math import comb
 from random import Random
 
-from toricdegen import iter_exponents, rank
+import pytest
+
+import toricdegen.poly
+from toricdegen import DomainError, iter_exponents, rank
 from toricdegen.linalg import _integer_rows
-from toricdegen.poly import count_exponents
+from toricdegen.poly import MAX_AMBIENT, check_ambient
 from helpers import rank_sparse_exact, transpose
 
 
@@ -20,18 +23,27 @@ class TestBasis:
         exps = tuple(iter_exponents(3, 4))
         assert all(a > b for a, b in zip(exps, exps[1:]))
 
-    def test_count_below_the_limit_is_exact(self):
-        for n in range(0, 7):
-            for d in range(0, 9):
-                assert count_exponents(n, d, 10**6) == comb(n + d, d)
-        assert count_exponents(5, 12, 6188) == 6188
+    def test_ambient_admitted_exactly_up_to_the_limit(self):
+        for n in range(30):
+            for d in range(30):
+                admitted = comb(n + d, d) <= MAX_AMBIENT
+                try:
+                    check_ambient(n, d)
+                except DomainError:
+                    assert not admitted, (n, d)
+                else:
+                    assert admitted, (n, d)
 
-    def test_count_past_the_limit_stops_early(self):
-        assert count_exponents(5, 12, 6187) == 6188
-        assert count_exponents(8, 17, 500_000) == 500_001  # C(25, 8) = 1,081,575
-        # C(2*10^6, 10^6) has 602,059 digits; the count stops at k = 2
-        assert count_exponents(10**6, 10**6, 500_000) == 500_001
-        assert count_exponents(10**7, 0, 500_000) == 1
+    @pytest.mark.parametrize("n,d", [(7200, 7200), (19, 10**9),
+                                     (10**5, 10**5)])
+    def test_large_ambient_rejected_without_the_binomial(self, monkeypatch,
+                                                         n, d):
+        # 2^min(n, d) already passes the limit, so C(n+d, d) is never built
+        def fail(*args):
+            raise AssertionError("comb called")
+        monkeypatch.setattr(toricdegen.poly, "comb", fail)
+        with pytest.raises(DomainError, match="ambient dimension"):
+            check_ambient(n, d)
 
 
 class TestRank:

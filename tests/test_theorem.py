@@ -401,6 +401,11 @@ class TestSweep:
         flags = {r.d: r.degenerable for r in rows}
         assert flags == {2: True, 3: True, 4: False, 5: False}
 
+    def test_takes_no_strict_flag(self):
+        # a row off the threshold always raises CertificateError
+        with pytest.raises(TypeError):
+            threshold_sweep(2, 2, strict=False)
+
     @pytest.mark.parametrize("n_max,d_max", [(70, 2), (2, 235)])
     def test_largest_grids_in_the_budget(self, n_max, d_max):
         # 2 * sum (n+1)^2 * sum d exponent entries, at most MAX_AMBIENT

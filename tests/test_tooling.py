@@ -62,6 +62,20 @@ def test_library_uses_every_name_it_imports():
     assert not found, "unused imports in the library: " + ", ".join(found)
 
 
+def test_polynomial_layer_imports_no_certificate_module():
+    # polynomials, binomials and cones come before the family and the
+    # certificates built on it, so they never import those modules
+    found = []
+    for name in ("errors", "poly", "linalg", "binomials", "cones"):
+        path = SRC / f"{name}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} .{node.module}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  and node.module in ("family", "theorem", "cli")]
+    assert not found, "certificate modules imported: " + ", ".join(found)
+
+
 def test_budget_constants_named_in_readme():
     # every module-level MAX_* budget is a limit users can hit; the README
     # names each one, not only its value
