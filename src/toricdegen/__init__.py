@@ -35,6 +35,7 @@ from .errors import (
     GenericityError,
     PolySyntaxError,
     SupportMismatchError,
+    UsageError,
     VariableIndexError,
     ZeroPolynomialError,
 )

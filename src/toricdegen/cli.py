@@ -3,13 +3,16 @@
 Every command takes an explicit --seed; repeated runs with identical seed
 and flags produce byte-identical output.  Exact rational values are emitted
 as strings like "5/2" so nothing is rounded through floating point.  Exit
-codes: 0 success / claims verified, 2 genericity or certificate failure (a
-claim on the wrong side of d <= 2n - 1 is one), 64 usage error, 74 stdout
-closed before the output ended (EX_IOERR); 1 comes only from an uncaught
-exception, which is a bug.  JSON is printed as json.dumps(payload,
-indent=2) by the standard library's encoder; only the enumerate-binomials
-listing is streamed, row by row as it is drawn, so after exit 2 or 74
-stdout may stop partway through it.
+codes come from the exception a command raises, never from its return:
+0 success / claims verified; 2 GenericityError, sampled points short of the
+generic rank (nonexist, verify-lemma), or CertificateError, a wrong
+certificate (a sweep row off d <= 2n - 1, a verify-lemma rank above the
+law); 64 UsageError; 74 stdout closed before the output ended (EX_IOERR).
+Every exit 2 and 64 names its cause on stderr, an exit 2 line ending with
+"(seed S)"; 1 comes only from an uncaught exception, which is a bug.  JSON
+is printed as json.dumps(payload, indent=2) by the standard library's
+encoder; only the enumerate-binomials listing is streamed, row by row as it
+is drawn, so after exit 2 or 74 stdout may stop partway through it.
 """
 
 from __future__ import annotations
@@ -25,17 +28,7 @@ from typing import Sequence
 from .binomials import (check_listing_budget, classify_poly, listed_pairs,
                         pattern_from_poly)
 from .cones import solve, stratum_system
-from .errors import (
-    CertificateError,
-    DegreeError,
-    DimensionMismatchError,
-    DomainError,
-    GenericityError,
-    PolySyntaxError,
-    SupportMismatchError,
-    VariableIndexError,
-    ZeroPolynomialError,
-)
+from .errors import CertificateError, DomainError, GenericityError, UsageError
 from .family import _check_domain, differential_rank, key_matrix, sample_family
 from .linalg import rank
 from .poly import MAX_AMBIENT, check_ambient, format_poly, parse_poly
@@ -45,10 +38,6 @@ from .theorem import (
     nonexistence_certificate,
     threshold_sweep,
 )
-
-_USAGE_ERRORS = (DomainError, PolySyntaxError, DegreeError, VariableIndexError,
-                 ZeroPolynomialError, SupportMismatchError,
-                 DimensionMismatchError)
 
 
 def _json_pieces(payload: dict) -> Iterator[str]:
@@ -97,7 +86,7 @@ def _kv_lines(payload: dict, prefix: str = "") -> Iterator[str]:
             yield from _kv_lines(value, f"{prefix}{key}.")
         elif isinstance(value, Iterator):
             yield from value
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             yield f"{prefix}{key} = {json.dumps(value)}"
         else:
             yield f"{prefix}{key} = {value}"
@@ -118,7 +107,7 @@ def _check_texts(n: int, d: int, *texts: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_verify_lemma(args) -> int:
+def cmd_verify_lemma(args) -> None:
     n, d = args.n, args.d
     _check_domain(n, d)
     check_samples(args.samples)
@@ -148,10 +137,23 @@ def cmd_verify_lemma(args) -> int:
         "method": best.method,
     }
     _emit(payload, args.format, _kv_lines)
-    return 0 if best_key == expected_min and best.codim == expected_codim else 2
+    # the key matrix's shape caps its rank at expected_min, and a codim
+    # below expected_codim is a rank above structural_rank_bound: either
+    # way past the law, only a wrong certificate gets there
+    if best_key > expected_min or best.codim < expected_codim:
+        raise CertificateError(
+            f"ranks past the law at n={n}, d={d}: key rank {best_key}, at "
+            f"most {expected_min}; codim {best.codim}, at least "
+            f"{expected_codim}")
+    if best_key < expected_min:
+        raise GenericityError(f"best sampled key rank {best_key} < "
+                              f"{expected_min} at n={n}, d={d}")
+    if best.codim > expected_codim:
+        raise GenericityError(f"best sampled codim {best.codim} > "
+                              f"{expected_codim} at n={n}, d={d}")
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> None:
     n, d = args.n, args.d
     rng = Random(args.seed)
     bundle = existence_witness(n, d, rng, args.bound)
@@ -163,11 +165,10 @@ def cmd_witness(args) -> int:
         "omega": [*map(str, bundle.omega)],
         "initial": format_poly(bundle.initial),
         "initial_support": [list(u) for u in bundle.initial.support()],
-        "verdict": {"tag": bundle.verdict.tag, "power": bundle.verdict.power},
+        "verdict": bundle.verdict._asdict(),
         "dominance": bundle.dominance._asdict(),
     }
     _emit(payload, args.format, _kv_lines)
-    return 0
 
 
 def _sweep_table(payload: dict) -> list[str]:
@@ -181,7 +182,7 @@ def _sweep_table(payload: dict) -> list[str]:
     return lines
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     n_max, d_max = args.n_max, args.d_max
     rows = threshold_sweep(n_max, d_max)
     payload = {
@@ -193,10 +194,9 @@ def cmd_sweep(args) -> int:
         "all_match": True,
     }
     _emit(payload, args.format, _sweep_table)
-    return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     _check_texts(args.n, args.d, args.poly)
     f = parse_poly(args.poly, args.n, args.d)
     verdict = classify_poly(f)
@@ -204,13 +204,12 @@ def cmd_classify(args) -> int:
         "n": args.n,
         "d": args.d,
         "poly": format_poly(f),
-        "verdict": {"tag": verdict.tag, "power": verdict.power},
+        "verdict": verdict._asdict(),
     }
     _emit(payload, args.format, _kv_lines)
-    return 0
 
 
-def cmd_stratum(args) -> int:
+def cmd_stratum(args) -> None:
     _check_texts(args.n, args.d, args.f, args.g)
     f = parse_poly(args.f, args.n, args.d)
     g_poly = parse_poly(args.g, args.n, args.d)
@@ -233,7 +232,6 @@ def cmd_stratum(args) -> int:
                          for kind, idx, mult in result.certificate]),
     }
     _emit(payload, args.format, _kv_lines)
-    return 0
 
 
 # one pattern's JSON row, nested at 4, from u's list, v's slots and lhs;
@@ -261,7 +259,7 @@ def _pattern_rows(n: int, d: int, count: int, table: bool) -> Iterator[str]:
         yield row % rhs if table else row % (*v, rhs)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> None:
     if args.n < 1 or args.d < 1:
         raise DomainError(f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
     count = check_listing_budget(args.n, args.d)
@@ -273,26 +271,14 @@ def cmd_enumerate(args) -> int:
                                   args.format == "table"),
     }
     _emit(payload, args.format, _kv_lines)
-    return 0
 
 
-def cmd_nonexist(args) -> int:
+def cmd_nonexist(args) -> None:
     n, d = args.n, args.d
     rng = Random(args.seed)
     report = nonexistence_certificate(n, d, args.samples, rng, args.bound)
-    payload = {
-        "n": report.n,
-        "d": report.d,
-        "seed": args.seed,
-        "codim_bound": report.codim_bound,
-        "sampled_codims": list(report.sampled_codims),
-        "redundancy_ok": report.redundancy_ok,
-        "strata_checked": report.strata_checked,
-        "strata_full": report.strata_full,
-        "strata_reduced": report.strata_reduced,
-    }
+    payload = {"n": n, "d": d, "seed": args.seed, **report._asdict()}
     _emit(payload, args.format, _kv_lines)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +368,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-        return code
+        try:
+            args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe surfaces here, not at exit
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so the flush at exit
         # stays quiet
@@ -392,15 +379,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 74
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except GenericityError as exc:
-        print(f"genericity failure: {exc}", file=sys.stderr)
+        print(f"genericity failure: {exc} (seed {args.seed})", file=sys.stderr)
         return 2
     except CertificateError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
+        print(f"certificate failure: {exc} (seed {args.seed})",
+              file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

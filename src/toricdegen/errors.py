@@ -1,31 +1,35 @@
 """Exception types shared across the package."""
 
 
-class PolySyntaxError(ValueError):
+class UsageError(ValueError):
+    """Input outside what the package accepts; the CLI exits 64."""
+
+
+class PolySyntaxError(UsageError):
     """Malformed polynomial text."""
 
 
-class DegreeError(ValueError):
+class DegreeError(UsageError):
     """A term's degree disagrees with the declared degree."""
 
 
-class VariableIndexError(ValueError):
+class VariableIndexError(UsageError):
     """Variable index outside 0..n."""
 
 
-class ZeroPolynomialError(ValueError):
+class ZeroPolynomialError(UsageError):
     """Operation undefined for the zero polynomial."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(UsageError):
     """Operands live in different ambient dimensions."""
 
 
-class SupportMismatchError(ValueError):
+class SupportMismatchError(UsageError):
     """Binomial monomials absent from the polynomial, or coefficients differ."""
 
 
-class DomainError(ValueError):
+class DomainError(UsageError):
     """Parameters outside the supported range."""
 
 

@@ -10,9 +10,10 @@ from random import Random
 
 import pytest
 
-from toricdegen import (CertificateError, differential_rank, key_matrix,
-                        parse_poly, pattern_from_poly, rank, sample_family,
-                        solve, stratum_system)
+import toricdegen.errors
+from toricdegen import (CertificateError, UsageError, differential_rank,
+                        key_matrix, parse_poly, pattern_from_poly, rank,
+                        sample_family, solve, stratum_system)
 from toricdegen.cli import main
 from helpers import (forbid_pattern_generation, listing_payload,
                      listing_table, patched_support, stuck_sampler)
@@ -24,6 +25,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_closed(*argv):
+    """Exit code and stderr of the CLI run with stdout's read end closed
+    before the command writes anything."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, toricdegen.cli; sys.exit(toricdegen.cli.main())",
+         *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    return proc.wait(timeout=60), err
 
 
 def _forbid_enumeration_and_sampling(monkeypatch):
@@ -90,6 +104,24 @@ class TestVerifyLemma:
                                                  for p in points)
         assert payload["differential_rank"] == max(differential_rank(p).rank
                                                    for p in points)
+
+    # one sample at bound 2 whose key rank falls short of the law at the
+    # boundary d = 2n - 1
+    SHORTFALL = ("verify-lemma", "--n", "3", "--d", "5", "--samples", "1",
+                 "--bound", "2", "--seed", "13")
+
+    def test_sampled_shortfall_is_genericity_failure(self, capsys):
+        code, out, err = run(capsys, *self.SHORTFALL)
+        payload = json.loads(out)
+        assert code == 2
+        assert (payload["key_matrix_rank"], payload["surjective"]) == (2, False)
+        assert err.startswith("genericity failure")
+        assert "n=3, d=5" in err and err.endswith("(seed 13)\n")
+
+    def test_shortfall_with_closed_stdout_exits_74(self):
+        code, err = run_closed(*self.SHORTFALL)
+        assert code == 74, err
+        assert "Traceback" not in err
 
     def test_one_block_per_sample(self, capsys, monkeypatch):
         # key_matrix and differential_rank read the block the point keeps
@@ -577,9 +609,51 @@ class TestContradictedClaims:
             self, capsys, monkeypatch):
         import toricdegen.cli
         monkeypatch.setattr(toricdegen.cli, "rank", lambda rows: 10**6)
-        code, out, _err = run(capsys, "verify-lemma", "--n", "2", "--d", "4")
+        code, out, err = run(capsys, "verify-lemma", "--n", "2", "--d", "4")
         assert code == 2
         assert json.loads(out)["key_matrix_rank"] == 10**6
+        assert err.startswith("certificate failure")
+
+
+_INPUT_ERRORS = [cls for cls in vars(toricdegen.errors).values()
+                 if isinstance(cls, type) and issubclass(cls, ValueError)
+                 and cls is not UsageError]
+
+
+class TestExitCodes:
+    """The exception type alone decides the exit code."""
+
+    @pytest.mark.parametrize("error", _INPUT_ERRORS,
+                             ids=lambda cls: cls.__name__)
+    def test_every_input_error_is_usage(self, capsys, monkeypatch, error):
+        import toricdegen.cli
+
+        def handler(args):
+            raise error("bad input")
+
+        assert issubclass(error, UsageError)
+        monkeypatch.setattr(toricdegen.cli, "cmd_classify", handler)
+        code, out, err = run(capsys, "classify", "--poly", "x0", "--n", "0",
+                             "--d", "1")
+        assert code == 64
+        assert out == ""
+        assert err == "error: bad input\n"
+
+    # every exit-2 line names the seed, so the failure can be replayed
+    def test_genericity_failure_names_the_seed(self, capsys, monkeypatch):
+        stuck_sampler(monkeypatch)
+        code, _out, err = run(capsys, "nonexist", "--n", "3", "--d", "6")
+        assert code == 2
+        assert err.endswith("(seed 1)\n")
+
+    def test_certificate_failure_names_the_seed(self, capsys, monkeypatch):
+        import toricdegen.theorem
+        monkeypatch.setattr(toricdegen.theorem, "sweep_row_matches",
+                            lambda row: False)
+        code, _out, err = run(capsys, "sweep", "--n-max", "2", "--d-max", "2")
+        assert code == 2
+        assert err.endswith("(seed 1)\n")
+
 
 class TestNonexist:
     def test_2_4(self, capsys):
