@@ -290,74 +290,50 @@ class _ArgParser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, with_nd: bool = True) -> None:
-    if with_nd:
-        sub.add_argument("--n", type=int, required=True,
-                         help="ambient projective dimension")
-        sub.add_argument("--d", type=int, required=True,
-                         help="hypersurface degree")
-    sub.add_argument("--seed", type=int, default=1,
-                     help="seed determining every random draw (default 1)")
-    sub.add_argument("--format", choices=("json", "table"), default="json",
-                     help="output format (default json)")
-
-
-def _add_bound(sub) -> None:
-    sub.add_argument("--bound", type=int, default=1000,
-                     help="coefficient bound for sampling (default 1000)")
-
-
-def _add_sampling(sub) -> None:
-    sub.add_argument("--samples", type=int, default=3,
-                     help="sampled family members per certificate (default 3)")
-    _add_bound(sub)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # each flag is declared once, on a parent; a command takes its flags in
+    # the order of its parents
+    nd, common, samples, bound, grid, poly, pair = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
+    nd.add_argument("--n", type=int, required=True,
+                    help="ambient projective dimension")
+    nd.add_argument("--d", type=int, required=True, help="hypersurface degree")
+    common.add_argument("--seed", type=int, default=1, help="seed determining "
+                        "every random draw (default %(default)s)")
+    common.add_argument("--format", choices=("json", "table"), default="json",
+                        help="output format (default %(default)s)")
+    samples.add_argument("--samples", type=int, default=3, help="sampled "
+                         "family members per certificate (default %(default)s)")
+    bound.add_argument("--bound", type=int, default=1000, help="coefficient "
+                       "bound for sampling (default %(default)s)")
+    grid.add_argument("--n-max", type=int, required=True)
+    grid.add_argument("--d-max", type=int, required=True)
+    poly.add_argument("--poly", required=True, help="polynomial text")
+    pair.add_argument("--f", required=True, help="polynomial text")
+    pair.add_argument("--g", required=True, help="two-term polynomial text")
+
     parser = _ArgParser(prog="toricdegen", description="Exact certificates "
                         "for toric degenerations of general hypersurfaces.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("verify-lemma", help="check the key "
-                        "matrix rank and differential codimension formulas")
-    _add_common(p)
-    _add_sampling(p)
-    p.set_defaults(func=cmd_verify_lemma)
-
-    p = subs.add_parser("witness", help="produce a prime-binomial initial "
-                        "form witness with its dominance report")
-    _add_common(p)
-    _add_bound(p)
-    p.set_defaults(func=cmd_witness)
-
-    p = subs.add_parser("sweep", help="threshold sweep over a (n, d) grid")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--d-max", dest="d_max", type=int, required=True)
-    _add_common(p, with_nd=False)
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("classify", help="classify a two-term polynomial")
-    p.add_argument("--poly", required=True, help="polynomial text")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = subs.add_parser("stratum", help="feasibility of a binomial being "
-                        "the initial form of a polynomial")
-    p.add_argument("--f", required=True, help="polynomial text")
-    p.add_argument("--g", required=True, help="two-term polynomial text")
-    _add_common(p)
-    p.set_defaults(func=cmd_stratum)
-
-    p = subs.add_parser("enumerate-binomials",
-                        help="list all prime support patterns")
-    _add_common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = subs.add_parser("nonexist", help="non-existence certificate past "
-                        "the threshold")
-    _add_common(p)
-    _add_sampling(p)
-    p.set_defaults(func=cmd_nonexist)
+    sampled = (nd, common, samples, bound)
+    for name, func, parents, text in (
+        ("verify-lemma", cmd_verify_lemma, sampled, "check the key matrix "
+         "rank and differential codimension formulas"),
+        ("witness", cmd_witness, (nd, common, bound), "produce a "
+         "prime-binomial initial form witness with its dominance report"),
+        ("sweep", cmd_sweep, (grid, common),
+         "threshold sweep over a (n, d) grid"),
+        ("classify", cmd_classify, (poly, nd, common),
+         "classify a two-term polynomial"),
+        ("stratum", cmd_stratum, (pair, nd, common), "feasibility of a "
+         "binomial being the initial form of a polynomial"),
+        ("enumerate-binomials", cmd_enumerate, (nd, common),
+         "list all prime support patterns"),
+        ("nonexist", cmd_nonexist, sampled,
+         "non-existence certificate past the threshold"),
+    ):
+        subs.add_parser(name, parents=parents, help=text).set_defaults(
+            func=func)
     return parser
 
 

@@ -196,7 +196,6 @@ def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     return tuple(row[:-1] for row in point.block[2 * _KEY_I:])
 
 
-@lru_cache(maxsize=None)
 def structural_rank_bound(n: int, d: int) -> int:
     """ambient - d + 1 + min(d-1, 2n-2), certified from the block's support
     as an upper bound for the differential rank at every family point; it is
@@ -237,7 +236,7 @@ def differential_rank(point: FamilyPoint, mode: str = "exact",
         raise ValueError(f"unknown rank mode {mode!r}")
     n, d = point.n, point.d
     ambient = comb(n + d, d)
-    return RankReport.of(ambient - d + rank(point.block), ambient, "exact")
+    return RankReport.of(ambient - d + rank(point.block), ambient)
 
 
 class RedundancyReport(NamedTuple):

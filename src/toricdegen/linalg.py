@@ -23,10 +23,11 @@ class RankReport(NamedTuple):
     method: str
 
     @classmethod
-    def of(cls, rank: int, ambient: int, method: str) -> "RankReport":
+    def of(cls, rank: int, ambient: int) -> "RankReport":
+        """The report of an exact rank."""
         codim = ambient - rank
         return cls(rank=rank, ambient=ambient, codim=codim,
-                   surjective=(codim == 0), method=method)
+                   surjective=(codim == 0), method="exact")
 
 
 # ---------------------------------------------------------------------------

@@ -822,20 +822,17 @@ def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
 @contextmanager
 def patched_support(change) -> Iterator[None]:
     """Within the block, family._block_support(n, d) returns
-    change(support) for the true support; the caches built from it are
-    cleared on entry and on exit."""
+    change(support) for the true support; face_exponents, the cache built
+    from it, is cleared on entry and on exit."""
     import toricdegen.family as family
     support = family._block_support
-    caches = (family.structural_rank_bound, family.face_exponents)
     family._block_support = lambda n, d: change(support(n, d))
     try:
-        for cached in caches:
-            cached.cache_clear()
+        family.face_exponents.cache_clear()
         yield
     finally:
         family._block_support = support
-        for cached in caches:
-            cached.cache_clear()
+        family.face_exponents.cache_clear()
 
 
 def forbid_pattern_generation(monkeypatch) -> None:

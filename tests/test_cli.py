@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,16 +6,18 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import toricdegen.cli as cli
 import toricdegen.errors
 from toricdegen import (CertificateError, UsageError, differential_rank,
                         key_matrix, parse_poly, pattern_from_poly, rank,
                         sample_family, solve, stratum_system)
-from toricdegen.cli import main
+from toricdegen.cli import build_parser, main
 from helpers import (forbid_pattern_generation, listing_payload,
                      listing_table, patched_support, stuck_sampler)
 
@@ -721,6 +724,95 @@ class TestNonexist:
         assert out == ""
         assert err.startswith("certificate failure")
         assert "strata reduction failed" in err and "is uncertified" in err
+
+
+class TestLeadingSign:
+    """A text that starts with '-' reaches the parser only joined to its
+    flag by '=' or holding a space; else argparse reads it as a flag."""
+
+    def test_unspaced_text_after_its_flag_is_usage(self, capsys):
+        code, out, err = run(capsys, "classify", "--poly", "-x0-x1",
+                             "--n", "1", "--d", "1")
+        assert code == 64
+        assert out == ""
+        assert "argument --poly: expected one argument" in err
+
+    @pytest.mark.parametrize("text", [("--poly=-x0-x1",),
+                                      ("--poly", "-x0 - x1")])
+    def test_joined_or_spaced_text_is_read(self, capsys, text):
+        code, out, _ = run(capsys, "classify", *text, "--n", "1", "--d", "1")
+        assert code == 0
+        assert json.loads(out)["poly"] == "-x0 - x1"
+
+    def test_joined_stratum_texts_are_read(self, capsys):
+        code, out, _ = run(capsys, "stratum", "--f=-x1^3+x0^2*x2+x2^3",
+                           "--g=-x1^3+x0^2*x2", "--n", "2", "--d", "3")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["f"] == "x0^2*x2 - x1^3 + x2^3"
+        assert payload["g"] == "x0^2*x2 - x1^3"
+
+
+# each command's usage after "usage: toricdegen <command> [-h]", in the
+# order the top-level help lists the commands
+USAGE = {
+    "verify-lemma": "--n N --d D [--seed SEED] [--format {json,table}] "
+                    "[--samples SAMPLES] [--bound BOUND]",
+    "witness": "--n N --d D [--seed SEED] [--format {json,table}] "
+               "[--bound BOUND]",
+    "sweep": "--n-max N_MAX --d-max D_MAX [--seed SEED] "
+             "[--format {json,table}]",
+    "classify": "--poly POLY --n N --d D [--seed SEED] [--format {json,table}]",
+    "stratum": "--f F --g G --n N --d D [--seed SEED] [--format {json,table}]",
+    "enumerate-binomials": "--n N --d D [--seed SEED] [--format {json,table}]",
+    "nonexist": "--n N --d D [--seed SEED] [--format {json,table}] "
+                "[--samples SAMPLES] [--bound BOUND]",
+}
+
+
+def _commands():
+    parser = build_parser()
+    subs = next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return parser, subs.choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", USAGE)
+    def test_usage_line(self, name):
+        # argparse wraps usage to the terminal width, so compare words
+        usage = _commands()[1][name].format_usage()
+        assert " ".join(usage.split()) == (
+            f"usage: toricdegen {name} [-h] {USAGE[name]}")
+
+    def test_help_lists_the_commands_in_order(self):
+        parser, commands = _commands()
+        assert list(commands) == list(USAGE)
+        assert "{" + ",".join(USAGE) + "}" in parser.format_help()
+
+    def test_every_handler_is_registered_once(self):
+        handlers = [sub.get_default("func") for sub in _commands()[1].values()]
+        defined = [value for name, value in vars(cli).items()
+                   if name.startswith("cmd_")]
+        assert sorted(h.__name__ for h in handlers) == sorted(
+            h.__name__ for h in defined)
+        assert len(set(handlers)) == len(handlers)
+
+    def test_each_flag_is_declared_once(self, monkeypatch):
+        # commands share a flag through a parent parser, never a second
+        # add_argument call; only -h is added to every parser
+        calls = Counter()
+        add = argparse.ArgumentParser.add_argument
+
+        def counted(parser, *names, **kwargs):
+            calls[names] += 1
+            return add(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        build_parser()
+        assert calls.pop(("-h", "--help")) == 1 + len(USAGE)
+        assert "--seed" in {name for names in calls for name in names}
+        assert set(calls.values()) == {1}, calls
 
 
 class TestHarness:

@@ -105,8 +105,8 @@ class TestRecords:
         report = check_record(RankReport,
                               {"rank": 9, "ambient": 10, "codim": 1,
                                "surjective": False, "method": "exact"})
-        assert RankReport.of(9, 10, "exact") == report
-        assert RankReport.of(10, 10, "exact").surjective
+        assert RankReport.of(9, 10) == report
+        assert RankReport.of(10, 10).surjective
         assert repr(report) == ("RankReport(rank=9, ambient=10, codim=1, "
                                 "surjective=False, method='exact')")
 
