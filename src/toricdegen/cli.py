@@ -25,19 +25,10 @@ from collections.abc import Iterable, Iterator
 from random import Random
 from typing import Sequence
 
-from .binomials import (check_listing_budget, classify_poly, listed_pairs,
-                        pattern_from_poly)
-from .cones import solve, stratum_system
+# each layer is read through its module, whose body runs on first use, so
+# a command runs only the layers it calls
+from . import binomials, cones, family, linalg, poly, theorem
 from .errors import CertificateError, DomainError, GenericityError, UsageError
-from .family import _check_domain, differential_rank, key_matrix, sample_family
-from .linalg import rank
-from .poly import MAX_AMBIENT, check_ambient, format_poly, parse_poly
-from .theorem import (
-    check_samples,
-    existence_witness,
-    nonexistence_certificate,
-    threshold_sweep,
-)
 
 
 def _json_pieces(payload: dict) -> Iterator[str]:
@@ -95,13 +86,13 @@ def _kv_lines(payload: dict, prefix: str = "") -> Iterator[str]:
 def _check_texts(n: int, d: int, *texts: str) -> None:
     """Reject before parsing when a text's terms, at most 1 + its count of
     '+' and '-', times the n + 1 exponent entries each exceed MAX_AMBIENT."""
-    check_ambient(n, d)
+    poly.check_ambient(n, d)
     for text in texts:
         terms = 1 + text.count("+") + text.count("-")
-        if (n + 1) * terms > MAX_AMBIENT:
+        if (n + 1) * terms > poly.MAX_AMBIENT:
             raise DomainError(
                 f"up to {terms} terms over {n + 1} variables exceed the "
-                f"limit of {MAX_AMBIENT} exponent entries")
+                f"limit of {poly.MAX_AMBIENT} exponent entries")
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +100,8 @@ def _check_texts(n: int, d: int, *texts: str) -> None:
 
 def cmd_verify_lemma(args) -> None:
     n, d = args.n, args.d
-    _check_domain(n, d)
-    check_samples(args.samples)
+    family._check_domain(n, d)
+    family.check_samples(args.samples)
     rng = Random(args.seed)
     expected_min = min(d - 1, 2 * n - 2)
     expected_codim = (d - 1) - expected_min
@@ -118,9 +109,9 @@ def cmd_verify_lemma(args) -> None:
     # do not depend on when they are ranked; the first maximal report wins
     best_key, best = -1, None
     for _ in range(args.samples):
-        point = sample_family(n, d, rng, args.bound)
-        best_key = max(best_key, rank(key_matrix(point)))
-        report = differential_rank(point)
+        point = family.sample_family(n, d, rng, args.bound)
+        best_key = max(best_key, linalg.rank(family.key_matrix(point)))
+        report = family.differential_rank(point)
         if best is None or report.rank > best.rank:
             best = report
     payload = {
@@ -156,14 +147,14 @@ def cmd_verify_lemma(args) -> None:
 def cmd_witness(args) -> None:
     n, d = args.n, args.d
     rng = Random(args.seed)
-    bundle = existence_witness(n, d, rng, args.bound)
+    bundle = theorem.existence_witness(n, d, rng, args.bound)
     payload = {
         "n": n,
         "d": d,
         "seed": args.seed,
-        "poly": format_poly(bundle.point.to_poly()),
+        "poly": poly.format_poly(bundle.point.to_poly()),
         "omega": [*map(str, bundle.omega)],
-        "initial": format_poly(bundle.initial),
+        "initial": poly.format_poly(bundle.initial),
         "initial_support": [list(u) for u in bundle.initial.support()],
         "verdict": bundle.verdict._asdict(),
         "dominance": bundle.dominance._asdict(),
@@ -184,7 +175,7 @@ def _sweep_table(payload: dict) -> list[str]:
 
 def cmd_sweep(args) -> None:
     n_max, d_max = args.n_max, args.d_max
-    rows = threshold_sweep(n_max, d_max)
+    rows = theorem.threshold_sweep(n_max, d_max)
     payload = {
         "n_max": n_max,
         "d_max": d_max,
@@ -198,12 +189,12 @@ def cmd_sweep(args) -> None:
 
 def cmd_classify(args) -> None:
     _check_texts(args.n, args.d, args.poly)
-    f = parse_poly(args.poly, args.n, args.d)
-    verdict = classify_poly(f)
+    f = poly.parse_poly(args.poly, args.n, args.d)
+    verdict = binomials.classify_poly(f)
     payload = {
         "n": args.n,
         "d": args.d,
-        "poly": format_poly(f),
+        "poly": poly.format_poly(f),
         "verdict": verdict._asdict(),
     }
     _emit(payload, args.format, _kv_lines)
@@ -211,18 +202,18 @@ def cmd_classify(args) -> None:
 
 def cmd_stratum(args) -> None:
     _check_texts(args.n, args.d, args.f, args.g)
-    f = parse_poly(args.f, args.n, args.d)
-    g_poly = parse_poly(args.g, args.n, args.d)
-    pattern = pattern_from_poly(g_poly)
+    f = poly.parse_poly(args.f, args.n, args.d)
+    g_poly = poly.parse_poly(args.g, args.n, args.d)
+    pattern = binomials.pattern_from_poly(g_poly)
     if pattern is None:
         raise DomainError("the binomial argument must have exactly two terms")
-    system = stratum_system(f, pattern)
-    result = solve(system)
+    system = cones.stratum_system(f, pattern)
+    result = cones.solve(system)
     payload = {
         "n": args.n,
         "d": args.d,
-        "f": format_poly(f),
-        "g": format_poly(g_poly),
+        "f": poly.format_poly(f),
+        "g": poly.format_poly(g_poly),
         "equalities": [[*map(str, fn)] for fn in system.equalities],
         "strict_ineqs": [[*map(str, fn)] for fn in system.strict_ineqs],
         "feasible": result.feasible,
@@ -249,7 +240,7 @@ def _pattern_rows(n: int, d: int, count: int, table: bool) -> Iterator[str]:
              for i in range(n + 1)] if count else []
     slots = ",\n        ".join(["%d"] * (n + 1))
     last = None
-    for u, v in listed_pairs(n, d, count):
+    for u, v in binomials.listed_pairs(n, d, count):
         if u != last:
             # the row of every pattern with this u, v and rhs left open
             last, lhs = u, "*".join([names[i][e] for i, e in enumerate(u) if e])
@@ -262,7 +253,7 @@ def _pattern_rows(n: int, d: int, count: int, table: bool) -> Iterator[str]:
 def cmd_enumerate(args) -> None:
     if args.n < 1 or args.d < 1:
         raise DomainError(f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
-    count = check_listing_budget(args.n, args.d)
+    count = binomials.check_listing_budget(args.n, args.d)
     payload = {
         "n": args.n,
         "d": args.d,
@@ -276,7 +267,8 @@ def cmd_enumerate(args) -> None:
 def cmd_nonexist(args) -> None:
     n, d = args.n, args.d
     rng = Random(args.seed)
-    report = nonexistence_certificate(n, d, args.samples, rng, args.bound)
+    report = theorem.nonexistence_certificate(n, d, args.samples, rng,
+                                              args.bound)
     payload = {"n": n, "d": d, "seed": args.seed, **report._asdict()}
     _emit(payload, args.format, _kv_lines)
 
@@ -293,7 +285,7 @@ class _ArgParser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     # each flag is declared once, on a parent; a command takes its flags in
     # the order of its parents
-    nd, common, samples, bound, grid, poly, pair = (
+    nd, common, samples, bound, grid, poly_text, pair = (
         argparse.ArgumentParser(add_help=False) for _ in range(7))
     nd.add_argument("--n", type=int, required=True,
                     help="ambient projective dimension")
@@ -308,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "bound for sampling (default %(default)s)")
     grid.add_argument("--n-max", type=int, required=True)
     grid.add_argument("--d-max", type=int, required=True)
-    poly.add_argument("--poly", required=True, help="polynomial text")
+    poly_text.add_argument("--poly", required=True, help="polynomial text")
     pair.add_argument("--f", required=True, help="polynomial text")
     pair.add_argument("--g", required=True, help="two-term polynomial text")
 
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
          "prime-binomial initial form witness with its dominance report"),
         ("sweep", cmd_sweep, (grid, common),
          "threshold sweep over a (n, d) grid"),
-        ("classify", cmd_classify, (poly, nd, common),
+        ("classify", cmd_classify, (poly_text, nd, common),
          "classify a two-term polynomial"),
         ("stratum", cmd_stratum, (pair, nd, common), "feasibility of a "
          "binomial being the initial form of a polynomial"),

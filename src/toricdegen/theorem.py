@@ -26,12 +26,13 @@ from math import comb, factorial
 from random import Random
 from typing import Iterator, NamedTuple
 
-from .binomials import (PrimeVerdict, classify, count_prime_patterns,
-                        pattern_from_poly, shape_pattern_count)
+# read through its module: the sweep never classifies, so never runs it
+from . import binomials
 from .errors import CertificateError, DomainError, GenericityError
 from .family import (
     FamilyPoint,
     _check_domain,
+    check_samples,
     differential_rank,
     dominance_point,
     sample_family,
@@ -63,7 +64,7 @@ class WitnessBundle(NamedTuple):
     point: FamilyPoint
     omega: WeightVector
     initial: HomogPoly
-    verdict: PrimeVerdict
+    verdict: binomials.PrimeVerdict
     dominance: RankReport
 
 
@@ -75,19 +76,6 @@ def _spike_exponents(n: int, d: int) -> tuple[Exponent, Exponent]:
 
 
 _RESAMPLE_BUDGET = 5
-
-# Most sampled family members a certificate draws; each costs a rank, about
-# 0.4-0.8 ms at (5, 12) on a 2-vCPU Xeon with Python 3.11, and a larger count
-# adds nothing the maximum needs.
-MAX_SAMPLES = 1000
-
-
-def check_samples(samples: int) -> None:
-    """Reject a sample count below 1 or above MAX_SAMPLES."""
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise DomainError(f"samples exceed the limit of {MAX_SAMPLES}")
 
 
 def existence_witness(n: int, d: int, rng: Random,
@@ -106,7 +94,7 @@ def existence_witness(n: int, d: int, rng: Random,
     if set(init.support()) != set(_spike_exponents(n, d)):
         raise CertificateError(
             f"initial form on {init.support()} is not x1^d + x0^(d-1)*x2")
-    verdict = classify(pattern_from_poly(init))
+    verdict = binomials.classify(binomials.pattern_from_poly(init))
     if not verdict.is_prime:
         raise CertificateError(f"initial form {init} is {verdict.tag}")
     return WitnessBundle(n=n, d=d, point=point, omega=omega,
@@ -266,12 +254,13 @@ def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
     count = 0
     failures = []
     for lead, other, shapes in _shape_classes(n, d):
-        count += shapes * shape_pattern_count(d, len(lead), len(other))
+        count += shapes * binomials.shape_pattern_count(d, len(lead),
+                                                        len(other))
         ok, reason = _check_shape(lead, other)
         if not ok:
             failures.append((*_representative(n, d, lead, other), identity,
                              reason))
-    expected = count_prime_patterns(n, d)
+    expected = binomials.count_prime_patterns(n, d)
     if count != expected:
         raise CertificateError(
             f"{count} prime patterns on the shape classes at n={n}, d={d}, "

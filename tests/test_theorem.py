@@ -27,7 +27,8 @@ from toricdegen import (
     existence_witness,
 )
 from toricdegen.binomials import count_prime_patterns
-from toricdegen.theorem import _check_shape, _shape_classes, check_samples
+from toricdegen.family import check_samples
+from toricdegen.theorem import _check_shape, _shape_classes
 from helpers import (_cone_within, _is_normalized, _normalize, _relabel,
                      _split_terms, _support, check_record,
                      forbid_pattern_generation, forced_blocks, patched_support,

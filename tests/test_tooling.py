@@ -62,6 +62,16 @@ def test_library_uses_every_name_it_imports():
     assert not found, "unused imports in the library: " + ", ".join(found)
 
 
+def _relative_imports(tree: ast.AST):
+    """(line, module) for each module a relative import reads: `module` in
+    `from .module import x`, and each `module` in `from . import module`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for name in ([node.module] if node.module
+                         else [alias.name for alias in node.names]):
+                yield node.lineno, name
+
+
 def test_polynomial_layer_imports_no_certificate_module():
     # polynomials, binomials and cones come before the family and the
     # certificates built on it, so they never import those modules
@@ -69,11 +79,17 @@ def test_polynomial_layer_imports_no_certificate_module():
     for name in ("errors", "poly", "linalg", "binomials", "cones"):
         path = SRC / f"{name}.py"
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno} .{node.module}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.level
-                  and node.module in ("family", "theorem", "cli")]
+        found += [f"{path.name}:{line} .{module}"
+                  for line, module in _relative_imports(tree)
+                  if module in ("family", "theorem", "cli")]
     assert not found, "certificate modules imported: " + ", ".join(found)
+
+
+def test_relative_imports_seen_in_both_forms():
+    tree = ast.parse("from .family import sample_family\n"
+                     "from . import poly, theorem\n")
+    assert list(_relative_imports(tree)) == [(1, "family"), (2, "poly"),
+                                             (2, "theorem")]
 
 
 def test_budget_constants_named_in_readme():
@@ -256,10 +272,10 @@ def _run_at_import(node: ast.AST):
 
 
 def test_no_pattern_compiled_at_import():
-    # every CLI call imports the whole library, and re.compile runs in pure
-    # Python (a grammar-sized pattern costs several times a one-token one),
-    # so a pattern is kept as a string and compiled through re's cache on
-    # first use
+    # every CLI call runs the layers its command uses, and re.compile runs
+    # in pure Python (a grammar-sized pattern costs several times a
+    # one-token one), so a pattern is kept as a string and compiled through
+    # re's cache on first use
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
