@@ -18,14 +18,14 @@ decides the listing budget before anything is generated.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (CertificateError, DegreeError, DimensionMismatchError,
                      DomainError)
-from .poly import (Exponent, HomogPoly, RatLike, SlotRecord, check_ambient,
-                   iter_exponents)
+from .poly import Exponent, HomogPoly, RatLike, check_ambient, iter_exponents
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
@@ -50,13 +50,13 @@ class PrimeVerdict(NamedTuple):
         return self.tag == PRIME
 
 
-class BinomialPattern(SlotRecord):
+class BinomialPattern(namedtuple("BinomialPattern", "u v a b")):
     """Unordered two-monomial support pattern with nonzero coefficients."""
 
-    __slots__ = ("u", "v", "a", "b")
+    __slots__ = ()
 
-    def __init__(self, u: Sequence[int], v: Sequence[int],
-                 a: RatLike = _ONE, b: RatLike = _ONE):
+    def __new__(cls, u: Sequence[int], v: Sequence[int],
+                a: RatLike = _ONE, b: RatLike = _ONE):
         u, v = tuple(u), tuple(v)
         a = a if isinstance(a, Fraction) else Fraction(a)
         b = b if isinstance(b, Fraction) else Fraction(b)
@@ -71,7 +71,7 @@ class BinomialPattern(SlotRecord):
             raise DegreeError(f"degrees {sum(u)} vs {sum(v)} differ")
         if a == 0 or b == 0:
             raise DegreeError("binomial coefficients must be nonzero")
-        self.u, self.v, self.a, self.b = u, v, a, b
+        return super().__new__(cls, u, v, a, b)
 
     @property
     def n(self) -> int:

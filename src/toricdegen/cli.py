@@ -83,18 +83,6 @@ def _kv_lines(payload: dict, prefix: str = "") -> Iterator[str]:
             yield f"{prefix}{key} = {value}"
 
 
-def _check_texts(n: int, d: int, *texts: str) -> None:
-    """Reject before parsing when a text's terms, at most 1 + its count of
-    '+' and '-', times the n + 1 exponent entries each exceed MAX_AMBIENT."""
-    poly.check_ambient(n, d)
-    for text in texts:
-        terms = 1 + text.count("+") + text.count("-")
-        if (n + 1) * terms > poly.MAX_AMBIENT:
-            raise DomainError(
-                f"up to {terms} terms over {n + 1} variables exceed the "
-                f"limit of {poly.MAX_AMBIENT} exponent entries")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -188,7 +176,6 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    _check_texts(args.n, args.d, args.poly)
     f = poly.parse_poly(args.poly, args.n, args.d)
     verdict = binomials.classify_poly(f)
     payload = {
@@ -201,7 +188,6 @@ def cmd_classify(args) -> None:
 
 
 def cmd_stratum(args) -> None:
-    _check_texts(args.n, args.d, args.f, args.g)
     f = poly.parse_poly(args.f, args.n, args.d)
     g_poly = poly.parse_poly(args.g, args.n, args.d)
     pattern = binomials.pattern_from_poly(g_poly)

@@ -16,6 +16,7 @@ using at least one strict inequality positively, i.e. deriving 0 > 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -23,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .binomials import BinomialPattern
 from .errors import (CertificateError, DimensionMismatchError, DomainError,
                      SupportMismatchError)
-from .poly import HomogPoly, RatLike, SlotRecord
+from .poly import HomogPoly, RatLike
 
 Functional = tuple[RatLike, ...]
 CertEntry = tuple[str, int, int]  # (kind, index, multiplier)
@@ -41,21 +42,19 @@ def difference_functional(u: Sequence[int], v: Sequence[int]) -> Functional:
     return tuple(a - b for a, b in zip(u, v))
 
 
-class LinearSystem(SlotRecord):
-    __slots__ = ("dim", "equalities", "weak_ineqs", "strict_ineqs")
+class LinearSystem(namedtuple("LinearSystem",
+                              "dim equalities weak_ineqs strict_ineqs")):
+    __slots__ = ()
 
-    def __init__(self, dim: int, equalities: tuple[Functional, ...] = (),
-                 weak_ineqs: tuple[Functional, ...] = (),
-                 strict_ineqs: tuple[Functional, ...] = ()):
+    def __new__(cls, dim: int, equalities: tuple[Functional, ...] = (),
+                weak_ineqs: tuple[Functional, ...] = (),
+                strict_ineqs: tuple[Functional, ...] = ()):
         for group in (equalities, weak_ineqs, strict_ineqs):
             for f in group:
                 if len(f) != dim:
                     raise DimensionMismatchError(
                         f"functional {f} has length {len(f)}, expected {dim}")
-        self.dim = dim
-        self.equalities = equalities
-        self.weak_ineqs = weak_ineqs
-        self.strict_ineqs = strict_ineqs
+        return super().__new__(cls, dim, equalities, weak_ineqs, strict_ineqs)
 
     def constraints(self) -> Iterable[tuple[str, int, Functional]]:
         for i, f in enumerate(self.equalities):
@@ -151,9 +150,12 @@ def solve(system: LinearSystem) -> FeasibilityResult:
         else:
             active.append((row, kind == "strict"))
 
+    # each eliminated column with the functionals bounding it from below and
+    # above, for back-substitution; an equality bounds its pivot both ways
+    stack: list[tuple[int, list[list[int]], list[list[int]]]] = []
+
     # eliminate equalities by substitution: with the equality's sign chosen
     # to make its pivot p > 0 at index k, every row r becomes p*r - r[k]*eq
-    subst_stack: list[tuple[int, list[int]]] = []
     while eqs:
         eq = eqs.pop(0)
         k = next((j for j in range(dim) if eq[j]), None)
@@ -171,7 +173,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
 
         eqs = [substituted(row) for row in eqs]
         active = [(substituted(row), strict) for row, strict in active]
-        subst_stack.append((k, eq[:dim]))
+        stack.append((k, [eq[:dim]], [eq[:dim]]))
 
     # drop 0 >= 0; a 0 > 0 is a contradiction
     kept = []
@@ -186,7 +188,6 @@ def solve(system: LinearSystem) -> FeasibilityResult:
     # a combination of rows holds no other column
     columns = sorted({j for row, _s in active
                       for j, a in enumerate(row[:dim]) if a})
-    fm_stack: list[tuple[int, list[list[int]], list[list[int]]]] = []
     for k in columns:
         lowers = [c for c in active if c[0][k] > 0]
         uppers = [c for c in active if c[0][k] < 0]
@@ -196,8 +197,8 @@ def solve(system: LinearSystem) -> FeasibilityResult:
             raise DomainError(
                 f"eliminating w{k} could leave {size} constraints, over the "
                 f"limit of {MAX_FM_CONSTRAINTS}")
-        fm_stack.append((k, [row[:dim] for row, _s in lowers],
-                         [row[:dim] for row, _s in uppers]))
+        stack.append((k, [row[:dim] for row, _s in lowers],
+                      [row[:dim] for row, _s in uppers]))
         fresh: list[tuple[list[int], bool]] = []
         seen: set[tuple[tuple[int, ...], bool]] = set()
         for lo, lo_strict in lowers:
@@ -220,9 +221,9 @@ def solve(system: LinearSystem) -> FeasibilityResult:
 
     # feasible: back-substitute; a column no row holds is 0
     values: dict[int, RatLike] = {}
-    for k, lower_funcs, upper_funcs in reversed(fm_stack):
+    for k, lower_funcs, upper_funcs in reversed(stack):
         def bound(func: list[int]) -> Fraction:
-            rest = sum((a * values[j] for j, a in enumerate(func)
+            rest = sum((a * values.get(j, 0) for j, a in enumerate(func)
                         if j != k and a), Fraction(0))
             return -rest / func[k]
 
@@ -237,10 +238,6 @@ def solve(system: LinearSystem) -> FeasibilityResult:
             values[k] = min(highs) - 1
         else:
             values[k] = Fraction(0)
-    for k, func in reversed(subst_stack):
-        rest = sum((a * values.get(j, 0) for j, a in enumerate(func)
-                    if j != k and a), Fraction(0))
-        values[k] = -rest / func[k]
 
     witness = [values.get(j, 0) for j in range(dim)]
     scale = lcm(*(v.denominator for v in witness))

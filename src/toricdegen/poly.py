@@ -45,27 +45,6 @@ RatLike = int | Fraction
 _ZERO = Fraction(0)
 
 
-class SlotRecord:
-    """Equality, hash and repr over the __slots__, in their order."""
-
-    __slots__ = ()
-
-    def _items(self) -> tuple[tuple[str, object], ...]:
-        return tuple((name, getattr(self, name)) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._items() == other._items()
-
-    def __hash__(self) -> int:
-        return hash(self._items())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={value!r}" for name, value in self._items())
-        return f"{type(self).__name__}({body})"
-
-
 def iter_exponents(n: int, d: int) -> Iterator[Exponent]:
     """All exponents of degree d in n+1 variables, descending graded-lex."""
     if n == 0:
@@ -187,7 +166,16 @@ def parse_poly(text: str, n: int, d: int) -> HomogPoly:
     text raises PolySyntaxError before any index or degree error.
     Coefficients of repeated monomials are collected exactly; if everything
     cancels, the result would be zero and ZeroPolynomialError is raised.
+    Before any of that, (n, d) must pass check_ambient, and the text's
+    terms, at most 1 + its count of '+' and '-', times the n + 1 exponent
+    entries each must not exceed MAX_AMBIENT; DomainError otherwise.
     """
+    check_ambient(n, d)
+    terms = 1 + text.count("+") + text.count("-")
+    if (n + 1) * terms > MAX_AMBIENT:
+        raise DomainError(
+            f"up to {terms} terms over {n + 1} variables exceed the "
+            f"limit of {MAX_AMBIENT} exponent entries")
     if re.search(r"\d\s+\d", text):
         raise PolySyntaxError("whitespace splits a number")
     text = "".join(text.split())

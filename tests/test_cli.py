@@ -523,7 +523,10 @@ class TestHugeInputs:
     def test_parse_commands_rejected_before_parsing(self, capsys, monkeypatch,
                                                     argv):
         import toricdegen.poly
-        monkeypatch.setattr(toricdegen.poly, "parse_poly", None)  # never reached
+        # parse_poly admits the text before any regex runs or any
+        # polynomial is built
+        monkeypatch.setattr(toricdegen.poly, "re", None)
+        monkeypatch.setattr(toricdegen.poly, "HomogPoly", None)
         code, out, err = run(capsys, *argv)
         assert code == 64
         assert out == ""

@@ -8,6 +8,7 @@ import pytest
 from toricdegen import (
     DegreeError,
     DimensionMismatchError,
+    DomainError,
     HomogPoly,
     PolySyntaxError,
     VariableIndexError,
@@ -107,6 +108,15 @@ class TestParse:
         with pytest.raises(PolySyntaxError):
             parse_poly(bad, 1, 1)
         assert time.perf_counter() - start < 1
+
+    def test_text_admitted_before_parsing(self):
+        # (n, d) passes check_ambient, and the text's terms, at most 1 + its
+        # count of '+' and '-', hold at most MAX_AMBIENT exponent entries
+        with pytest.raises(DomainError, match="ambient dimension"):
+            parse_poly("x0 + x1", 10, 20)
+        with pytest.raises(DomainError, match="exponent entries"):
+            parse_poly("x0 + x1", 250_000, 1)
+        assert parse_poly("x0 + x1", 249_999, 1).num_terms() == 2
 
     @pytest.mark.parametrize("template", ["{}*x0", "1/{}*x0", "x{}", "x0^{}"])
     def test_number_past_the_digit_limit(self, template):

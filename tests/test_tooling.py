@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -21,6 +22,21 @@ def test_no_assert_statements_in_library():
         found += [f"{path.relative_to(SRC.parent)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the library: " + ", ".join(found)
+
+
+def test_library_parses_at_the_declared_python_floor():
+    # a newer interpreter than the floor pyproject.toml declares may be the
+    # only one installed, so each module is parsed with the floor's grammar;
+    # this checks syntax only (at 3.10 it rejects except* and PEP 695
+    # generics and admits match).  tomllib is not in 3.10, so the floor is
+    # read by regex
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', text, re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = tuple(map(int, floor.groups()))
+    for path in sorted(SRC.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=version)
 
 
 def test_library_imports_only_the_standard_library():
@@ -126,17 +142,28 @@ def _attributes_read(tree: ast.AST):
             yield node.attr
 
 
+def _namedtuple_fields(base: ast.expr) -> set[str] | None:
+    """The fields of a `namedtuple("Name", "fields")` base, else None."""
+    if (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+            and base.func.id == "namedtuple" and len(base.args) == 2
+            and isinstance(base.args[1], ast.Constant)):
+        return set(base.args[1].value.split())
+    return None
+
+
 def _definitions(tree: ast.Module, library_classes: set[str]):
     """Every top-level def and class, and every named method, classmethod
-    and property of a class whose bases are all library classes or
-    NamedTuple; dunders are called by the interpreter, and a base from
-    elsewhere, such as argparse.ArgumentParser, may call a method by name."""
+    and property of a class whose bases are all library classes, NamedTuple
+    or namedtuple(...); dunders are called by the interpreter, and a base
+    from elsewhere, such as argparse.ArgumentParser, may call a method by
+    name."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield node, node.name
         if isinstance(node, ast.ClassDef) and all(
-                isinstance(base, ast.Name)
+                _namedtuple_fields(base) is not None
+                or isinstance(base, ast.Name)
                 and base.id in library_classes | {"NamedTuple"}
                 for base in node.bases):
             yield from ((sub, f"{node.name}.{sub.name}") for sub in node.body
@@ -147,8 +174,11 @@ def _definitions(tree: ast.Module, library_classes: set[str]):
 
 def _members(node: ast.ClassDef) -> set[str]:
     """The names a class defines for its instances: methods and properties,
-    __slots__ entries and NamedTuple fields; dunders excepted."""
+    __slots__ entries, and NamedTuple and namedtuple(...) fields; dunders
+    excepted."""
     names = set()
+    for base in node.bases:
+        names |= _namedtuple_fields(base) or set()
     for sub in node.body:
         if isinstance(sub, ast.FunctionDef):
             names.add(sub.name)
@@ -165,7 +195,7 @@ def _members(node: ast.ClassDef) -> set[str]:
 # members that another library class also defines, so an attribute read
 # cannot tell whose member it uses.  Each was checked by hand: HomogPoly.coeff
 # is read by cones.stratum_system, FamilyPoint.coeff and acceptance
-# criterion 5, FamilyPoint.coeff by family.excluded_block, and
+# criterion 4, FamilyPoint.coeff by family.excluded_block, and
 # BinomialPattern.n by cones.stratum_system.  A new one fails the scan until
 # it is checked too
 AMBIGUOUS_MEMBERS = {"coeff", "n"}
