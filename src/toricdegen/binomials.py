@@ -71,7 +71,7 @@ class BinomialPattern(namedtuple("BinomialPattern", "u v a b")):
             raise DegreeError(f"degrees {sum(u)} vs {sum(v)} differ")
         if a == 0 or b == 0:
             raise DegreeError("binomial coefficients must be nonzero")
-        return super().__new__(cls, u, v, a, b)
+        return tuple.__new__(cls, (u, v, a, b))
 
     @property
     def n(self) -> int:

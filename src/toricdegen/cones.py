@@ -54,7 +54,7 @@ class LinearSystem(namedtuple("LinearSystem",
                 if len(f) != dim:
                     raise DimensionMismatchError(
                         f"functional {f} has length {len(f)}, expected {dim}")
-        return super().__new__(cls, dim, equalities, weak_ineqs, strict_ineqs)
+        return tuple.__new__(cls, (dim, equalities, weak_ineqs, strict_ineqs))
 
     def constraints(self) -> Iterable[tuple[str, int, Functional]]:
         for i, f in enumerate(self.equalities):

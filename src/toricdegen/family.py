@@ -33,6 +33,7 @@ alone, and the whole degree-d monomial basis is never built.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 from random import Random
@@ -96,43 +97,39 @@ def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
     return tuple(sorted(set(_block_support(n, d).values()), reverse=True))
 
 
-class FamilyPoint:
-    """A family member, held by its nonzero coefficients; a nonzero
-    coefficient on an excluded exponent raises DomainError."""
+class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
+    """A family member, held by its nonzero coefficients as a HomogPoly; a
+    nonzero coefficient on an excluded exponent raises DomainError.  Like
+    every record, it compares and hashes by value, and none of its fields
+    can be reassigned."""
 
-    __slots__ = ("n", "d", "_poly", "_block")
+    __slots__ = ()
 
-    def __init__(self, n: int, d: int, coeffs: Mapping[Exponent, RatLike]):
+    def __new__(cls, n: int, d: int,
+                coeffs: Mapping[Exponent, RatLike] | HomogPoly):
         _check_domain(n, d)
-        self.n = n
-        self.d = d
-        self._poly = HomogPoly(n, d, coeffs)
-        bad = [u for u in self._poly.support() if _excluded(u)]
+        if isinstance(coeffs, HomogPoly):  # copy and pickle pass poly back
+            coeffs = dict(coeffs.terms())
+        poly = HomogPoly(n, d, coeffs)
+        bad = [u for u in poly.support() if _excluded(u)]
         if bad:
             raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
+        return tuple.__new__(cls, (n, d, poly))
 
     def coeff(self, u: Exponent) -> RatLike:
         """The coefficient of x^u: an int when it is integral, so that
         integer points give integer blocks, and a Fraction otherwise."""
-        c = self._poly.coeff(u)
+        c = self.poly.coeff(u)
         return c.numerator if c.denominator == 1 else c
 
     def to_poly(self) -> HomogPoly:
-        return self._poly
-
-    @property
-    def block(self) -> tuple[tuple[RatLike, ...], ...]:
-        """excluded_block(self), built on first use and kept."""
-        try:
-            return self._block
-        except AttributeError:
-            self._block = excluded_block(self)
-            return self._block
+        return self.poly
 
 
-# Most sampled family members a certificate draws; each costs a rank, about
-# 0.4-0.8 ms at (5, 12) on a 2-vCPU Xeon with Python 3.11, and a larger count
-# adds nothing the maximum needs.
+# Most sampled family members a certificate draws; a larger count adds
+# nothing the maximum needs.  A verify-lemma sample at (5, 12) builds and
+# ranks two blocks in 0.5-1.0 ms (2-vCPU Xeon, Python 3.11.7: in process,
+# ten medians, each of 7 runs of 200 samples).
 MAX_SAMPLES = 1000
 
 
@@ -207,7 +204,7 @@ def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     product with x0, then the same run shifted right once for the product
     with x1.  Columns follow x0^d, x0^(d-1)*x1, ..., x0^2*x1^(d-2).
     """
-    return tuple(row[:-1] for row in point.block[2 * _KEY_I:])
+    return tuple(row[:-1] for row in excluded_block(point)[2 * _KEY_I:])
 
 
 def structural_rank_bound(n: int, d: int) -> int:
@@ -250,7 +247,7 @@ def differential_rank(point: FamilyPoint, mode: str = "exact",
         raise ValueError(f"unknown rank mode {mode!r}")
     n, d = point.n, point.d
     ambient = comb(n + d, d)
-    return RankReport.of(ambient - d + rank(point.block), ambient)
+    return RankReport.of(ambient - d + rank(excluded_block(point)), ambient)
 
 
 class RedundancyReport(NamedTuple):
@@ -272,7 +269,7 @@ def redundancy_check(point: FamilyPoint) -> RedundancyReport:
     offenders are reported per (i, j) pair.  At a family point the check
     passes: structural_rank_bound certifies it for every point at once.
     """
-    block = point.block
+    block = excluded_block(point)
     failures = tuple((i, j) for i in range(_KEY_I) for j in (0, 1)
                      if (i, j) != (1, 0) and any(block[2 * i + j][:-1]))
     return RedundancyReport(ok=not failures, failures=failures)

@@ -125,8 +125,9 @@ class TestVerifyLemma:
         assert code == 74, err
         assert "Traceback" not in err
 
-    def test_one_block_per_sample(self, capsys, monkeypatch):
-        # key_matrix and differential_rank read the block the point keeps
+    def test_two_blocks_per_sample(self, capsys, monkeypatch):
+        # a point keeps no block, so key_matrix and differential_rank each
+        # build one, and nothing else does
         import toricdegen.family
         build = toricdegen.family.excluded_block
         built = []
@@ -135,7 +136,7 @@ class TestVerifyLemma:
         code, _out, _err = run(capsys, "verify-lemma", "--n", "3", "--d", "6",
                                "--seed", "5", "--samples", "3")
         assert code == 0
-        assert len(built) == 3
+        assert len(built) == 6
 
 
 class TestWitness:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -117,6 +119,26 @@ class TestRecords:
         assert RedundancyReport(True, ())
         assert redundancy_check(sample_family(2, 3, Random(1))) == \
             RedundancyReport(ok=True, failures=())
+
+    def test_family_point(self):
+        point = sample_family(3, 5, Random(7))
+        assert isinstance(point, tuple) and point._fields == ("n", "d", "poly")
+        assert point.to_poly() is point.poly
+        for name in point._fields:
+            with pytest.raises(AttributeError):
+                setattr(point, name, getattr(point, name))
+        again = sample_family(3, 5, Random(7))
+        assert again == point and hash(again) == hash(point)
+        assert point != sample_family(3, 5, Random(8))
+        third = FamilyPoint(3, 5, dict.fromkeys(point.poly.support(),
+                                                Fraction(1, 3)))
+        assert {third.coeff(u) for u in point.poly.support()} == {Fraction(1, 3)}
+        assert all(type(third.coeff(u)) is Fraction
+                   for u in point.poly.support())
+        for p in (point, third):
+            for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+                assert twin == p and hash(twin) == hash(p)
+                assert type(twin) is FamilyPoint
 
     def test_exclusion_set(self):
         # a plain tuple of exponent tuples, and membership in closed form:
@@ -370,6 +392,7 @@ class TestDominancePoint:
         assert all(map(sweep_row_matches, rows))
 
     def test_block_is_built_once(self, monkeypatch):
+        # a point keeps no block, so each certificate builds it once
         import toricdegen.family
         build = toricdegen.family.excluded_block
         built = []
@@ -377,8 +400,8 @@ class TestDominancePoint:
                             lambda point: built.append(point) or build(point))
         point = dominance_point(3, 6)
         key_matrix(point), differential_rank(point), redundancy_check(point)
-        assert point.block == build(point)
-        assert built == [point]
+        assert excluded_block(point) == build(point)
+        assert built == [point] * 3
 
 
 class TestDifferentialRank:
@@ -514,9 +537,7 @@ class TestRedundancy:
         coeffs[(2, 1, 0)] = Fraction(1)
         with pytest.raises(DomainError):
             FamilyPoint(2, 3, coeffs)
-        corrupted = object.__new__(FamilyPoint)
-        corrupted.n, corrupted.d = 2, 3
-        corrupted._poly = HomogPoly(2, 3, coeffs)
+        corrupted = tuple.__new__(FamilyPoint, (2, 3, HomogPoly(2, 3, coeffs)))
         report = redundancy_check(corrupted)
         assert not report.ok
         assert report.failures

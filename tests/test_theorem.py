@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -420,6 +424,21 @@ class TestRecords:
         assert check_record(WitnessBundle, fields) == bundle
         assert list(fields) == ["n", "d", "point", "omega", "initial",
                                 "verdict", "dominance"]
+
+    def test_witness_bundle_prints_the_same_in_every_run(self):
+        # every field prints by value, so one seed gives one text in two
+        # fresh interpreters, and no memory address leaks into it
+        code = ("from random import Random\n"
+                "from toricdegen import existence_witness\n"
+                "print(repr(existence_witness(3, 5, Random(1))))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        texts = [subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120).stdout for _ in range(2)]
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("WitnessBundle(n=3, d=5, point=FamilyPoint(")
+        assert " at 0x" not in texts[0]
 
     def test_strata_survey(self):
         survey = check_record(StrataSurvey,

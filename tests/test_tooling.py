@@ -1,13 +1,15 @@
 """Repository checks that guard the library's own conventions."""
 
 import ast
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "toricdegen"
@@ -192,12 +194,22 @@ def _members(node: ast.ClassDef) -> set[str]:
             if not (name.startswith("__") and name.endswith("__"))}
 
 
+def test_record_members_read_from_namedtuple_bases():
+    tree = ast.parse((SRC / "family.py").read_text())
+    node = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "FamilyPoint")
+    assert _members(node) == {"n", "d", "poly", "coeff", "to_poly"}
+    assert {label for _sub, label in _definitions(tree, set())
+            if label.startswith("FamilyPoint.")} == {"FamilyPoint.coeff",
+                                                     "FamilyPoint.to_poly"}
+
+
 # members that another library class also defines, so an attribute read
 # cannot tell whose member it uses.  Each was checked by hand: HomogPoly.coeff
 # is read by cones.stratum_system, FamilyPoint.coeff and acceptance
 # criterion 4, FamilyPoint.coeff by family.excluded_block, and
-# BinomialPattern.n by cones.stratum_system.  A new one fails the scan until
-# it is checked too
+# BinomialPattern.n, a name that HomogPoly and FamilyPoint hold too, by
+# cones.stratum_system.  A new one fails the scan until it is checked too
 AMBIGUOUS_MEMBERS = {"coeff", "n"}
 
 
@@ -236,6 +248,62 @@ def test_every_library_definition_is_used():
                              f"{label}")
     assert not found, "definitions nothing else uses: " + ", ".join(found)
     assert ambiguous == AMBIGUOUS_MEMBERS, "members to check by hand"
+
+
+# classes that are neither records nor exceptions, each with the reason
+NOT_RECORDS = {
+    "poly.HomogPoly": "a validated term map in __slots__, set only by "
+                      "__init__; the one slots class",
+    "cli._ArgParser": "argparse's parser with exit code 64; it holds no value",
+}
+
+
+def _is_record(cls: type) -> bool:
+    """Whether cls is a NamedTuple, or a namedtuple(...) subclass whose
+    every class below tuple declares empty __slots__: a tuple whose
+    instances hold no attribute dict, so nothing can be set on them."""
+    if not (issubclass(cls, tuple) and hasattr(cls, "_fields")):
+        return False
+    mro = cls.__mro__
+    return all(vars(c).get("__slots__") == () for c in mro[:mro.index(tuple)])
+
+
+def test_every_library_class_is_a_record_or_an_exception():
+    # a value that can change after it is built, such as a cache kept on an
+    # instance, goes stale for a later reader and compares by identity, so
+    # a new mutable record fails here
+    seen, found = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        module = importlib.import_module(
+            "toricdegen" + ("" if path.stem == "__init__" else f".{path.stem}"))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                label = f"{path.stem}.{node.name}"
+                cls = getattr(module, node.name)
+                seen.add(label)
+                if not (issubclass(cls, BaseException) or _is_record(cls)
+                        or label in NOT_RECORDS):
+                    found.append(label)
+    assert not found, "classes that are not records: " + ", ".join(found)
+    assert set(NOT_RECORDS) <= seen, "stale entries in NOT_RECORDS"
+
+
+def test_record_check_refuses_a_settable_namedtuple():
+    class Typed(NamedTuple):
+        x: int
+
+    class Sealed(namedtuple("Sealed", "x")):
+        __slots__ = ()
+
+    class Open(namedtuple("Open", "x")):
+        pass
+
+    class Slots:
+        __slots__ = ("x",)
+
+    assert _is_record(Typed) and _is_record(Sealed)
+    assert not _is_record(Open) and not _is_record(Slots)
+    assert not _is_record(tuple)
 
 
 def test_library_reads_every_parameter():
