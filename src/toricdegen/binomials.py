@@ -73,6 +73,11 @@ class BinomialPattern(namedtuple("BinomialPattern", "u v a b")):
             raise DegreeError("binomial coefficients must be nonzero")
         return tuple.__new__(cls, (u, v, a, b))
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates like the constructor
+        return cls(*iterable)
+
     @property
     def n(self) -> int:
         return len(self.u) - 1

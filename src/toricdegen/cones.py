@@ -56,6 +56,11 @@ class LinearSystem(namedtuple("LinearSystem",
                         f"functional {f} has length {len(f)}, expected {dim}")
         return tuple.__new__(cls, (dim, equalities, weak_ineqs, strict_ineqs))
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates like the constructor
+        return cls(*iterable)
+
     def constraints(self) -> Iterable[tuple[str, int, Functional]]:
         for i, f in enumerate(self.equalities):
             yield "eq", i, f

@@ -23,7 +23,8 @@ form the banded key matrix, and the last column x0*x1^(d-1), which also
 holds the spike of row (1, 0).  structural_rank_bound certifies from the
 support that the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every
 family point, and that rows (0, 0), (0, 1) and (1, 1) vanish off the last
-column, which is the redundancy claim.
+column, which is the redundancy claim.  So wherever the spike is nonzero,
+the block's rank is 1 + the key matrix's (check_spike).
 
 The support reads only the face, the 1 + (n-1)*d non-excluded exponents one
 product step from the excluded ones (face_exponents): x1^d and
@@ -116,6 +117,11 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
             raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
         return tuple.__new__(cls, (n, d, poly))
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates like the constructor
+        return cls(*iterable)
+
     def coeff(self, u: Exponent) -> RatLike:
         """The coefficient of x^u: an int when it is integral, so that
         integer points give integer blocks, and a Fraction otherwise."""
@@ -127,9 +133,9 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
 
 
 # Most sampled family members a certificate draws; a larger count adds
-# nothing the maximum needs.  A verify-lemma sample at (5, 12) builds and
-# ranks two blocks in 0.5-1.0 ms (2-vCPU Xeon, Python 3.11.7: in process,
-# ten medians, each of 7 runs of 200 samples).
+# nothing the maximum needs.  A verify-lemma sample at (5, 12) draws a
+# point and ranks its key matrix in 0.25-0.48 ms (2-vCPU Xeon, Python
+# 3.11.7: in process, ten medians, each of 7 runs of 200 samples).
 MAX_SAMPLES = 1000
 
 
@@ -233,6 +239,22 @@ def structural_rank_bound(n: int, d: int) -> int:
             f"block support at n={n}, d={d} meets {rows} key rows and {cols} "
             f"columns, not min(d-1, 2n-2) = {min(d - 1, 2 * n - 2)}")
     return comb(n + d, d) - d + 1 + min(d - 1, 2 * n - 2)
+
+
+def check_spike(point: FamilyPoint) -> None:
+    """Raise CertificateError if c[x1^d] = 0 at point.
+
+    Off the last column only the key rows of the block can be nonzero
+    (structural_rank_bound), so every other row is a multiple of the unit
+    vector on that column, and row (1, 0) is the spike d*c[x1^d] times it.
+    Where the spike is nonzero it spans that vector, so
+    rank(excluded_block(point)) = 1 + rank(key_matrix(point)).
+    """
+    n, d = point.n, point.d
+    if not point.coeff((0, d) + (0,) * (n - 1)):
+        raise CertificateError(
+            f"c[x1^{d}] = 0 at a sampled point at n={n}, d={d}, so its block "
+            f"does not rank 1 + its key matrix")
 
 
 def differential_rank(point: FamilyPoint, mode: str = "exact",

@@ -86,9 +86,10 @@ class HomogPoly:
     validated map from exponents to nonzero Fractions, in descending
     graded-lex order.  It has no arithmetic.
 
-    Immutable by convention: no method mutates an instance.  The empty map
-    is representable, but parse_poly and initial_form reject the zero
-    polynomial with ZeroPolynomialError.
+    Immutable: __init__ sets the three slots, and any later assignment or
+    deletion raises AttributeError.  The empty map is representable, but
+    parse_poly and initial_form reject the zero polynomial with
+    ZeroPolynomialError.
     """
 
     __slots__ = ("n", "d", "_terms")
@@ -109,10 +110,23 @@ class HomogPoly:
             c = Fraction(c)
             if c:
                 clean[u] = c
-        self.n = n
-        self.d = d
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         # descending graded-lex; dicts preserve insertion order
-        self._terms = {u: clean[u] for u in sorted(clean, reverse=True)}
+        object.__setattr__(self, "_terms",
+                           {u: clean[u] for u in sorted(clean, reverse=True)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set "
+                             f"{name!r} to {value!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot "
+                             f"delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting slots
+        return (HomogPoly, (self.n, self.d, dict(self._terms)))
 
     @classmethod
     def monomial(cls, u: Sequence[int], coeff: RatLike = 1) -> "HomogPoly":

@@ -195,7 +195,8 @@ def check_record(cls, fields: dict, defaults: dict | None = None):
     stored form; `defaults` maps the fields that may be omitted to their
     default values.  Keyword and positional construction must give equal
     records with equal hashes; leaving out the defaulted fields must give
-    the defaults.  A NamedTuple record must refuse attribute assignment.
+    the defaults.  A NamedTuple record must refuse attribute assignment,
+    and _replace with no change must give an equal record of its type.
     """
     by_name = cls(**fields)
     by_position = cls(*fields.values())
@@ -215,6 +216,8 @@ def check_record(cls, fields: dict, defaults: dict | None = None):
             pass
         else:
             raise AssertionError(f"{cls.__name__} accepted an attribute assignment")
+        same = by_name._replace()
+        assert same == by_name and type(same) is cls, cls.__name__
     return by_name
 
 

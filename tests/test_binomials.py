@@ -124,6 +124,11 @@ class TestRecords:
         with pytest.raises(DimensionMismatchError):
             BinomialPattern((1, 0), (0, 0, 1))
 
+    def test_binomial_pattern_replace_validates(self):
+        # _replace builds through _make, which runs the constructor
+        with pytest.raises(DimensionMismatchError):
+            BinomialPattern((1, 0, 2), (0, 3, 0))._replace(u=(5, 5))
+
 
 class TestClassifyPoly:
     def test_not_two_terms(self):

@@ -125,18 +125,41 @@ class TestVerifyLemma:
         assert code == 74, err
         assert "Traceback" not in err
 
-    def test_two_blocks_per_sample(self, capsys, monkeypatch):
-        # a point keeps no block, so key_matrix and differential_rank each
-        # build one, and nothing else does
+    def test_one_block_per_sample(self, capsys, monkeypatch):
+        # the block ranks 1 + its key matrix, so key_matrix builds the one
+        # block of each sample, and the command ranks nothing else
         import toricdegen.family
+        import toricdegen.linalg
         build = toricdegen.family.excluded_block
-        built = []
+        rank_of = toricdegen.linalg.rank
+        built, ranked = [], []
         monkeypatch.setattr(toricdegen.family, "excluded_block",
                             lambda point: built.append(point) or build(point))
+        monkeypatch.setattr(toricdegen.linalg, "rank",
+                            lambda rows: ranked.append(rows) or rank_of(rows))
         code, _out, _err = run(capsys, "verify-lemma", "--n", "3", "--d", "6",
                                "--seed", "5", "--samples", "3")
         assert code == 0
-        assert len(built) == 6
+        assert len(built) == len(set(built)) == len(ranked) == 3
+
+    def test_zero_spike_is_certificate_failure(self, capsys, monkeypatch):
+        # a point with c[x1^d] = 0 breaks the identity the command ranks by;
+        # sampling never draws one, so only a wrong sampler gets there
+        import toricdegen.family
+        sample = toricdegen.family.sample_family
+
+        def spikeless(n, d, rng, bound):
+            coeffs = dict(sample(n, d, rng, bound).poly.terms())
+            del coeffs[(0, d) + (0,) * (n - 1)]
+            return toricdegen.family.FamilyPoint(n, d, coeffs)
+
+        monkeypatch.setattr(toricdegen.family, "sample_family", spikeless)
+        code, out, err = run(capsys, "verify-lemma", "--n", "3", "--d", "5",
+                             "--seed", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("certificate failure: c[x1^5] = 0")
+        assert "n=3, d=5" in err and err.endswith("(seed 4)\n")
 
 
 class TestWitness:

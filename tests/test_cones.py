@@ -103,6 +103,11 @@ class TestRecords:
         with pytest.raises(DimensionMismatchError):
             LinearSystem(3, **{group: (F(1, -1, 0), F(1, -1))})
 
+    def test_linear_system_replace_validates(self):
+        # _replace builds through _make, which runs the constructor
+        with pytest.raises(DimensionMismatchError):
+            LinearSystem(2)._replace(weak_ineqs=((1, 2, 3),))
+
     def test_feasibility_result(self):
         check_record(FeasibilityResult,
                      {"feasible": False, "witness": None,

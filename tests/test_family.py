@@ -34,7 +34,7 @@ from toricdegen import (
     weight_of,
     witness_weight,
 )
-from toricdegen.family import _block_support
+from toricdegen.family import _block_support, check_spike
 from toricdegen.poly import MAX_AMBIENT
 from helpers import (
     apply_linear_change,
@@ -139,6 +139,17 @@ class TestRecords:
             for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
                 assert twin == p and hash(twin) == hash(p)
                 assert type(twin) is FamilyPoint
+
+    def test_replace_validates(self):
+        # _replace builds through _make, which runs the constructor: left to
+        # tuple.__new__, this point ranked as RankReport(rank=46, ambient=55,
+        # codim=9) with no error
+        point = sample_family(3, 5, Random(1))
+        with pytest.raises(DimensionMismatchError):
+            point._replace(n=2, d=9)
+        with pytest.raises(DimensionMismatchError):
+            FamilyPoint._make((2, 9, point.poly))
+        assert FamilyPoint._make(point) == point
 
     def test_exclusion_set(self):
         # a plain tuple of exponent tuples, and membership in closed form:
@@ -483,6 +494,32 @@ class TestDifferentialRank:
             report = differential_rank(point, "probabilistic", rng)
             expected = (report.ambient - d) + 1 + rank(key_matrix(point))
             assert report.rank == expected
+
+    @pytest.mark.parametrize("bound", [2, 3, 1000])
+    def test_block_ranks_one_above_the_key_matrix(self, bound):
+        # the identity verify-lemma ranks by: off the key rows the block
+        # holds only the spike d*c[x1^d], which sampling never draws as 0,
+        # so it adds exactly 1 to the key rank, even where small bounds
+        # leave the key rank short of min(d-1, 2n-2)
+        rng = Random(bound)
+        for n in range(2, 6):
+            for d in range(2, 11):
+                for _ in range(3):
+                    point = sample_family(n, d, rng, bound)
+                    check_spike(point)
+                    assert rank(excluded_block(point)) == \
+                        1 + rank(key_matrix(point)), (n, d, bound)
+
+    def test_zero_spike_breaks_the_identity_and_is_refused(self):
+        # with c[x1^d] = 0 the block ranks as its key matrix does, so
+        # check_spike refuses the point
+        n, d = 3, 5
+        coeffs = dict(sample_family(n, d, Random(3)).poly.terms())
+        del coeffs[(0, d, 0, 0)]
+        point = FamilyPoint(n, d, coeffs)
+        assert rank(excluded_block(point)) == rank(key_matrix(point)) == 4
+        with pytest.raises(CertificateError, match=r"c\[x1\^5\] = 0"):
+            check_spike(point)
 
     def test_monotonic_bound_on_adversarial_points(self):
         # valid family points with many zero / repeated coefficients

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import time
 from fractions import Fraction
@@ -38,6 +40,29 @@ class TestConstruct:
     def test_length_checked_before_sign(self):
         with pytest.raises(DimensionMismatchError):
             HomogPoly(2, 3, {(4, -1): 1})
+
+    def test_slots_refuse_assignment(self):
+        # a point hashes by its polynomial, so a reassigned slot would move
+        # the point in every set and dict that holds it
+        f = parse_poly("x0^2 - 3*x1*x2", 2, 2)
+        for name in ("n", "d", "_terms"):
+            value = getattr(f, name)
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        assert (f.n, f.d) == (2, 2) and format_poly(f) == "x0^2 - 3*x1*x2"
+
+    def test_copy_and_pickle_round_trip(self):
+        # they rebuild through __init__, since the slots refuse setattr
+        f = parse_poly("x0^2 - 3/2*x1*x2", 2, 2)
+        for twin in (copy.copy(f), copy.deepcopy(f),
+                     pickle.loads(pickle.dumps(f))):
+            assert type(twin) is HomogPoly
+            assert twin == f and hash(twin) == hash(f)
+            assert list(twin.terms()) == list(f.terms())
 
     def test_no_arithmetic(self):
         # a term map, not an algebra: nothing the certificates run adds,

@@ -153,12 +153,18 @@ def _namedtuple_fields(base: ast.expr) -> set[str] | None:
     return None
 
 
+def _called_by_name(name: str) -> bool:
+    """Whether the interpreter or a base class calls this method by name:
+    a dunder, or _make, which namedtuple's _replace calls."""
+    return name.startswith("__") and name.endswith("__") or name == "_make"
+
+
 def _definitions(tree: ast.Module, library_classes: set[str]):
     """Every top-level def and class, and every named method, classmethod
     and property of a class whose bases are all library classes, NamedTuple
-    or namedtuple(...); dunders are called by the interpreter, and a base
-    from elsewhere, such as argparse.ArgumentParser, may call a method by
-    name."""
+    or namedtuple(...); dunders and _make are called by name
+    (_called_by_name), and a base from elsewhere, such as
+    argparse.ArgumentParser, may call a method by name."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
@@ -170,14 +176,13 @@ def _definitions(tree: ast.Module, library_classes: set[str]):
                 for base in node.bases):
             yield from ((sub, f"{node.name}.{sub.name}") for sub in node.body
                         if isinstance(sub, ast.FunctionDef)
-                        and not (sub.name.startswith("__")
-                                 and sub.name.endswith("__")))
+                        and not _called_by_name(sub.name))
 
 
 def _members(node: ast.ClassDef) -> set[str]:
     """The names a class defines for its instances: methods and properties,
-    __slots__ entries, and NamedTuple and namedtuple(...) fields; dunders
-    excepted."""
+    __slots__ entries, and NamedTuple and namedtuple(...) fields; those
+    called by name (_called_by_name) excepted."""
     names = set()
     for base in node.bases:
         names |= _namedtuple_fields(base) or set()
@@ -190,8 +195,7 @@ def _members(node: ast.ClassDef) -> set[str]:
                 isinstance(t, ast.Name) and t.id == "__slots__"
                 for t in sub.targets):
             names |= set(ast.literal_eval(sub.value))
-    return {name for name in names
-            if not (name.startswith("__") and name.endswith("__"))}
+    return {name for name in names if not _called_by_name(name)}
 
 
 def test_record_members_read_from_namedtuple_bases():
@@ -256,6 +260,23 @@ NOT_RECORDS = {
                       "__init__; the one slots class",
     "cli._ArgParser": "argparse's parser with exit code 64; it holds no value",
 }
+# NOT_RECORDS entries whose attributes may be set: argparse sets its own
+SETTABLE = {"cli._ArgParser"}
+
+
+def _refuses_assignment(cls: type) -> bool:
+    """Whether setting or deleting each slot of cls, and a name it lacks,
+    raises AttributeError on an instance.  The instance is made without
+    __init__, so no constructor arguments are needed."""
+    obj = object.__new__(cls)
+    for name in (*vars(cls).get("__slots__", ()), "unknown"):
+        for act in (lambda: setattr(obj, name, 0), lambda: delattr(obj, name)):
+            try:
+                act()
+            except AttributeError:
+                continue
+            return False
+    return True
 
 
 def _is_record(cls: type) -> bool:
@@ -271,8 +292,10 @@ def _is_record(cls: type) -> bool:
 def test_every_library_class_is_a_record_or_an_exception():
     # a value that can change after it is built, such as a cache kept on an
     # instance, goes stale for a later reader and compares by identity, so
-    # a new mutable record fails here
-    seen, found = set(), []
+    # a new mutable record fails here.  A record that validates in __new__
+    # must validate in _make too, which _replace builds through, and a
+    # class that is not a record must still refuse assignment
+    seen, found, unvalidated, settable = set(), [], [], []
     for path in sorted(SRC.rglob("*.py")):
         module = importlib.import_module(
             "toricdegen" + ("" if path.stem == "__init__" else f".{path.stem}"))
@@ -284,7 +307,17 @@ def test_every_library_class_is_a_record_or_an_exception():
                 if not (issubclass(cls, BaseException) or _is_record(cls)
                         or label in NOT_RECORDS):
                     found.append(label)
+                if _is_record(cls) and "__new__" in vars(cls) \
+                        and "_make" not in vars(cls):
+                    unvalidated.append(label)
+                if label in NOT_RECORDS.keys() - SETTABLE \
+                        and not _refuses_assignment(cls):
+                    settable.append(label)
     assert not found, "classes that are not records: " + ", ".join(found)
+    assert not unvalidated, "records whose _make skips __new__: " + \
+        ", ".join(unvalidated)
+    assert not settable, "classes that accept assignment: " + \
+        ", ".join(settable)
     assert set(NOT_RECORDS) <= seen, "stale entries in NOT_RECORDS"
 
 
@@ -339,7 +372,7 @@ def test_traced_benchmark_child_runs(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     names = {span[2] for span in json.loads(trace.read_text())["spans"]}
-    assert "family.differential_rank" in names
+    assert "family.key_matrix" in names
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
