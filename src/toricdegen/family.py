@@ -16,9 +16,10 @@ contains x2..xn, so the block built by excluded_block holds the 2(n+1)
 rows (i, 0) and (i, 1).
 
 Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i, so it can be nonzero
-at some family point only where u is not excluded.  Those positions, the
-block's support, follow from the exponents alone (_block_support): the key
-rows (i, 0) and (i, 1) for i >= 2 on the first d - 1 columns, where they
+at some family point only where u is not excluded.  Every block reads its u
+from one table per (n, d), _block_steps, whose entries with u not excluded,
+the block's support (_block_support), follow from the exponents alone: the
+key rows (i, 0) and (i, 1) for i >= 2 on the first d - 1 columns, where they
 form the banded key matrix, and the last column x0*x1^(d-1), which also
 holds the spike of row (1, 0).  structural_rank_bound certifies from the
 support that the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every
@@ -69,23 +70,21 @@ def _excluded(u: Exponent) -> bool:
     return u[0] > 0 and not any(u[2:])
 
 
-def _step(w: Exponent, i: int, j: int) -> Exponent:
-    """w - e_j + e_i: the exponent whose term, differentiated by x_i and
-    multiplied by x_j, lands on x^w."""
-    u = list(w)
-    u[j] -= 1
-    u[i] += 1
-    return tuple(u)
+@lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
+def _block_steps(n: int, d: int) -> tuple[tuple[int, int, int, Exponent], ...]:
+    """(i, j, k, u) for every excluded w_k, every j with w_k[j] >= 1 (only
+    j <= 1 occurs, but every j is scanned) and every i: block entry
+    ((i, j), w_k) is u_i * c[u] for u = w_k - e_j + e_i, and the rest are 0."""
+    return tuple((i, j, k, v[:i] + (v[i] + 1,) + v[i + 1:])
+                 for k, w in enumerate(excluded_exponents(n, d))
+                 for j in range(n + 1) if w[j]
+                 for v in [w[:j] + (w[j] - 1,) + w[j + 1:]] for i in range(n + 1))
 
 
 def _block_support(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
-    """The block entries that can be nonzero at some family point: (i, j, k)
-    to u = w_k - e_j + e_i, for every excluded w_k with w_k[j] >= 1 and every
-    i, where u is not excluded.  Entry ((i, j), w_k) is u_i * c[u], and a
-    family point has c[u] = 0 on every excluded u."""
-    return {(i, j, k): u for k, w in enumerate(excluded_exponents(n, d))
-            for j in range(n + 1) if w[j] for i in range(n + 1)
-            if not _excluded(u := _step(w, i, j))}
+    """The block entries that can be nonzero at some family point: the steps
+    (i, j, k) to u of _block_steps with u not excluded; c is 0 on excluded u."""
+    return {(i, j, k): u for i, j, k, u in _block_steps(n, d) if not _excluded(u)}
 
 
 @lru_cache(maxsize=None)
@@ -191,14 +190,13 @@ def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     excluded_exponents order.  Products with j >= 2 have none.
 
     Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
-    and 0 otherwise.  Every such u is read, excluded ones included, so a
-    point built past the constructor's check shows in the block.
+    and 0 otherwise.  Every u in _block_steps, one table per (n, d), is read,
+    excluded ones included: a point built past the constructor's check shows.
     """
-    excluded = excluded_exponents(point.n, point.d)
-    return tuple(
-        tuple((w[i] + (i != j)) * point.coeff(_step(w, i, j)) if w[j] else 0
-              for w in excluded)
-        for i in range(point.n + 1) for j in (0, 1))
+    block = [[0] * point.d for _ in range(2 * point.n + 2)]
+    for i, j, k, u in _block_steps(point.n, point.d):
+        block[2 * i + j][k] = u[i] * point.coeff(u)
+    return tuple(map(tuple, block))
 
 
 def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:

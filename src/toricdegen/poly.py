@@ -86,15 +86,15 @@ class HomogPoly:
     validated map from exponents to nonzero Fractions, in descending
     graded-lex order.  It has no arithmetic.
 
-    Immutable: __init__ sets the three slots, and any later assignment or
-    deletion raises AttributeError.  The empty map is representable, but
-    parse_poly and initial_form reject the zero polynomial with
-    ZeroPolynomialError.
+    Immutable: __new__ sets the three slots, with no __init__ to run again,
+    and any later assignment or deletion raises AttributeError.  The empty
+    map is representable, but parse_poly and initial_form reject the zero
+    polynomial with ZeroPolynomialError.
     """
 
     __slots__ = ("n", "d", "_terms")
 
-    def __init__(self, n: int, d: int, terms: Mapping[Exponent, RatLike]):
+    def __new__(cls, n: int, d: int, terms: Mapping[Exponent, RatLike]):
         if n < 0 or d < 0:
             raise DimensionMismatchError(f"invalid shape n={n}, d={d}")
         clean: dict[Exponent, Fraction] = {}
@@ -110,11 +110,13 @@ class HomogPoly:
             c = Fraction(c)
             if c:
                 clean[u] = c
+        self = super().__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         # descending graded-lex; dicts preserve insertion order
         object.__setattr__(self, "_terms",
                            {u: clean[u] for u in sorted(clean, reverse=True)})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set "
@@ -125,7 +127,7 @@ class HomogPoly:
                              f"delete {name!r}")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting slots
+        # copy and pickle rebuild through __new__, not by setting slots
         return (HomogPoly, (self.n, self.d, dict(self._terms)))
 
     @classmethod

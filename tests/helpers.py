@@ -41,7 +41,7 @@ from toricdegen import (
 )
 from toricdegen.binomials import check_listing_budget, listed_pairs
 from toricdegen.poly import Exponent, RatLike, _format_monomial, iter_exponents
-from toricdegen.family import _check_domain
+from toricdegen.family import _check_domain, _excluded
 from toricdegen.theorem import _check_shape, _spike_exponents
 
 
@@ -820,6 +820,34 @@ def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(toricdegen.theorem, "sample_family", sample)
     return draws
+
+
+def step_reference(w: Exponent, i: int, j: int) -> Exponent:
+    """w - e_j + e_i: the exponent whose term, differentiated by x_i and
+    multiplied by x_j, lands on x^w."""
+    u = list(w)
+    u[j] -= 1
+    u[i] += 1
+    return tuple(u)
+
+
+def excluded_block_reference(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
+    """family.excluded_block entry by entry, with no step table: u_i * c[u]
+    at ((i, j), w) for u = w - e_j + e_i when w_j >= 1, and 0 otherwise."""
+    excluded = excluded_exponents(point.n, point.d)
+    return tuple(
+        tuple((w[i] + (i != j)) * point.coeff(step_reference(w, i, j))
+              if w[j] else 0 for w in excluded)
+        for i in range(point.n + 1) for j in (0, 1))
+
+
+def block_support_reference(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
+    """family._block_support by a scan of its own: (i, j, k) to
+    u = w_k - e_j + e_i for every excluded w_k with w_k[j] >= 1 and every
+    i, where u is not excluded."""
+    return {(i, j, k): u for k, w in enumerate(excluded_exponents(n, d))
+            for j in range(n + 1) if w[j] for i in range(n + 1)
+            if not _excluded(u := step_reference(w, i, j))}
 
 
 @contextmanager

@@ -38,8 +38,10 @@ from toricdegen.family import _block_support, check_spike
 from toricdegen.poly import MAX_AMBIENT
 from helpers import (
     apply_linear_change,
+    block_support_reference,
     check_record,
     differential_generators,
+    excluded_block_reference,
     full_span_rank,
     patched_support,
     rank_sparse_exact,
@@ -243,6 +245,67 @@ class TestBlockSupport:
             with pytest.raises(CertificateError, match=reason):
                 structural_rank_bound(3, 5)
         assert structural_rank_bound(3, 5) == comb(8, 5) - 5 + 1 + 4
+
+
+def _typed(matrix):
+    return [(type(e), e) for row in matrix for e in row]
+
+
+class TestBlockSteps:
+    GRID = [(n, d) for n in range(2, 7) for d in range(2, 15)]
+
+    @staticmethod
+    def _points(n, d, rng):
+        """A sampled point, its third, and a point off the family built past
+        the constructor, nonzero on every excluded exponent as well."""
+        point = sample_family(n, d, rng)
+        terms = dict(point.to_poly().terms())
+        third = FamilyPoint(n, d, {u: Fraction(1, 3) * c
+                                   for u, c in terms.items()})
+        terms.update({w: k + 2 for k, w in enumerate(excluded_exponents(n, d))})
+        return point, third, tuple.__new__(FamilyPoint,
+                                           (n, d, HomogPoly(n, d, terms)))
+
+    def test_matches_the_dense_references(self):
+        rng = Random(41)
+        for n, d in self.GRID:
+            support = block_support_reference(n, d)
+            assert _block_support(n, d) == support, (n, d)
+            assert face_exponents(n, d) == \
+                tuple(sorted(set(support.values()), reverse=True)), (n, d)
+            for point in self._points(n, d, rng):
+                block = excluded_block_reference(point)
+                assert _typed(excluded_block(point)) == _typed(block), (n, d)
+                assert _typed(key_matrix(point)) == \
+                    _typed(row[:-1] for row in block[4:]), (n, d)
+
+    def test_one_table_per_shape(self, capsys):
+        import toricdegen.family as family
+        from toricdegen.cli import main
+
+        def misses(run):
+            family._block_steps.cache_clear()
+            family.face_exponents.cache_clear()
+            run()
+            return family._block_steps.cache_info().misses
+
+        assert misses(lambda: threshold_sweep(4, 10)) == 27
+        for argv in (["verify-lemma", "--n", "5", "--d", "12", "--seed", "1"],
+                     ["witness", "--n", "5", "--d", "9"],
+                     ["nonexist", "--n", "3", "--d", "6"]):
+            assert misses(lambda: main(argv)) == 1, argv
+            assert capsys.readouterr().err == "", argv
+
+    def test_points_of_one_shape_share_the_table(self):
+        import toricdegen.family as family
+        rng = Random(42)
+        points = [sample_family(5, 12, rng) for _ in range(10)]
+        family._block_steps.cache_clear()
+        counts = []
+        for point in points:
+            excluded_block(point)
+            counts.append(family._block_steps.cache_info().misses)
+        assert counts == [1] * 10
 
 
 class TestSampling:

@@ -55,8 +55,17 @@ class TestConstruct:
             f.extra = 1
         assert (f.n, f.d) == (2, 2) and format_poly(f) == "x0^2 - 3*x1*x2"
 
+    def test_init_cannot_rebuild_a_point(self):
+        # the slots are set in __new__, so a second __init__ call on a built
+        # polynomial has nothing to reset
+        from toricdegen import differential_rank
+        point = sample_family(3, 5, Random(1))
+        before = hash(point), differential_rank(point)
+        point.poly.__init__(3, 5, {(0, 5, 0, 0): 1})
+        assert (hash(point), differential_rank(point)) == before
+
     def test_copy_and_pickle_round_trip(self):
-        # they rebuild through __init__, since the slots refuse setattr
+        # they rebuild through __new__, since the slots refuse setattr
         f = parse_poly("x0^2 - 3/2*x1*x2", 2, 2)
         for twin in (copy.copy(f), copy.deepcopy(f),
                      pickle.loads(pickle.dumps(f))):

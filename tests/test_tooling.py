@@ -257,7 +257,8 @@ def test_every_library_definition_is_used():
 # classes that are neither records nor exceptions, each with the reason
 NOT_RECORDS = {
     "poly.HomogPoly": "a validated term map in __slots__, set only by "
-                      "__init__; the one slots class",
+                      "__new__, with no __init__ to reset them; the one "
+                      "slots class",
     "cli._ArgParser": "argparse's parser with exit code 64; it holds no value",
 }
 # NOT_RECORDS entries whose attributes may be set: argparse sets its own
@@ -294,8 +295,9 @@ def test_every_library_class_is_a_record_or_an_exception():
     # instance, goes stale for a later reader and compares by identity, so
     # a new mutable record fails here.  A record that validates in __new__
     # must validate in _make too, which _replace builds through, and a
-    # class that is not a record must still refuse assignment
-    seen, found, unvalidated, settable = set(), [], [], []
+    # class that is not a record must still refuse assignment, and have no
+    # __init__ that a second call could use to reset a built instance
+    seen, found, unvalidated, settable, reinit = set(), [], [], [], []
     for path in sorted(SRC.rglob("*.py")):
         module = importlib.import_module(
             "toricdegen" + ("" if path.stem == "__init__" else f".{path.stem}"))
@@ -313,11 +315,16 @@ def test_every_library_class_is_a_record_or_an_exception():
                 if label in NOT_RECORDS.keys() - SETTABLE \
                         and not _refuses_assignment(cls):
                     settable.append(label)
+                if label in NOT_RECORDS.keys() - SETTABLE \
+                        and "__init__" in vars(cls):
+                    reinit.append(label)
     assert not found, "classes that are not records: " + ", ".join(found)
     assert not unvalidated, "records whose _make skips __new__: " + \
         ", ".join(unvalidated)
     assert not settable, "classes that accept assignment: " + \
         ", ".join(settable)
+    assert not reinit, "classes whose __init__ can reset them: " + \
+        ", ".join(reinit)
     assert set(NOT_RECORDS) <= seen, "stale entries in NOT_RECORDS"
 
 
