@@ -91,7 +91,7 @@ def _kv_lines(payload: dict, prefix: str = "") -> Iterator[str]:
 
 def cmd_verify_lemma(args) -> None:
     n, d = args.n, args.d
-    family._check_domain(n, d)
+    poly.check_domain(n, d)
     family.check_samples(args.samples)
     rng = Random(args.seed)
     ambient = comb(n + d, d)

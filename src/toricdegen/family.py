@@ -43,24 +43,17 @@ from typing import Mapping, NamedTuple
 
 from .errors import CertificateError, DomainError
 from .linalg import RankReport, rank
-from .poly import Exponent, HomogPoly, RatLike, check_ambient
+from .poly import Exponent, HomogPoly, RatLike, check_domain
 
 # The key rows of the block are (i, 0) and (i, 1) for i >= _KEY_I, block
 # rows 2 * _KEY_I onward.
 _KEY_I = 2
 
 
-def _check_domain(n: int, d: int) -> None:
-    if n < 2 or d < 2:
-        raise DomainError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    check_ambient(n, d)
-
-
-@lru_cache(maxsize=None)
 def excluded_exponents(n: int, d: int) -> tuple[Exponent, ...]:
     """The d excluded exponents x0^(d-k)*x1^k, 0 <= k <= d-1, descending
     graded-lex (x0^d first)."""
-    _check_domain(n, d)
+    check_domain(n, d)
     return tuple((d - k, k) + (0,) * (n - 1) for k in range(d))
 
 
@@ -87,7 +80,7 @@ def _block_support(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
     return {(i, j, k): u for i, j, k, u in _block_steps(n, d) if not _excluded(u)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
 def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
     """The exponents whose coefficients excluded_block reads, excluded ones
     aside: the exponents of the block's support.  They are x1^d and
@@ -107,7 +100,7 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
 
     def __new__(cls, n: int, d: int,
                 coeffs: Mapping[Exponent, RatLike] | HomogPoly):
-        _check_domain(n, d)
+        check_domain(n, d)
         if isinstance(coeffs, HomogPoly):  # copy and pickle pass poly back
             coeffs = dict(coeffs.terms())
         poly = HomogPoly(n, d, coeffs)
@@ -157,7 +150,7 @@ def sample_family(n: int, d: int, rng: Random, bound: int = 1000) -> FamilyPoint
     face weighs strictly less than x1^d.  A rank at any point bounds the generic rank
     from below, so a face point certifies as much as a dense one.
     """
-    _check_domain(n, d)
+    check_domain(n, d)
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
     coeffs = {}
@@ -175,7 +168,7 @@ def dominance_point(n: int, d: int) -> FamilyPoint:
     2k+1, so the key rank is min(d-1, 2n-2), and row (1, 0) is the spike
     d on the last column: the point attains structural_rank_bound.
     """
-    _check_domain(n, d)
+    check_domain(n, d)
     coeffs = {tuple(d if i == 1 else 0 for i in range(n + 1)): 1}
     for k in range(min(n - 2, (d - 1) // 2) + 1):
         u = [0] * (n + 1)

@@ -81,6 +81,14 @@ def check_ambient(n: int, d: int) -> None:
             f"limit of {MAX_AMBIENT}")
 
 
+def check_domain(n: int, d: int) -> None:
+    """Reject n < 2 or d < 2, the certificates' domain, then run
+    check_ambient."""
+    if n < 2 or d < 2:
+        raise DomainError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+    check_ambient(n, d)
+
+
 class HomogPoly:
     """Homogeneous polynomial of fixed degree with exact coefficients: a
     validated map from exponents to nonzero Fractions, in descending

@@ -26,21 +26,13 @@ from math import comb, factorial
 from random import Random
 from typing import Iterator, NamedTuple
 
-# read through its module: the sweep never classifies, so never runs it
-from . import binomials
+# read through their modules, which run on first use: the sweep never
+# classifies, so never runs binomials, and the survey never ranks, so never
+# runs family or linalg
+from . import binomials, family, linalg
 from .errors import CertificateError, DomainError, GenericityError
-from .family import (
-    FamilyPoint,
-    _check_domain,
-    check_samples,
-    differential_rank,
-    dominance_point,
-    sample_family,
-    structural_rank_bound,
-)
-from .linalg import RankReport
-from .poly import (MAX_AMBIENT, Exponent, HomogPoly, WeightVector, initial_form,
-                   weight_vector)
+from .poly import (MAX_AMBIENT, Exponent, HomogPoly, WeightVector,
+                   check_domain, initial_form, weight_vector)
 
 
 def witness_weight(n: int, d: int) -> WeightVector:
@@ -49,7 +41,7 @@ def witness_weight(n: int, d: int) -> WeightVector:
     The fixed solution is (d, d-1, 0, -1, ..., -(n-2)); both properties are
     re-checked before returning.
     """
-    _check_domain(n, d)
+    check_domain(n, d)
     w = weight_vector([d, d - 1] + [-k for k in range(n - 1)])
     if not all(a > b for a, b in zip(w, w[1:])):
         raise CertificateError(f"witness weight {w} is not strictly decreasing")
@@ -61,11 +53,11 @@ def witness_weight(n: int, d: int) -> WeightVector:
 class WitnessBundle(NamedTuple):
     n: int
     d: int
-    point: FamilyPoint
+    point: family.FamilyPoint
     omega: WeightVector
     initial: HomogPoly
     verdict: binomials.PrimeVerdict
-    dominance: RankReport
+    dominance: linalg.RankReport
 
 
 def _spike_exponents(n: int, d: int) -> tuple[Exponent, Exponent]:
@@ -89,7 +81,7 @@ def existence_witness(n: int, d: int, rng: Random,
     the top weight d(d-1), so any one draw serves and a failure is a fault.
     """
     omega = witness_weight(n, d)
-    point = sample_family(n, d, rng, bound)
+    point = family.sample_family(n, d, rng, bound)
     init = initial_form(point.to_poly(), omega)
     if set(init.support()) != set(_spike_exponents(n, d)):
         raise CertificateError(
@@ -102,7 +94,7 @@ def existence_witness(n: int, d: int, rng: Random,
                          dominance=dominance_certificate(n, d))
 
 
-def dominance_certificate(n: int, d: int) -> RankReport:
+def dominance_certificate(n: int, d: int) -> linalg.RankReport:
     """Exact differential-rank report at dominance_point(n, d), whose rank
     is the generic rank, certified from both sides.
 
@@ -114,8 +106,8 @@ def dominance_certificate(n: int, d: int) -> RankReport:
     of the degree-d coefficient space.  Raises CertificateError unless the
     rank meets the bound, or the support fails to certify it.
     """
-    report = differential_rank(dominance_point(n, d))
-    target = structural_rank_bound(n, d)
+    report = family.differential_rank(family.dominance_point(n, d))
+    target = family.structural_rank_bound(n, d)
     if report.rank != target:
         raise CertificateError(
             f"rank {report.rank} at the dominance point of n={n}, d={d} "
@@ -247,7 +239,7 @@ def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
     is kept for callers that pass True, and any other value raises
     DomainError.
     """
-    _check_domain(n, d)
+    check_domain(n, d)
     if full is not True:
         raise DomainError("the strata survey is always full")
     identity = tuple(range(n + 1))
@@ -300,16 +292,17 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     redrawn, and after 1 + _RESAMPLE_BUDGET such draws GenericityError is
     raised.
     """
-    _check_domain(n, d)
+    check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
-    check_samples(samples)
-    target = structural_rank_bound(n, d)
+    family.check_samples(samples)
+    target = family.structural_rank_bound(n, d)
     codim_bound = d - 2 * n + 1
     sampled = []
     for _ in range(samples):
         for _ in range(1 + _RESAMPLE_BUDGET):
-            report = differential_rank(sample_family(n, d, rng, bound))
+            point = family.sample_family(n, d, rng, bound)
+            report = family.differential_rank(point)
             if report.rank == target:
                 break
         else:
@@ -352,7 +345,7 @@ def threshold_sweep(n_max: int, d_max: int) -> list[SweepRow]:
     """
     if n_max < 2 or d_max < 2:
         raise DomainError("need n_max >= 2 and d_max >= 2")
-    _check_domain(n_max, d_max)
+    check_domain(n_max, d_max)
     entries = (2 * sum((n + 1) ** 2 for n in range(2, n_max + 1))
                * sum(range(2, d_max + 1)))
     if entries > MAX_AMBIENT:

@@ -40,8 +40,9 @@ from toricdegen import (
     verify_certificate,
 )
 from toricdegen.binomials import check_listing_budget, listed_pairs
-from toricdegen.poly import Exponent, RatLike, _format_monomial, iter_exponents
-from toricdegen.family import _check_domain, _excluded
+from toricdegen.poly import (Exponent, RatLike, _format_monomial, check_domain,
+                             iter_exponents)
+from toricdegen.family import _excluded
 from toricdegen.theorem import _check_shape, _spike_exponents
 
 
@@ -545,7 +546,7 @@ def strata_reduction_check(n: int, d: int, g: BinomialPattern,
     _check_shape, and its verdict is returned.  Raises DomainError unless
     the ordering is a permutation of 0..n.
     """
-    _check_domain(n, d)
+    check_domain(n, d)
     if not classify(g).is_prime:
         raise DomainError("strata reduction applies to prime patterns only")
     if sum(g.u) != d or g.n != n:
@@ -807,9 +808,10 @@ def full_span_rank(point: FamilyPoint) -> int:
 
 
 def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
-    """Make theorem.sample_family return the face point x1^d + x0^(d-1)*x2,
+    """Make family.sample_family return the face point x1^d + x0^(d-1)*x2,
     whose key rank is below the structural bound, so no draw is generic.
     Returns the list of draws, one (n, d) per call."""
+    import toricdegen.family
     import toricdegen.theorem
     draws = []
 
@@ -818,7 +820,7 @@ def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
         x1d, lead = toricdegen.theorem._spike_exponents(n, d)
         return FamilyPoint(n, d, {x1d: 1, lead: 1})
 
-    monkeypatch.setattr(toricdegen.theorem, "sample_family", sample)
+    monkeypatch.setattr(toricdegen.family, "sample_family", sample)
     return draws
 
 

@@ -46,12 +46,10 @@ def run_closed(*argv):
 def _forbid_enumeration_and_sampling(monkeypatch):
     import toricdegen.binomials
     import toricdegen.family
-    import toricdegen.theorem
-    # None makes any call fail the test; cli reads sample_family from
-    # family, and theorem holds its own copy of the name
+    # None makes any call fail the test; cli and theorem read sample_family
+    # from family
     monkeypatch.setattr(toricdegen.binomials, "iter_exponents", None)
-    for module in (toricdegen.family, toricdegen.theorem):
-        monkeypatch.setattr(module, "sample_family", None)
+    monkeypatch.setattr(toricdegen.family, "sample_family", None)
 
 
 class TestVerifyLemma:

@@ -307,6 +307,16 @@ class TestBlockSteps:
             counts.append(family._block_steps.cache_info().misses)
         assert counts == [1] * 10
 
+    def test_every_cache_holds_one_shape(self):
+        # every caller works on one (n, d) at a time, so a cache holding more
+        # shapes only grows with the sweep's grid
+        import toricdegen.family as family
+        sizes = {name: obj.cache_parameters()["maxsize"]
+                 for name, obj in vars(family).items()
+                 if hasattr(obj, "cache_parameters")}
+        assert {"_block_steps", "face_exponents"} <= set(sizes)
+        assert sizes == dict.fromkeys(sizes, 1)
+
 
 class TestSampling:
     def test_nonzero_exactly_on_face(self):
@@ -454,13 +464,11 @@ class TestDominancePoint:
 
     def test_sweep_samples_nothing(self, monkeypatch):
         import toricdegen.family
-        import toricdegen.theorem
 
         def refuse(*args):
             raise AssertionError("the sweep sampled a family point")
 
-        for module in (toricdegen.family, toricdegen.theorem):
-            monkeypatch.setattr(module, "sample_family", refuse)
+        monkeypatch.setattr(toricdegen.family, "sample_family", refuse)
         rows = threshold_sweep(4, 10)
         assert len(rows) == 27
         assert all(map(sweep_row_matches, rows))

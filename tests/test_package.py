@@ -106,3 +106,15 @@ def test_command_runs_only_its_layers(argv, layers):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == layers + "\n"
+
+
+def test_strata_survey_runs_only_its_layers():
+    # the strata reduction is binomial combinatorics: the survey never ranks
+    probe = _PROBE.replace(
+        "code = toricdegen.cli.main(sys.argv[1:]) if sys.argv[1:] else 0",
+        "code = not toricdegen.strata_survey(3, 7).passed")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "binomials poly theorem\n"

@@ -92,8 +92,8 @@ class TestExistenceWitness:
 
     def test_dominance_is_the_certificate(self, monkeypatch):
         # one draw per witness, at every bound; the report is (n, d)'s own
-        sample, draws = toricdegen.theorem.sample_family, []
-        monkeypatch.setattr(toricdegen.theorem, "sample_family",
+        sample, draws = toricdegen.family.sample_family, []
+        monkeypatch.setattr(toricdegen.family, "sample_family",
                             lambda *args: draws.append(args) or sample(*args))
         for n in range(2, 7):
             for d in range(2, 14):
@@ -381,7 +381,7 @@ class TestNonexistence:
         assert report.strata_checked == 2630 * 120  # patterns x 5!
 
     def test_stray_support_fails_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(toricdegen.theorem, "sample_family", None)
+        monkeypatch.setattr(toricdegen.family, "sample_family", None)
         with patched_support(lambda s: {**s, (0, 1, 1): s[2, 0, 0]}):
             with pytest.raises(CertificateError, match="the key rows"):
                 nonexistence_certificate(2, 4, 3, Random(1))

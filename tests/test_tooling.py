@@ -110,6 +110,50 @@ def test_relative_imports_seen_in_both_forms():
                                              (2, "theorem")]
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree: ast.AST):
+    """(line, name) for each private name read from another library module:
+    `_name` in `from .module import _name`, and `layer._name` where
+    `from . import layer` binds layer."""
+    layers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            bound = [alias.asname or alias.name for alias in node.names]
+            if node.module is None:
+                layers.update(bound)
+            else:
+                yield from ((node.lineno, f"{node.module}.{alias.name}")
+                            for alias in node.names if _is_private(alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in layers and _is_private(node.attr)):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+def test_no_library_module_reads_another_modules_private_name():
+    # a private name is its module's own; another layer that needs it reads
+    # a public one, so each rule has one home (tests may read private oracles)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _private_reads(tree)]
+    assert not found, "private names read across modules: " + ", ".join(found)
+
+
+def test_private_reads_seen_in_both_forms():
+    tree = ast.parse("from .family import _excluded, sample_family\n"
+                     "from . import poly, theorem as t\n"
+                     "poly._format_monomial, t._swap_pair, poly.__name__\n"
+                     "t.strata_survey, other._x\n")
+    assert list(_private_reads(tree)) == [(1, "family._excluded"),
+                                          (3, "poly._format_monomial"),
+                                          (3, "t._swap_pair")]
+
+
 def test_budget_constants_named_in_readme():
     # every module-level MAX_* budget is a limit users can hit; the README
     # names each one, not only its value
