@@ -31,8 +31,8 @@ for n, d in [(2, 2), (2, 3), (3, 3), (4, 8)]:
     if count != len(patterns):
         raise SystemExit(f"closed-form count {count} != {len(patterns)}")
     for g in patterns[:4]:
-        lhs = format_poly(HomogPoly.monomial(g.u))
-        rhs = format_poly(HomogPoly.monomial(g.v))
+        lhs = format_poly(HomogPoly(n, d, {g.u: 1}))
+        rhs = format_poly(HomogPoly(n, d, {g.v: 1}))
         print(f"   {lhs} - {rhs}")
     if len(patterns) > 4:
         print("   ...")

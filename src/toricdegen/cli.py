@@ -8,13 +8,14 @@ codes come from the exception a command raises, never from its return:
 generic rank (nonexist, verify-lemma), or CertificateError, a wrong
 certificate (a sweep row off d <= 2n - 1, a verify-lemma rank above the
 law, a verify-lemma sample with c[x1^d] = 0, whose block rank its key rank
-does not give); 64 UsageError; 74 stdout closed before the output ended
-(EX_IOERR).  Every exit 2 and 64 names its cause on stderr, an exit 2 line
-ending with "(seed S)"; 1 comes only from an uncaught exception, which is a
-bug.  JSON is printed as json.dumps(payload, indent=2) by the standard
-library's encoder; only the enumerate-binomials listing is streamed, row by
-row as it is drawn, so after exit 2 or 74 stdout may stop partway through
-it.
+does not give); 64 UsageError, or a bad command line, whose argparse
+exit 2 main maps to 64; 74 stdout closed before the output ended
+(EX_IOERR).  main alone chooses the status.  Every exit 2 and 64 names its
+cause on stderr, an exit 2 line ending with "(seed S)"; 1 comes only from
+an uncaught exception, which is a bug.  JSON is printed as
+json.dumps(payload, indent=2) by the standard library's encoder; only the
+enumerate-binomials listing is streamed, row by row as it is drawn, so
+after exit 2 or 74 stdout may stop partway through it.
 """
 
 from __future__ import annotations
@@ -238,8 +239,6 @@ def _pattern_rows(n: int, d: int, count: int, table: bool) -> Iterator[str]:
 
 
 def cmd_enumerate(args) -> None:
-    if args.n < 1 or args.d < 1:
-        raise DomainError(f"need n >= 1 and d >= 1, got n={args.n}, d={args.d}")
     count = binomials.check_listing_budget(args.n, args.d)
     payload = {
         "n": args.n,
@@ -263,12 +262,6 @@ def cmd_nonexist(args) -> None:
 # ---------------------------------------------------------------------------
 # parser
 
-class _ArgParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(64, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # each flag is declared once, on a parent; a command takes its flags in
     # the order of its parents
@@ -291,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--f", required=True, help="polynomial text")
     pair.add_argument("--g", required=True, help="two-term polynomial text")
 
-    parser = _ArgParser(prog="toricdegen", description="Exact certificates "
-                        "for toric degenerations of general hypersurfaces.")
+    parser = argparse.ArgumentParser(
+        prog="toricdegen", description="Exact certificates for toric "
+        "degenerations of general hypersurfaces.")
     subs = parser.add_subparsers(dest="command", required=True)
     sampled = (nd, common, samples, bound)
     for name, func, parents, text in (
@@ -321,7 +315,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 64
+        # argparse exits 0 after --help and 2 on a bad command line
+        return 64 if exc.code else 0
     try:
         try:
             args.func(args)

@@ -138,11 +138,6 @@ class HomogPoly:
         # copy and pickle rebuild through __new__, not by setting slots
         return (HomogPoly, (self.n, self.d, dict(self._terms)))
 
-    @classmethod
-    def monomial(cls, u: Sequence[int], coeff: RatLike = 1) -> "HomogPoly":
-        u = tuple(u)
-        return cls(len(u) - 1, sum(u), {u: coeff})
-
     def terms(self) -> Iterator[tuple[Exponent, Fraction]]:
         return iter(self._terms.items())
 

@@ -343,8 +343,6 @@ def threshold_sweep(n_max: int, d_max: int) -> list[SweepRow]:
     block of (n+1)-entry exponents, so a grid whose rows hold more than
     MAX_AMBIENT exponent entries in all raises DomainError before any row.
     """
-    if n_max < 2 or d_max < 2:
-        raise DomainError("need n_max >= 2 and d_max >= 2")
     check_domain(n_max, d_max)
     entries = (2 * sum((n + 1) ** 2 for n in range(2, n_max + 1))
                * sum(range(2, d_max + 1)))

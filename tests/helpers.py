@@ -59,6 +59,12 @@ def random_poly(rng: Random, n: int, d: int, max_terms: int = 6) -> HomogPoly:
     return HomogPoly(n, d, terms)
 
 
+def monomial(u: Sequence[int], coeff: RatLike = 1) -> HomogPoly:
+    """The term coeff * x^u, in len(u) variables."""
+    u = tuple(u)
+    return HomogPoly(len(u) - 1, sum(u), {u: coeff})
+
+
 def random_weight(rng: Random, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                  for _ in range(n + 1))
@@ -173,7 +179,7 @@ def apply_linear_change(f: HomogPoly, matrix: Sequence[Sequence[RatLike]]) -> Ho
 
     total: dict[Exponent, Fraction] = {}
     for u, c in f.terms():
-        piece = HomogPoly.monomial((0,) * size)
+        piece = monomial((0,) * size)
         for i, e in enumerate(u):
             if e:
                 piece = multiply(piece, power(i, e))
@@ -744,12 +750,12 @@ def differential_generators(point: FamilyPoint) -> list[Generator]:
     gens: list[Generator] = []
     for u in iter_exponents(n, d):
         if u not in excluded:
-            gens.append(Generator("monomial", u, HomogPoly.monomial(u)))
+            gens.append(Generator("monomial", u, monomial(u)))
     f = point.to_poly()
     partials = [partial_derivative(f, i) for i in range(n + 1)]
     for i in range(n + 1):
         for j in range(n + 1):
-            xj = HomogPoly.monomial(tuple(1 if t == j else 0 for t in range(n + 1)))
+            xj = monomial(tuple(1 if t == j else 0 for t in range(n + 1)))
             gens.append(Generator("product", (i, j), multiply(partials[i], xj)))
     return gens
 

@@ -21,8 +21,8 @@ from toricdegen import (
 )
 from toricdegen.binomials import (check_listing_budget, count_prime_patterns,
                                   prime_pairs, shape_pattern_count)
-from helpers import (_support, brute_prime_pairs, check_record, multiply,
-                     ordered_prime_pairs, pattern_poly, permute_poly,
+from helpers import (_support, brute_prime_pairs, check_record, monomial,
+                     multiply, ordered_prime_pairs, pattern_poly, permute_poly,
                      shape_count, support_shapes)
 
 
@@ -134,7 +134,7 @@ class TestClassifyPoly:
     def test_not_two_terms(self):
         f = parse_poly("x0^2 + x0*x1 + x1^2", 1, 2)
         assert classify_poly(f).tag == "NotTwoTerms"
-        assert classify_poly(HomogPoly.monomial((2, 0))).tag == "NotTwoTerms"
+        assert classify_poly(monomial((2, 0))).tag == "NotTwoTerms"
 
     def test_prime_poly(self):
         assert classify_poly(parse_poly("x1^3 + x0^2*x2", 2, 3)).tag == "Prime"
@@ -154,7 +154,7 @@ class TestFactorizationWitnesses:
                 tuple(a - b for a, b in zip(g.u, e)): g.a,
                 tuple(a - b for a, b in zip(g.v, e)): g.b,
             })
-            assert multiply(HomogPoly.monomial(e), reduced) == pattern_poly(g)
+            assert multiply(monomial(e), reduced) == pattern_poly(g)
 
     def test_proper_power_difference_factors(self):
         # with coefficients 1, -1 a joint gcd k factors as A^k - B^k
@@ -166,12 +166,12 @@ class TestFactorizationWitnesses:
             k = verdict.power
             a_exp = tuple(e // k for e in g.u)
             b_exp = tuple(e // k for e in g.v)
-            a = HomogPoly.monomial(a_exp)
-            b = HomogPoly.monomial(b_exp)
+            a = monomial(a_exp)
+            b = monomial(b_exp)
             linear = HomogPoly(g.n, sum(a_exp), {a_exp: 1, b_exp: -1})
             terms = {}
             for i in range(k):
-                piece = HomogPoly.monomial(tuple(0 for _ in a_exp), 1)
+                piece = monomial(tuple(0 for _ in a_exp))
                 for _ in range(i):
                     piece = multiply(piece, a)
                 for _ in range(k - 1 - i):

@@ -15,8 +15,9 @@ import pytest
 import toricdegen.cli as cli
 import toricdegen.errors
 from toricdegen import (CertificateError, UsageError, differential_rank,
-                        key_matrix, parse_poly, pattern_from_poly, rank,
-                        sample_family, solve, stratum_system)
+                        enumerate_patterns, key_matrix, parse_poly,
+                        pattern_from_poly, rank, sample_family, solve,
+                        stratum_system)
 from toricdegen.cli import build_parser, main
 from helpers import (forbid_pattern_generation, listing_payload,
                      listing_table, patched_support, stuck_sampler)
@@ -226,7 +227,7 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--n-max", "1", "--d-max", "3")
         assert code == 64
         assert out == ""
-        assert "n_max >= 2" in err
+        assert "need n >= 2 and d >= 2, got n=1, d=3" in err
 
 
 class TestClassify:
@@ -256,6 +257,7 @@ class TestClassify:
     @pytest.mark.parametrize("command", [
         ("classify", "--poly", "x0 + x1"),
         ("stratum", "--f", "x0 + x1", "--g", "x0 - x1"),
+        ("enumerate-binomials",),
     ])
     @pytest.mark.parametrize("nd", [("1", "-1"), ("-1", "1")])
     def test_negative_n_or_d_is_usage(self, capsys, command, nd):
@@ -354,6 +356,20 @@ class TestEnumerate:
             frozenset(((2, 0, 0), (0, 1, 1))),
             frozenset(((0, 2, 0), (1, 0, 1))),
             frozenset(((0, 0, 2), (1, 1, 0)))}
+
+    @pytest.mark.parametrize("n,d", [(0, 3), (2, 0)])
+    def test_zero_n_or_d_lists_nothing(self, capsys, n, d):
+        # check_ambient admits n, d >= 0, as for enumerate_patterns
+        code, out, _ = run(capsys, "enumerate-binomials", "--n", str(n),
+                           "--d", str(d))
+        assert code == 0
+        assert json.loads(out) == {"n": n, "d": d, "count": 0,
+                                   "patterns": enumerate_patterns(n, d)}
+        assert enumerate_patterns(n, d) == []
+        code, out, _ = run(capsys, "enumerate-binomials", "--n", str(n),
+                           "--d", str(d), "--format", "table")
+        assert code == 0
+        assert out == f"n = {n}\nd = {d}\ncount = 0\n"
 
     def test_builds_no_pattern_objects(self, capsys, monkeypatch):
         # monomials are formatted from exponent tuples; None makes any
@@ -840,6 +856,41 @@ class TestParser:
         assert calls.pop(("-h", "--help")) == 1 + len(USAGE)
         assert "--seed" in {name for names in calls for name in names}
         assert set(calls.values()) == {1}, calls
+
+
+class TestParserErrors:
+    """argparse reports a bad command line with its usage and exit 2, which
+    main maps to 64; --help exits 0."""
+
+    @pytest.mark.parametrize("name", USAGE)
+    def test_missing_required_flag(self, capsys, name):
+        code, out, err = run(capsys, name)
+        required = USAGE[name].split(" [")[0].split()[::2]
+        assert code == 64
+        assert out == ""
+        assert err == (_commands()[1][name].format_usage()
+                       + f"toricdegen {name}: error: the following arguments "
+                       f"are required: {', '.join(required)}\n")
+
+    @pytest.mark.parametrize("name", USAGE)
+    def test_unknown_flag(self, capsys, name):
+        # the subcommand leaves --bogus over, and the top-level parser,
+        # which parses the rest, reports it
+        required = [word if word.startswith("--") else "1"
+                    for word in USAGE[name].split(" [")[0].split()]
+        code, out, err = run(capsys, name, *required, "--bogus")
+        assert code == 64
+        assert out == ""
+        assert err == (_commands()[0].format_usage() + "toricdegen: error: "
+                       "unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv", [("--help",),
+                                      *[(name, "--help") for name in USAGE]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: toricdegen")
+        assert err == ""
 
 
 class TestHarness:

@@ -43,6 +43,7 @@ from helpers import (
     differential_generators,
     excluded_block_reference,
     full_span_rank,
+    monomial,
     patched_support,
     rank_sparse_exact,
     sparse_rows,
@@ -628,7 +629,7 @@ class TestRedundancy:
         point = sample_family(2, 4, Random(20))
         gens = differential_generators(point)
         rows = [g.poly for g in gens if g.kind == "monomial"]
-        rows.append(HomogPoly.monomial(excluded_exponents(2, 4)[-1]))
+        rows.append(monomial(excluded_exponents(2, 4)[-1]))
         verdicts = []
         for g in gens:
             i, j = g.origin if g.kind == "product" else (None, None)

@@ -22,13 +22,9 @@ from toricdegen import (
     weight_of,
     witness_weight,
 )
-from helpers import (SingularMatrixError, apply_linear_change, multiply,
-                     partial_derivative, permute_poly, random_poly,
+from helpers import (SingularMatrixError, apply_linear_change, monomial,
+                     multiply, partial_derivative, permute_poly, random_poly,
                      roundtrip_text)
-
-
-def mono(u, c=1):
-    return HomogPoly.monomial(u, c)
 
 
 class TestConstruct:
@@ -218,7 +214,7 @@ class TestInitialForm:
         assert initial_form(f, (0, 0, 0)) == f
 
     def test_single_term(self):
-        f = mono((1, 2, 0), 7)
+        f = monomial((1, 2, 0), 7)
         for w in [(1, 0, 0), (-3, 5, 2)]:
             assert initial_form(f, w) == f
 
@@ -229,18 +225,19 @@ class TestInitialForm:
 
 class TestDerivative:
     def test_power_rule(self):
-        assert partial_derivative(mono((2, 0, 1)), 0) == mono((1, 0, 1), 2)
+        assert partial_derivative(monomial((2, 0, 1)), 0) == \
+            monomial((1, 0, 1), 2)
 
     def test_absent_variable(self):
-        assert partial_derivative(mono((0, 3, 0)), 0).is_zero()
+        assert partial_derivative(monomial((0, 3, 0)), 0).is_zero()
 
     def test_linearity(self):
         f = parse_poly("x0^2*x2 + x1^3", 2, 3)
-        assert partial_derivative(f, 1) == mono((0, 2, 0), 3)
+        assert partial_derivative(f, 1) == monomial((0, 2, 0), 3)
 
     def test_index_range(self):
         with pytest.raises(VariableIndexError):
-            partial_derivative(mono((1, 1)), 2)
+            partial_derivative(monomial((1, 1)), 2)
 
 
 class TestMultiply:
@@ -251,12 +248,12 @@ class TestMultiply:
 
     def test_monomial_shift(self):
         f = parse_poly("x0*x1 + x1^2", 2, 2)
-        shifted = multiply(f, mono((1, 0, 0)))
+        shifted = multiply(f, monomial((1, 0, 0)))
         assert shifted.support() == ((2, 1, 0), (1, 2, 0))
 
     def test_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            multiply(mono((1, 0)), mono((1, 0, 0)))
+            multiply(monomial((1, 0)), monomial((1, 0, 0)))
 
 
 def matmul(a, b):
@@ -275,8 +272,8 @@ class TestLinearChange:
     def test_permutation_matrix(self):
         # x0 <- x1, x1 <- x2, x2 <- x0
         perm_matrix = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-        out = apply_linear_change(mono((2, 0, 1)), perm_matrix)
-        assert out == mono((1, 2, 0))
+        out = apply_linear_change(monomial((2, 0, 1)), perm_matrix)
+        assert out == monomial((1, 2, 0))
 
     def test_composition_law(self):
         rng = Random(4)
@@ -292,7 +289,7 @@ class TestLinearChange:
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            apply_linear_change(mono((1, 1)), [[1, 1], [1, 1]])
+            apply_linear_change(monomial((1, 1)), [[1, 1], [1, 1]])
 
     def test_constant_maps_to_itself(self):
         const = HomogPoly(1, 0, {(0, 0): 5})
@@ -301,7 +298,7 @@ class TestLinearChange:
 
     def test_expands_substitution(self):
         # x0 <- x0 + x1 in x0^2 gives x0^2 + 2 x0 x1 + x1^2
-        out = apply_linear_change(mono((2, 0)), [[1, 1], [0, 1]])
+        out = apply_linear_change(monomial((2, 0)), [[1, 1], [0, 1]])
         assert out == parse_poly("x0^2 + 2*x0*x1 + x1^2", 1, 2)
 
 

@@ -207,8 +207,8 @@ def _definitions(tree: ast.Module, library_classes: set[str]):
     """Every top-level def and class, and every named method, classmethod
     and property of a class whose bases are all library classes, NamedTuple
     or namedtuple(...); dunders and _make are called by name
-    (_called_by_name), and a base from elsewhere, such as
-    argparse.ArgumentParser, may call a method by name."""
+    (_called_by_name), and a base from elsewhere, such as an exception's,
+    may call a method by name."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
@@ -303,10 +303,7 @@ NOT_RECORDS = {
     "poly.HomogPoly": "a validated term map in __slots__, set only by "
                       "__new__, with no __init__ to reset them; the one "
                       "slots class",
-    "cli._ArgParser": "argparse's parser with exit code 64; it holds no value",
 }
-# NOT_RECORDS entries whose attributes may be set: argparse sets its own
-SETTABLE = {"cli._ArgParser"}
 
 
 def _refuses_assignment(cls: type) -> bool:
@@ -356,11 +353,9 @@ def test_every_library_class_is_a_record_or_an_exception():
                 if _is_record(cls) and "__new__" in vars(cls) \
                         and "_make" not in vars(cls):
                     unvalidated.append(label)
-                if label in NOT_RECORDS.keys() - SETTABLE \
-                        and not _refuses_assignment(cls):
+                if label in NOT_RECORDS and not _refuses_assignment(cls):
                     settable.append(label)
-                if label in NOT_RECORDS.keys() - SETTABLE \
-                        and "__init__" in vars(cls):
+                if label in NOT_RECORDS and "__init__" in vars(cls):
                     reinit.append(label)
     assert not found, "classes that are not records: " + ", ".join(found)
     assert not unvalidated, "records whose _make skips __new__: " + \
@@ -495,6 +490,58 @@ def test_cli_runs_optimized_in_dev_mode():
         assert strict.returncode == 0, (argv, strict.stderr)
         assert strict.stderr == ""
         assert strict.stdout == plain.stdout, argv
+
+
+def _exits(tree: ast.Module, main: str | None = None):
+    """(line, text) for each exit outside the top-level function named main
+    and the __main__ guard: a call of exit, quit or any `.exit` or `._exit`,
+    and a raise of SystemExit."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == main or (
+                isinstance(node, ast.If)
+                and "__main__" in ast.unparse(node.test)):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and (
+                    isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in ("exit", "_exit")
+                    or isinstance(sub.func, ast.Name)
+                    and sub.func.id in ("exit", "quit")):
+                yield sub.lineno, ast.unparse(sub.func)
+            elif isinstance(sub, ast.Raise) and sub.exc is not None and any(
+                    isinstance(name, ast.Name) and name.id == "SystemExit"
+                    for name in ast.walk(sub.exc)):
+                yield sub.lineno, "raise SystemExit"
+
+
+def test_only_cli_main_chooses_an_exit_status():
+    # main maps each exception, and argparse's own exits, to a status, so
+    # no other library code ends the process or picks a status itself
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        main = "main" if path.name == "cli.py" else None
+        found += [f"{path.name}:{line} {text}"
+                  for line, text in _exits(tree, main)]
+    assert not found, "exits outside cli.main: " + ", ".join(found)
+
+
+def test_exits_seen_in_every_form():
+    tree = ast.parse("import os, sys\n"
+                     "class P:\n"
+                     "    def error(self, m):\n"
+                     "        self.exit(64, m)\n"
+                     "def f():\n"
+                     "    sys.exit(1); os._exit(1); exit(); quit()\n"
+                     "    raise SystemExit(3)\n"
+                     "def main():\n"
+                     "    sys.exit(0)\n"
+                     "if __name__ == '__main__':\n"
+                     "    sys.exit(main())\n")
+    assert set(_exits(tree, "main")) == {
+        (4, "self.exit"), (6, "sys.exit"), (6, "os._exit"), (6, "exit"),
+        (6, "quit"), (7, "raise SystemExit")}
+    assert (9, "sys.exit") in _exits(tree)
 
 
 def test_handlers_return_nothing():
