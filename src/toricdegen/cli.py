@@ -12,10 +12,11 @@ does not give); 64 UsageError, or a bad command line, whose argparse
 exit 2 main maps to 64; 74 stdout closed before the output ended
 (EX_IOERR).  main alone chooses the status.  Every exit 2 and 64 names its
 cause on stderr, an exit 2 line ending with "(seed S)"; 1 comes only from
-an uncaught exception, which is a bug.  JSON is printed as
-json.dumps(payload, indent=2) by the standard library's encoder; only the
-enumerate-binomials listing is streamed, row by row as it is drawn, so
-after exit 2 or 74 stdout may stop partway through it.
+an uncaught exception, which is a bug.  A payload is built whole and
+printed in one write, as json.dumps(payload, indent=2) or its table lines.
+Only cmd_enumerate streams: the enumerate-binomials listing is written row
+by row as it is drawn, in the text json.dumps would print, so after exit 2
+or 74 stdout may stop partway through it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from math import comb
 from random import Random
 from typing import Sequence
@@ -33,26 +35,6 @@ from typing import Sequence
 # a command runs only the layers it calls
 from . import binomials, cones, family, linalg, poly, theorem
 from .errors import CertificateError, DomainError, GenericityError, UsageError
-
-
-def _json_pieces(payload: dict) -> Iterator[str]:
-    """The text of json.dumps(payload, indent=2) plus a newline, in pieces.
-    A value that is an iterator, the listing's patterns, yields JSON rows
-    already laid out at depth 4, which are written as they are drawn."""
-    head = "{\n  "
-    for key, value in payload.items():
-        yield f"{head}{json.dumps(key)}: "
-        head = ",\n  "
-        if not isinstance(value, Iterator):
-            # strings are printed with \n escaped, so each newline is layout
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
-            continue
-        sep = "[\n    "
-        for row in value:
-            yield sep + row
-            sep = ",\n    "
-        yield "[]" if sep[0] == "[" else "\n  ]"
-    yield "{}\n" if head[0] == "{" else "\n}\n"
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -67,24 +49,21 @@ def _write(pieces: Iterable[str]) -> None:
     sys.stdout.write("".join(buf))
 
 
-def _emit(payload: dict, fmt: str, table_lines) -> None:
-    if fmt == "json":
-        _write(_json_pieces(payload))
-    else:
-        _write(line + "\n" for line in table_lines(payload))
-
-
 def _kv_lines(payload: dict, prefix: str = "") -> Iterator[str]:
-    """'key = value' lines; a value that is an iterator gives its own lines."""
+    """'key = value' lines; a dict's keys are prefixed with its own key."""
     for key, value in payload.items():
         if isinstance(value, dict):
             yield from _kv_lines(value, f"{prefix}{key}.")
-        elif isinstance(value, Iterator):
-            yield from value
         elif isinstance(value, (list, tuple)):
             yield f"{prefix}{key} = {json.dumps(value)}"
         else:
             yield f"{prefix}{key} = {value}"
+
+
+def _emit(payload: dict, fmt: str, table_lines=_kv_lines) -> None:
+    """Print a built payload in one write: its JSON or its table lines."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if fmt == "json"
+                     else "".join(line + "\n" for line in table_lines(payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +100,7 @@ def cmd_verify_lemma(args) -> None:
         "surjective": best.surjective,
         "method": best.method,
     }
-    _emit(payload, args.format, _kv_lines)
+    _emit(payload, args.format)
     # the key matrix's shape caps its rank at expected_min, so only a wrong
     # certificate gets past the law; codim falls as the key rank rises
     if best_key > expected_min:
@@ -149,7 +128,7 @@ def cmd_witness(args) -> None:
         "verdict": bundle.verdict._asdict(),
         "dominance": bundle.dominance._asdict(),
     }
-    _emit(payload, args.format, _kv_lines)
+    _emit(payload, args.format)
 
 
 def _sweep_table(payload: dict) -> list[str]:
@@ -186,7 +165,7 @@ def cmd_classify(args) -> None:
         "poly": poly.format_poly(f),
         "verdict": verdict._asdict(),
     }
-    _emit(payload, args.format, _kv_lines)
+    _emit(payload, args.format)
 
 
 def cmd_stratum(args) -> None:
@@ -210,7 +189,7 @@ def cmd_stratum(args) -> None:
                         [{"kind": kind, "index": idx, "multiplier": str(mult)}
                          for kind, idx, mult in result.certificate]),
     }
-    _emit(payload, args.format, _kv_lines)
+    _emit(payload, args.format)
 
 
 # one pattern's JSON row, nested at 4, from u's list, v's slots and lhs;
@@ -238,16 +217,27 @@ def _pattern_rows(n: int, d: int, count: int, table: bool) -> Iterator[str]:
         yield row % rhs if table else row % (*v, rhs)
 
 
+def _listing_json(head: dict, rows: Iterator[str]) -> Iterator[str]:
+    """The text of json.dumps({**head, "patterns": [...]}, indent=2) plus a
+    newline, in pieces: the rows, JSON already laid out at depth 4, go
+    between the list's brackets as they are drawn."""
+    # patterns is the last key, so its "[]" is the last in the text
+    start, end = json.dumps({**head, "patterns": []}, indent=2).rsplit("[]", 1)
+    yield start + "["
+    sep, close = "\n    ", "]"
+    for row in rows:
+        yield sep + row
+        sep, close = ",\n    ", "\n  ]"
+    yield close + end + "\n"
+
+
 def cmd_enumerate(args) -> None:
-    count = binomials.check_listing_budget(args.n, args.d)
-    payload = {
-        "n": args.n,
-        "d": args.d,
-        "count": count,
-        "patterns": _pattern_rows(args.n, args.d, count,
-                                  args.format == "table"),
-    }
-    _emit(payload, args.format, _kv_lines)
+    n, d = args.n, args.d
+    count = binomials.check_listing_budget(n, d)
+    head = {"n": n, "d": d, "count": count}
+    rows = _pattern_rows(n, d, count, args.format == "table")
+    _write(_listing_json(head, rows) if args.format == "json" else
+           (line + "\n" for line in chain(_kv_lines(head), rows)))
 
 
 def cmd_nonexist(args) -> None:
@@ -256,7 +246,7 @@ def cmd_nonexist(args) -> None:
     report = theorem.nonexistence_certificate(n, d, args.samples, rng,
                                               args.bound)
     payload = {"n": n, "d": d, "seed": args.seed, **report._asdict()}
-    _emit(payload, args.format, _kv_lines)
+    _emit(payload, args.format)
 
 
 # ---------------------------------------------------------------------------

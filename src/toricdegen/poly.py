@@ -46,13 +46,22 @@ _ZERO = Fraction(0)
 
 
 def iter_exponents(n: int, d: int) -> Iterator[Exponent]:
-    """All exponents of degree d in n+1 variables, descending graded-lex."""
-    if n == 0:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in iter_exponents(n - 1, d - first):
-            yield (first,) + rest
+    """All exponents of degree d in n+1 variables, descending graded-lex.
+
+    An odometer from (d, 0, ..., 0): each step takes one unit from the last
+    nonzero entry x_i before x_n, and x_(i+1) gets it plus all of x_n.
+    """
+    u = [d] + [0] * n
+    while True:
+        yield tuple(u)
+        i = n - 1
+        while i >= 0 and not u[i]:
+            i -= 1
+        if i < 0:
+            return
+        last, u[n] = u[n], 0
+        u[i] -= 1
+        u[i + 1] = last + 1
 
 
 # Largest ambient dimension C(n+d, d) admitted, which fixes the (n, d)

@@ -303,6 +303,18 @@ def brute_prime_pairs(n: int, d: int) -> set[frozenset]:
     return out
 
 
+def recursive_exponents(n: int, d: int) -> Iterator[Exponent]:
+    """Order oracle for iter_exponents: the first entry from d down to 0,
+    each followed by every exponent of the rest, recursing once per
+    variable."""
+    if n == 0:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in recursive_exponents(n - 1, d - first):
+            yield (first,) + rest
+
+
 def ordered_prime_pairs(n: int, d: int) -> list[tuple[Exponent, Exponent]]:
     """Order oracle for prime_pairs: every monomial pair (u, v) with u
     graded-lex before v, filtered on support bit masks and exponent gcds."""

@@ -246,6 +246,11 @@ class TestEnumerate:
                                                    "closed form counts 6"):
             enumerate_patterns(2, 3)
 
+    def test_many_variables_at_degree_zero(self):
+        # one monomial, so no pattern, however many variables
+        assert enumerate_patterns(1500, 0) == []
+        assert list(prime_pairs(1500, 0)) == []
+
     def test_shared_coefficients(self):
         pats = enumerate_patterns(3, 4)
         assert all(g.a is pats[0].a and g.b is pats[0].b for g in pats)

@@ -357,9 +357,10 @@ class TestEnumerate:
             frozenset(((0, 2, 0), (1, 0, 1))),
             frozenset(((0, 0, 2), (1, 1, 0)))}
 
-    @pytest.mark.parametrize("n,d", [(0, 3), (2, 0)])
+    @pytest.mark.parametrize("n,d", [(0, 3), (2, 0), (998, 0), (499999, 0)])
     def test_zero_n_or_d_lists_nothing(self, capsys, n, d):
-        # check_ambient admits n, d >= 0, as for enumerate_patterns
+        # check_ambient admits n, d >= 0, as for enumerate_patterns, and
+        # up to MAX_AMBIENT variables at d = 0
         code, out, _ = run(capsys, "enumerate-binomials", "--n", str(n),
                            "--d", str(d))
         assert code == 0
@@ -651,7 +652,8 @@ class TestContradictedClaims:
     def test_verify_lemma_above_the_law_is_certificate_failure(
             self, capsys, monkeypatch):
         import toricdegen.linalg
-        # family holds its own copy of rank, so only the key rank changes
+        # verify-lemma ranks only through cli's call of linalg.rank on the
+        # key matrix, so patching it changes the key rank alone
         monkeypatch.setattr(toricdegen.linalg, "rank", lambda rows: 10**6)
         code, out, err = run(capsys, "verify-lemma", "--n", "2", "--d", "4")
         assert code == 2

@@ -1,8 +1,7 @@
-"""Property tests: the CLI's JSON writer prints exactly what
-json.dumps(payload, indent=2) prints.  A built value goes through the
-standard library's encoder; a value that is an iterator, as only the
-enumerate-binomials listing is, yields rows of JSON text already laid out
-at depth 4, which are written as they are drawn."""
+"""Property tests: the enumerate-binomials listing writer prints exactly
+what json.dumps({**head, "patterns": items}, indent=2) prints, while its
+rows, JSON text already laid out at depth 4, are written as they are drawn.
+Every other payload is printed by json.dumps itself."""
 
 import json
 
@@ -28,10 +27,11 @@ _TREES = st.recursive(
                                st.dictionaries(_TEXT, children, max_size=4)),
     max_leaves=15)
 _PAYLOADS = st.dictionaries(_TEXT, _TREES, max_size=5)
-
-
-def _pieces_text(payload) -> str:
-    return "".join(cli._json_pieces(payload))
+# the listing's head: any payload but its patterns key, which the writer
+# adds last
+_HEADS = _PAYLOADS.map(lambda payload: {key: value for key, value
+                                        in payload.items()
+                                        if key != "patterns"})
 
 
 def _rows(items):
@@ -40,24 +40,22 @@ def _rows(items):
             for item in items)
 
 
+def _listing_text(head, items) -> str:
+    return "".join(cli._listing_json(head, _rows(items)))
+
+
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
-@hypothesis.given(_PAYLOADS, st.data())
-def test_streamed_lists_match_built_ones(payload, data):
-    expected = json.dumps(payload, indent=2) + "\n"
-    assert _pieces_text(payload) == expected
-    lists = [key for key, value in payload.items() if isinstance(value, list)]
-    streamed = data.draw(st.sets(st.sampled_from(lists)) if lists
-                         else st.just(set()))
-    mixed = {key: _rows(value) if key in streamed else value
-             for key, value in payload.items()}
-    assert _pieces_text(mixed) == expected
+@hypothesis.given(_HEADS, st.lists(_TREES, max_size=4))
+def test_streamed_lists_match_built_ones(head, items):
+    expected = json.dumps({**head, "patterns": items}, indent=2) + "\n"
+    assert _listing_text(head, items) == expected
 
 
 @pytest.mark.parametrize("items", [[], [0], [[1, 2], {"a": [3]}, "x", None]])
 def test_generator_value_matches_list(items):
-    payload = {"count": len(items), "patterns": items, "tail": True}
-    streamed = dict(payload, patterns=_rows(items))
-    assert _pieces_text(streamed) == json.dumps(payload, indent=2) + "\n"
+    head = {"n": 2, "d": 3, "count": len(items)}
+    expected = json.dumps({**head, "patterns": items}, indent=2) + "\n"
+    assert _listing_text(head, items) == expected
 
 
 def test_writes_are_gathered(monkeypatch):

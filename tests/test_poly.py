@@ -22,9 +22,10 @@ from toricdegen import (
     weight_of,
     witness_weight,
 )
+from toricdegen.poly import iter_exponents
 from helpers import (SingularMatrixError, apply_linear_change, monomial,
                      multiply, partial_derivative, permute_poly, random_poly,
-                     roundtrip_text)
+                     recursive_exponents, roundtrip_text)
 
 
 class TestConstruct:
@@ -312,6 +313,22 @@ class TestPermutationAction:
         for i in range(3):
             matrix[i][perm[i]] = 1
         assert apply_linear_change(f, matrix) == permute_poly(f, perm)
+
+
+class TestIterExponents:
+    def test_matches_recursive_order(self):
+        for n in range(7):
+            for d in range(9):
+                assert list(iter_exponents(n, d)) == \
+                    list(recursive_exponents(n, d)), (n, d)
+
+    def test_many_variables_do_not_recurse(self):
+        # one frame per variable would pass the interpreter's recursion
+        # limit here
+        exps = list(iter_exponents(1200, 1))
+        assert len(exps) == 1201
+        assert exps[0] == (1,) + (0,) * 1200
+        assert exps[-1] == (0,) * 1200 + (1,)
 
 
 class TestPropertyQuickPass:

@@ -406,6 +406,44 @@ def test_library_reads_every_parameter():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
+def _self_calls(tree: ast.AST):
+    """(line, name) for each function that calls itself by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                and sub.func.id == node.name for sub in ast.walk(node)):
+            yield node.lineno, node.name
+
+
+def test_no_library_function_recurses_on_its_input():
+    # recursion once per variable or degree passes the interpreter's
+    # recursion limit on inputs the budgets admit, such as 1,000 variables
+    # at d = 0, so the library loops instead.  _kv_lines recurses once per
+    # dict in a handler's payload, at most one dict inside another
+    allowed = {"cli.py _kv_lines"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name} {name}" for _line, name in _self_calls(tree)]
+    recursive = sorted(set(found) - allowed)
+    assert not recursive, "functions that call themselves: " + \
+        ", ".join(recursive)
+    assert allowed <= set(found), "stale entries in allowed"
+
+
+def test_self_calls_seen():
+    tree = ast.parse("def walk(n):\n"
+                     "    return [walk(n - 1) for _ in range(n)]\n"
+                     "def loop(n):\n"
+                     "    return other.loop(n)\n"
+                     "class C:\n"
+                     "    def nest(self, n):\n"
+                     "        def inner(k):\n"
+                     "            return inner(k - 1)\n"
+                     "        return inner(n)\n")
+    assert list(_self_calls(tree)) == [(1, "walk"), (7, "inner")]
+
+
 def test_traced_benchmark_child_runs(tmp_path):
     # perfbench's tracer looks up every library module by name, so removing
     # or renaming one breaks the traced benchmark run
