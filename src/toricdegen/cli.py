@@ -7,7 +7,7 @@ codes come from the exception a command raises, never from its return:
 0 success / claims verified; 2 GenericityError, sampled points short of the
 generic rank (nonexist, verify-lemma), or CertificateError, a wrong
 certificate (a sweep row off d <= 2n - 1, a verify-lemma rank above the
-law, a verify-lemma sample with c[x1^d] = 0, whose block rank its key rank
+law, any certified point with c[x1^d] = 0, whose block rank its key rank
 does not give); 64 UsageError, or a bad command line, whose argparse
 exit 2 main maps to 64; 74 stdout closed before the output ended
 (EX_IOERR).  main alone chooses the status.  Every exit 2 and 64 names its
@@ -27,13 +27,12 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
-from math import comb
 from random import Random
 from typing import Sequence
 
 # each layer is read through its module, whose body runs on first use, so
 # a command runs only the layers it calls
-from . import binomials, cones, family, linalg, poly, theorem
+from . import binomials, cones, family, poly, theorem
 from .errors import CertificateError, DomainError, GenericityError, UsageError
 
 
@@ -74,19 +73,14 @@ def cmd_verify_lemma(args) -> None:
     poly.check_domain(n, d)
     family.check_samples(args.samples)
     rng = Random(args.seed)
-    ambient = comb(n + d, d)
     bound = family.structural_rank_bound(n, d)
-    expected_min = bound - (ambient - d + 1)
-    expected_codim = ambient - bound
     # one point at a time: ranks never draw from rng, so the points drawn
-    # do not depend on when they are ranked.  Each point's block ranks
-    # 1 + its key rank, so the best block is the best key matrix's
-    best_key = -1
-    for _ in range(args.samples):
-        point = family.sample_family(n, d, rng, args.bound)
-        family.check_spike(point)
-        best_key = max(best_key, linalg.rank(family.key_matrix(point)))
-    best = linalg.RankReport.of(ambient - d + 1 + best_key, ambient)
+    # do not depend on when they are ranked
+    best_key, best = max(
+        family.key_rank(family.sample_family(n, d, rng, args.bound))
+        for _ in range(args.samples))
+    expected_min = bound - (best.ambient - d + 1)
+    expected_codim = best.ambient - bound
     payload = {
         "n": n,
         "d": d,
@@ -301,17 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 after --help and 2 on a bad command line
-        return 64 if exc.code else 0
     try:
         try:
+            args = build_parser().parse_args(argv)
             args.func(args)
         finally:
             sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a bad command line
+        return 64 if exc.code else 0
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so the flush at exit
         # stays quiet

@@ -25,7 +25,8 @@ holds the spike of row (1, 0).  structural_rank_bound certifies from the
 support that the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every
 family point, and that rows (0, 0), (0, 1) and (1, 1) vanish off the last
 column, which is the redundancy claim.  So wherever the spike is nonzero,
-the block's rank is 1 + the key matrix's (check_spike).
+the block's rank is 1 + the key matrix's: every certificate ranks a point
+by key_rank, and differential_rank, the block's rank, is its oracle.
 
 The support reads only the face, the 1 + (n-1)*d non-excluded exponents one
 product step from the excluded ones (face_exponents): x1^d and
@@ -232,26 +233,31 @@ def structural_rank_bound(n: int, d: int) -> int:
     return comb(n + d, d) - d + 1 + min(d - 1, 2 * n - 2)
 
 
-def check_spike(point: FamilyPoint) -> None:
-    """Raise CertificateError if c[x1^d] = 0 at point.
+def key_rank(point: FamilyPoint) -> tuple[int, RankReport]:
+    """The key matrix's rank at point, and the report of the block's rank,
+    ambient - d + 1 + the key rank: the one route to a certified rank.
 
     Off the last column only the key rows of the block can be nonzero
     (structural_rank_bound), so every other row is a multiple of the unit
     vector on that column, and row (1, 0) is the spike d*c[x1^d] times it.
     Where the spike is nonzero it spans that vector, so
-    rank(excluded_block(point)) = 1 + rank(key_matrix(point)).
+    rank(excluded_block(point)) = 1 + rank(key_matrix(point)).  Where
+    c[x1^d] = 0, CertificateError is raised before any rank is taken.
     """
     n, d = point.n, point.d
     if not point.coeff((0, d) + (0,) * (n - 1)):
         raise CertificateError(
             f"c[x1^{d}] = 0 at a sampled point at n={n}, d={d}, so its block "
             f"does not rank 1 + its key matrix")
+    key, ambient = rank(key_matrix(point)), comb(n + d, d)
+    return key, RankReport.of(ambient - d + 1 + key, ambient)
 
 
 def differential_rank(point: FamilyPoint, mode: str = "exact",
                       rng: Random | None = None) -> RankReport:
     """Rank of the differential-image span among the degree-d forms,
-    computed exactly as (ambient - d) + rank(excluded_block(point)).
+    computed exactly as (ambient - d) + rank(excluded_block(point)): the
+    general definition, valid where c[x1^d] = 0 too, and key_rank's oracle.
 
     Both accepted modes, "exact" and "probabilistic", run this one exact
     computation; rng is never drawn from.

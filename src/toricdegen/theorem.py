@@ -103,11 +103,12 @@ def dominance_certificate(n: int, d: int) -> linalg.RankReport:
     bounds the rank at every family point from above; a report that reaches
     the bound therefore gives the generic rank, and a surjective one
     certifies that the image of the construction fills a dense open subset
-    of the degree-d coefficient space.  Raises CertificateError unless the
-    rank meets the bound, or the support fails to certify it.
+    of the degree-d coefficient space.  The support is certified first, as
+    family.key_rank rests on it.  Raises CertificateError unless the rank
+    meets the bound and the support certifies it, or at c[x1^d] = 0.
     """
-    report = family.differential_rank(family.dominance_point(n, d))
     target = family.structural_rank_bound(n, d)
+    _key, report = family.key_rank(family.dominance_point(n, d))
     if report.rank != target:
         raise CertificateError(
             f"rank {report.rank} at the dominance point of n={n}, d={d} "
@@ -288,9 +289,9 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     and reduces every (prime pattern, ordering) stratum into a permuted
     copy of the restricted family with the full strata survey, at every
     (n, d) the ambient limit admits.  The random source feeds the family
-    samples only; a sample whose rank misses the structural bound is
-    redrawn, and after 1 + _RESAMPLE_BUDGET such draws GenericityError is
-    raised.
+    samples only; one with c[x1^d] = 0 raises CertificateError, and one
+    whose rank misses the structural bound is redrawn, GenericityError
+    being raised after 1 + _RESAMPLE_BUDGET such draws.
     """
     check_domain(n, d)
     if d <= 2 * n - 1:
@@ -301,8 +302,8 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     sampled = []
     for _ in range(samples):
         for _ in range(1 + _RESAMPLE_BUDGET):
-            point = family.sample_family(n, d, rng, bound)
-            report = family.differential_rank(point)
+            _key, report = family.key_rank(
+                family.sample_family(n, d, rng, bound))
             if report.rank == target:
                 break
         else:

@@ -842,6 +842,21 @@ def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
     return draws
 
 
+def spikeless_sampler(monkeypatch) -> None:
+    """Make family.sample_family drop c[x1^d] from each point it draws,
+    which sampling never does, so no draw's block ranks 1 + its key
+    matrix."""
+    import toricdegen.family
+    sample = toricdegen.family.sample_family
+
+    def spikeless(n, d, rng, bound=1000):
+        coeffs = dict(sample(n, d, rng, bound).poly.terms())
+        del coeffs[(0, d) + (0,) * (n - 1)]
+        return FamilyPoint(n, d, coeffs)
+
+    monkeypatch.setattr(toricdegen.family, "sample_family", spikeless)
+
+
 def step_reference(w: Exponent, i: int, j: int) -> Exponent:
     """w - e_j + e_i: the exponent whose term, differentiated by x_i and
     multiplied by x_j, lands on x^w."""

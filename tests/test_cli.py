@@ -17,10 +17,11 @@ import toricdegen.errors
 from toricdegen import (CertificateError, UsageError, differential_rank,
                         enumerate_patterns, key_matrix, parse_poly,
                         pattern_from_poly, rank, sample_family, solve,
-                        stratum_system)
+                        strata_survey, stratum_system, threshold_sweep)
 from toricdegen.cli import build_parser, main
 from helpers import (forbid_pattern_generation, listing_payload,
-                     listing_table, patched_support, stuck_sampler)
+                     listing_table, patched_support, spikeless_sampler,
+                     stuck_sampler)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,10 +32,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_closed(*argv):
+def run_closed(unbuffered, *argv):
     """Exit code and stderr of the CLI run with stdout's read end closed
-    before the command writes anything."""
+    before the command writes anything, with PYTHONUNBUFFERED unset or 1:
+    buffered, a write to the closed stdout fails only at main's flush;
+    unbuffered, it fails inside the handler."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-c",
          "import sys, toricdegen.cli; sys.exit(toricdegen.cli.main())",
@@ -120,21 +126,21 @@ class TestVerifyLemma:
         assert "n=3, d=5" in err and err.endswith("(seed 13)\n")
 
     def test_shortfall_with_closed_stdout_exits_74(self):
-        code, err = run_closed(*self.SHORTFALL)
-        assert code == 74, err
-        assert "Traceback" not in err
+        for unbuffered in (False, True):
+            code, err = run_closed(unbuffered, *self.SHORTFALL)
+            assert code == 74, (unbuffered, err)
+            assert "Traceback" not in err
 
     def test_one_block_per_sample(self, capsys, monkeypatch):
         # the block ranks 1 + its key matrix, so key_matrix builds the one
-        # block of each sample, and the command ranks nothing else
+        # block of each sample, and key_rank ranks nothing else
         import toricdegen.family
-        import toricdegen.linalg
         build = toricdegen.family.excluded_block
-        rank_of = toricdegen.linalg.rank
+        rank_of = toricdegen.family.rank
         built, ranked = [], []
         monkeypatch.setattr(toricdegen.family, "excluded_block",
                             lambda point: built.append(point) or build(point))
-        monkeypatch.setattr(toricdegen.linalg, "rank",
+        monkeypatch.setattr(toricdegen.family, "rank",
                             lambda rows: ranked.append(rows) or rank_of(rows))
         code, _out, _err = run(capsys, "verify-lemma", "--n", "3", "--d", "6",
                                "--seed", "5", "--samples", "3")
@@ -144,21 +150,37 @@ class TestVerifyLemma:
     def test_zero_spike_is_certificate_failure(self, capsys, monkeypatch):
         # a point with c[x1^d] = 0 breaks the identity the command ranks by;
         # sampling never draws one, so only a wrong sampler gets there
-        import toricdegen.family
-        sample = toricdegen.family.sample_family
-
-        def spikeless(n, d, rng, bound):
-            coeffs = dict(sample(n, d, rng, bound).poly.terms())
-            del coeffs[(0, d) + (0,) * (n - 1)]
-            return toricdegen.family.FamilyPoint(n, d, coeffs)
-
-        monkeypatch.setattr(toricdegen.family, "sample_family", spikeless)
+        spikeless_sampler(monkeypatch)
         code, out, err = run(capsys, "verify-lemma", "--n", "3", "--d", "5",
                              "--seed", "4")
         assert code == 2
         assert out == ""
         assert err.startswith("certificate failure: c[x1^5] = 0")
         assert "n=3, d=5" in err and err.endswith("(seed 4)\n")
+
+
+class TestRankRoute:
+    # the benchmark's command invocations (perfbench/run.py, WORKLOADS)
+    BENCHMARK = [("sweep", "--n-max", "4", "--d-max", "10"),
+                 ("nonexist", "--n", "3", "--d", "6"),
+                 ("enumerate-binomials", "--n", "4", "--d", "8"),
+                 ("verify-lemma", "--n", "5", "--d", "12"),
+                 ("witness", "--n", "5", "--d", "9")]
+
+    def test_no_command_ranks_a_whole_block(self, capsys, monkeypatch):
+        # every certificate ranks a point through family.key_rank;
+        # differential_rank, the general definition, is left to the tests
+        import toricdegen.family
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate ranked a whole block")
+
+        monkeypatch.setattr(toricdegen.family, "differential_rank", refuse)
+        assert len(threshold_sweep(4, 10)) == 27
+        assert strata_survey(3, 7).passed and strata_survey(3, 8).passed
+        for argv in self.BENCHMARK:
+            code, _out, _err = run(capsys, *argv)
+            assert code == 0, argv
 
 
 class TestWitness:
@@ -651,10 +673,10 @@ class TestContradictedClaims:
 
     def test_verify_lemma_above_the_law_is_certificate_failure(
             self, capsys, monkeypatch):
-        import toricdegen.linalg
-        # verify-lemma ranks only through cli's call of linalg.rank on the
+        import toricdegen.family
+        # verify-lemma ranks only through key_rank's call of rank on the
         # key matrix, so patching it changes the key rank alone
-        monkeypatch.setattr(toricdegen.linalg, "rank", lambda rows: 10**6)
+        monkeypatch.setattr(toricdegen.family, "rank", lambda rows: 10**6)
         code, out, err = run(capsys, "verify-lemma", "--n", "2", "--d", "4")
         assert code == 2
         assert json.loads(out)["key_matrix_rank"] == 10**6
@@ -756,6 +778,16 @@ class TestNonexist:
                            "--seed", "1")
         assert code == 0
         assert json.loads(out)["strata_reduced"] is True
+
+    def test_zero_spike_is_certificate_failure(self, capsys, monkeypatch):
+        # every sample is ranked through key_rank, which refuses the point
+        # rather than redraw it as a genericity shortfall
+        spikeless_sampler(monkeypatch)
+        code, out, err = run(capsys, "nonexist", "--n", "3", "--d", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("certificate failure: c[x1^6] = 0")
+        assert "n=3, d=6" in err and err.endswith("(seed 1)\n")
 
     def test_shape_failure_is_certificate_failure(self, capsys, monkeypatch):
         # a shape check swapping the other term's last index instead of its
@@ -893,6 +925,14 @@ class TestParserErrors:
         assert code == 0
         assert out.startswith("usage: toricdegen")
         assert err == ""
+
+    @pytest.mark.parametrize("argv", [("--help",),
+                                      *[(name, "--help") for name in USAGE]])
+    def test_help_to_a_closed_stdout(self, argv):
+        # buffered, the help text fails at main's flush, which exits 74;
+        # unbuffered, argparse drops the failed write itself and exits 0
+        for unbuffered, status in ((False, 74), (True, 0)):
+            assert run_closed(unbuffered, *argv) == (status, ""), unbuffered
 
 
 class TestHarness:

@@ -34,7 +34,7 @@ from toricdegen import (
     weight_of,
     witness_weight,
 )
-from toricdegen.family import _block_support, check_spike
+from toricdegen.family import _block_support, key_rank
 from toricdegen.poly import MAX_AMBIENT
 from helpers import (
     apply_linear_change,
@@ -569,29 +569,49 @@ class TestDifferentialRank:
 
     @pytest.mark.parametrize("bound", [2, 3, 1000])
     def test_block_ranks_one_above_the_key_matrix(self, bound):
-        # the identity verify-lemma ranks by: off the key rows the block
-        # holds only the spike d*c[x1^d], which sampling never draws as 0,
-        # so it adds exactly 1 to the key rank, even where small bounds
-        # leave the key rank short of min(d-1, 2n-2)
+        # the identity every certificate ranks by: off the key rows the
+        # block holds only the spike d*c[x1^d], which sampling never draws
+        # as 0, so it adds exactly 1 to the key rank, even where small
+        # bounds leave the key rank short of min(d-1, 2n-2)
         rng = Random(bound)
         for n in range(2, 6):
             for d in range(2, 11):
                 for _ in range(3):
                     point = sample_family(n, d, rng, bound)
-                    check_spike(point)
+                    key_rank(point)
                     assert rank(excluded_block(point)) == \
                         1 + rank(key_matrix(point)), (n, d, bound)
 
-    def test_zero_spike_breaks_the_identity_and_is_refused(self):
+    def test_zero_spike_breaks_the_identity_and_is_refused(self,
+                                                           monkeypatch):
         # with c[x1^d] = 0 the block ranks as its key matrix does, so
-        # check_spike refuses the point
+        # key_rank refuses the point, before it ranks anything
+        import toricdegen.family
         n, d = 3, 5
         coeffs = dict(sample_family(n, d, Random(3)).poly.terms())
         del coeffs[(0, d, 0, 0)]
         point = FamilyPoint(n, d, coeffs)
         assert rank(excluded_block(point)) == rank(key_matrix(point)) == 4
+
+        def refuse(rows):
+            raise AssertionError("key_rank ranked a spikeless point")
+
+        monkeypatch.setattr(toricdegen.family, "rank", refuse)
         with pytest.raises(CertificateError, match=r"c\[x1\^5\] = 0"):
-            check_spike(point)
+            key_rank(point)
+
+    def test_key_rank_against_the_whole_block(self):
+        # differential_rank ranks the whole block, the general definition,
+        # at a sampled point, its rational multiple and the dominance point
+        rng = Random(41)
+        for n in range(2, 7):
+            for d in range(2, 15):
+                point = sample_family(n, d, rng)
+                third = FamilyPoint(n, d, {u: Fraction(1, 3) * c
+                                           for u, c in point.poly.terms()})
+                for p in (point, third, dominance_point(n, d)):
+                    assert key_rank(p) == (rank(key_matrix(p)),
+                                           differential_rank(p)), (n, d)
 
     def test_monotonic_bound_on_adversarial_points(self):
         # valid family points with many zero / repeated coefficients

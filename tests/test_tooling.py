@@ -406,6 +406,42 @@ def test_library_reads_every_parameter():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
+def _rank_calls(tree: ast.Module):
+    """(line, name) for each call of rank, by that bare name or as
+    linalg.rank, with the name of the top-level definition making it."""
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and (
+                    isinstance(sub.func, ast.Name) and sub.func.id == "rank"
+                    or isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "rank"
+                    and isinstance(sub.func.value, ast.Name)
+                    and sub.func.value.id == "linalg"):
+                yield sub.lineno, getattr(node, "name", "<module>")
+
+
+def test_only_family_ranks_a_family_point():
+    # a point's block ranks 1 + its key matrix only where family.key_rank
+    # has checked c[x1^d], so no other module ranks a matrix itself
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "family.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name} {name}" for _line, name in _rank_calls(tree)]
+    assert not found, "rank called outside family: " + ", ".join(found)
+
+
+def test_rank_calls_seen_in_both_forms():
+    tree = ast.parse("from . import linalg\n"
+                     "from .linalg import rank\n"
+                     "def f(m):\n"
+                     "    return rank(m), linalg.rank(m), report.rank\n"
+                     "class C:\n"
+                     "    def g(self, m):\n"
+                     "        return self.rank(m), linalg.rank(m)\n")
+    assert list(_rank_calls(tree)) == [(4, "f"), (4, "f"), (7, "C")]
+
+
 def _self_calls(tree: ast.AST):
     """(line, name) for each function that calls itself by name."""
     for node in ast.walk(tree):
