@@ -15,10 +15,10 @@ Products with j >= 2 have no coefficient there, since no excluded exponent
 contains x2..xn, so the block built by excluded_block holds the 2(n+1)
 rows (i, 0) and (i, 1).
 
-Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i, so it can be nonzero
-at some family point only where u is not excluded.  Every block reads its u
-from one table per (n, d), _block_steps, whose entries with u not excluded,
-the block's support (_block_support), follow from the exponents alone: the
+Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i, so excluded_block
+walks the point's terms: c*x^u lands on w = u - e_i + e_j when x^u / x_i
+lies on {x0, x1} and w keeps x0.  As c is 0 on excluded u at a family point,
+the block's support (_block_support) follows from the exponents alone: the
 key rows (i, 0) and (i, 1) for i >= 2 on the first d - 1 columns, where they
 form the banded key matrix, and the last column x0*x1^(d-1), which also
 holds the spike of row (1, 0).  structural_rank_bound certifies from the
@@ -64,30 +64,22 @@ def _excluded(u: Exponent) -> bool:
     return u[0] > 0 and not any(u[2:])
 
 
-@lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
-def _block_steps(n: int, d: int) -> tuple[tuple[int, int, int, Exponent], ...]:
-    """(i, j, k, u) for every excluded w_k, every j with w_k[j] >= 1 (only
-    j <= 1 occurs, but every j is scanned) and every i: block entry
-    ((i, j), w_k) is u_i * c[u] for u = w_k - e_j + e_i, and the rest are 0."""
-    return tuple((i, j, k, v[:i] + (v[i] + 1,) + v[i + 1:])
-                 for k, w in enumerate(excluded_exponents(n, d))
-                 for j in range(n + 1) if w[j]
-                 for v in [w[:j] + (w[j] - 1,) + w[j + 1:]] for i in range(n + 1))
-
-
 def _block_support(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
-    """The block entries that can be nonzero at some family point: the steps
-    (i, j, k) to u of _block_steps with u not excluded; c is 0 on excluded u."""
-    return {(i, j, k): u for i, j, k, u in _block_steps(n, d) if not _excluded(u)}
+    """The block entries that can be nonzero at some family point, c being 0
+    on excluded u: (i, j, k) to u = w_k - e_j + e_i for every excluded w_k,
+    j with w_k[j] >= 1 (every j is scanned) and i, where u is not excluded."""
+    return {(i, j, k): u for k, w in enumerate(excluded_exponents(n, d))
+            for j in range(n + 1) if w[j]
+            for v in [w[:j] + (w[j] - 1,) + w[j + 1:]] for i in range(n + 1)
+            for u in [v[:i] + (v[i] + 1,) + v[i + 1:]] if not _excluded(u)}
 
 
 @lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
 def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
-    """The exponents whose coefficients excluded_block reads, excluded ones
-    aside: the exponents of the block's support.  They are x1^d and
+    """The exponents of the block's support, the non-excluded terms that
+    excluded_block can send onto an excluded exponent: x1^d and
     x0^a*x1^(d-1-a)*x_i for 0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all,
-    descending graded-lex.
-    """
+    descending graded-lex."""
     return tuple(sorted(set(_block_support(n, d).values()), reverse=True))
 
 
@@ -184,12 +176,20 @@ def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     excluded_exponents order.  Products with j >= 2 have none.
 
     Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
-    and 0 otherwise.  Every u in _block_steps, one table per (n, d), is read,
-    excluded ones included: a point built past the constructor's check shows.
+    and 0 otherwise.  So each term c*x^u is read once and sent to column w_1
+    for the i with x^u / x_i on {x0, x1} and the j with w_0 >= 1.  Excluded
+    terms are walked too: a point built past the constructor's check shows.
     """
     block = [[0] * point.d for _ in range(2 * point.n + 2)]
-    for i, j, k, u in _block_steps(point.n, point.d):
-        block[2 * i + j][k] = u[i] * point.coeff(u)
+    for u in point.poly.support():
+        rest = point.d - u[0] - u[1]  # u's degree off {x0, x1}
+        if rest > 1:
+            continue
+        c = point.coeff(u)
+        for i in (0, 1) if rest == 0 else (u.index(1, 2),):
+            for j in (0, 1):
+                if u[i] and u[0] - (i == 0) + (j == 0):
+                    block[2 * i + j][u[1] - (i == 1) + (j == 1)] = u[i] * c
     return tuple(map(tuple, block))
 
 

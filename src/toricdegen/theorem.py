@@ -340,9 +340,9 @@ def threshold_sweep(n_max: int, d_max: int) -> list[SweepRow]:
 
     Each row is degenerable exactly when the dominance report is surjective,
     and a row contradicting the d <= 2n - 1 threshold raises
-    CertificateError.  Nothing is sampled.  Each row builds a 2(n+1) x d
-    block of (n+1)-entry exponents, so a grid whose rows hold more than
-    MAX_AMBIENT exponent entries in all raises DomainError before any row.
+    CertificateError.  Nothing is sampled.  Each row's support scan builds
+    (2d-1)(n+1) exponents of n+1 entries, under 2d(n+1)^2 in all, and a grid
+    over MAX_AMBIENT such entries raises DomainError before any row.
     """
     check_domain(n_max, d_max)
     entries = (2 * sum((n + 1) ** 2 for n in range(2, n_max + 1))

@@ -867,8 +867,9 @@ def step_reference(w: Exponent, i: int, j: int) -> Exponent:
 
 
 def excluded_block_reference(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
-    """family.excluded_block entry by entry, with no step table: u_i * c[u]
-    at ((i, j), w) for u = w - e_j + e_i when w_j >= 1, and 0 otherwise."""
+    """family.excluded_block entry by entry, not by a walk over the point's
+    terms: u_i * c[u] at ((i, j), w) for u = w - e_j + e_i when w_j >= 1,
+    and 0 otherwise."""
     excluded = excluded_exponents(point.n, point.d)
     return tuple(
         tuple((w[i] + (i != j)) * point.coeff(step_reference(w, i, j))

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -63,17 +64,6 @@ def in_span(poly, rows, n, d):
     base = sparse_rows(rows, n, d)
     return rank_sparse_exact(base + sparse_rows([poly], n, d)) == \
         rank_sparse_exact(base)
-
-
-class _ReadRecorder:
-    """Stands in for a family point and records every coefficient read."""
-
-    def __init__(self, n, d):
-        self.n, self.d, self.read = n, d, set()
-
-    def coeff(self, u):
-        self.read.add(tuple(u))
-        return Fraction(1)
 
 
 class TestExclusionSet:
@@ -196,14 +186,16 @@ class TestIntegerPath:
 
 class TestFace:
     def test_face_is_what_excluded_block_reads(self):
+        # a one-term point has a nonzero block exactly when its term is on
+        # the face, so the face is every term the block can read
         for n in range(2, 6):
             for d in range(2, 10):
-                recorder = _ReadRecorder(n, d)
-                excluded_block(recorder)
-                excl = set(excluded_exponents(n, d))
                 face = face_exponents(n, d)
-                assert set(face) == recorder.read - excl, (n, d)
                 assert len(face) == 1 + (n - 1) * d
+                for u in iter_exponents(n, d):
+                    if u not in excluded_exponents(n, d):
+                        block = excluded_block(FamilyPoint(n, d, {u: 1}))
+                        assert any(map(any, block)) == (u in face), (n, d, u)
 
     def test_closed_form_in_descending_order(self):
         for n, d in [(2, 2), (3, 5), (5, 4)]:
@@ -257,15 +249,16 @@ class TestBlockSteps:
 
     @staticmethod
     def _points(n, d, rng):
-        """A sampled point, its third, and a point off the family built past
-        the constructor, nonzero on every excluded exponent as well."""
+        """A sampled point, its third, a point off the family built past the
+        constructor, nonzero on every excluded exponent as well, and a point
+        nonzero on every non-excluded exponent, face or not."""
         point = sample_family(n, d, rng)
         terms = dict(point.to_poly().terms())
         third = FamilyPoint(n, d, {u: Fraction(1, 3) * c
                                    for u, c in terms.items()})
         terms.update({w: k + 2 for k, w in enumerate(excluded_exponents(n, d))})
-        return point, third, tuple.__new__(FamilyPoint,
-                                           (n, d, HomogPoly(n, d, terms)))
+        corrupt = tuple.__new__(FamilyPoint, (n, d, HomogPoly(n, d, terms)))
+        return point, third, corrupt, full_support_point(n, d, rng)
 
     def test_matches_the_dense_references(self):
         rng = Random(41)
@@ -281,16 +274,17 @@ class TestBlockSteps:
                     _typed(row[:-1] for row in block[4:]), (n, d)
 
     def test_one_table_per_shape(self, capsys):
+        # blocks read no table; the face is built once per sampled shape,
+        # and the sweep, which samples nothing, never builds it
         import toricdegen.family as family
         from toricdegen.cli import main
 
         def misses(run):
-            family._block_steps.cache_clear()
             family.face_exponents.cache_clear()
             run()
-            return family._block_steps.cache_info().misses
+            return family.face_exponents.cache_info().misses
 
-        assert misses(lambda: threshold_sweep(4, 10)) == 27
+        assert misses(lambda: threshold_sweep(4, 10)) == 0
         for argv in (["verify-lemma", "--n", "5", "--d", "12", "--seed", "1"],
                      ["witness", "--n", "5", "--d", "9"],
                      ["nonexist", "--n", "3", "--d", "6"]):
@@ -300,12 +294,11 @@ class TestBlockSteps:
     def test_points_of_one_shape_share_the_table(self):
         import toricdegen.family as family
         rng = Random(42)
-        points = [sample_family(5, 12, rng) for _ in range(10)]
-        family._block_steps.cache_clear()
+        family.face_exponents.cache_clear()
         counts = []
-        for point in points:
-            excluded_block(point)
-            counts.append(family._block_steps.cache_info().misses)
+        for _ in range(10):
+            excluded_block(sample_family(5, 12, rng))
+            counts.append(family.face_exponents.cache_info().misses)
         assert counts == [1] * 10
 
     def test_every_cache_holds_one_shape(self):
@@ -315,8 +308,33 @@ class TestBlockSteps:
         sizes = {name: obj.cache_parameters()["maxsize"]
                  for name, obj in vars(family).items()
                  if hasattr(obj, "cache_parameters")}
-        assert {"_block_steps", "face_exponents"} <= set(sizes)
-        assert sizes == dict.fromkeys(sizes, 1)
+        assert sizes == {"face_exponents": 1}
+
+    def test_a_block_reads_only_its_points_terms(self, monkeypatch):
+        # each term is looked up once, and no exponent the point does not
+        # hold is looked up at all
+        import toricdegen.family as family
+        coeff, block = FamilyPoint.coeff, family.excluded_block
+        reads, per_block = [], []
+
+        def recorded_coeff(point, u):
+            reads.append((point, tuple(u)))
+            return coeff(point, u)
+
+        def recorded_block(point):
+            start = len(reads)
+            result = block(point)
+            per_block.append(Counter(u for _p, u in reads[start:]))
+            return result
+
+        monkeypatch.setattr(FamilyPoint, "coeff", recorded_coeff)
+        monkeypatch.setattr(family, "excluded_block", recorded_block)
+        threshold_sweep(4, 10)
+        key_rank(sample_family(5, 12, Random(1)))
+        family.excluded_block(full_support_point(3, 6, Random(2)))
+        assert len(per_block) == 27 + 1 + 1
+        assert reads and all(u in point.poly.support() for point, u in reads)
+        assert all(max(counts.values()) == 1 for counts in per_block)
 
 
 class TestSampling:

@@ -255,9 +255,10 @@ def test_record_members_read_from_namedtuple_bases():
 # members that another library class also defines, so an attribute read
 # cannot tell whose member it uses.  Each was checked by hand: HomogPoly.coeff
 # is read by cones.stratum_system, FamilyPoint.coeff and acceptance
-# criterion 4, FamilyPoint.coeff by family.excluded_block, and
-# BinomialPattern.n, a name that HomogPoly and FamilyPoint hold too, by
-# cones.stratum_system.  A new one fails the scan until it is checked too
+# criterion 4, FamilyPoint.coeff by family.excluded_block, once per term of
+# the point, and by family.key_rank, for c[x1^d], and BinomialPattern.n, a
+# name that HomogPoly and FamilyPoint hold too, by cones.stratum_system.  A
+# new one fails the scan until it is checked too
 AMBIGUOUS_MEMBERS = {"coeff", "n"}
 
 
