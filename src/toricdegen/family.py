@@ -26,7 +26,7 @@ support that the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every
 family point, and that rows (0, 0), (0, 1) and (1, 1) vanish off the last
 column, which is the redundancy claim.  So wherever the spike is nonzero,
 the block's rank is 1 + the key matrix's: every certificate ranks a point
-by key_rank, and differential_rank, the block's rank, is its oracle.
+by key_rank, which judges it too; differential_rank is its oracle.
 
 The support reads only the face, the 1 + (n-1)*d non-excluded exponents one
 product step from the excluded ones (face_exponents): x1^d and
@@ -205,6 +205,7 @@ def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     return tuple(row[:-1] for row in excluded_block(point)[2 * _KEY_I:])
 
 
+@lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
 def structural_rank_bound(n: int, d: int) -> int:
     """ambient - d + 1 + min(d-1, 2n-2), certified from the block's support
     as an upper bound for the differential rank at every family point; it is
@@ -237,20 +238,27 @@ def key_rank(point: FamilyPoint) -> tuple[int, RankReport]:
     """The key matrix's rank at point, and the report of the block's rank,
     ambient - d + 1 + the key rank: the one route to a certified rank.
 
-    Off the last column only the key rows of the block can be nonzero
-    (structural_rank_bound), so every other row is a multiple of the unit
-    vector on that column, and row (1, 0) is the spike d*c[x1^d] times it.
-    Where the spike is nonzero it spans that vector, so
-    rank(excluded_block(point)) = 1 + rank(key_matrix(point)).  Where
-    c[x1^d] = 0, CertificateError is raised before any rank is taken.
+    The support is certified first (structural_rank_bound): off the last
+    column only the key rows of the block can be nonzero, so every other row
+    is a multiple of the unit vector on that column, and row (1, 0) is the
+    spike d*c[x1^d] times it.  Where the spike is nonzero it spans that
+    vector, so rank(excluded_block(point)) = 1 + rank(key_matrix(point)).
+    CertificateError is raised where c[x1^d] = 0, before any rank is taken,
+    and at a rank past the bound; a shortfall is the caller's to judge.
     """
     n, d = point.n, point.d
+    bound = structural_rank_bound(n, d)
     if not point.coeff((0, d) + (0,) * (n - 1)):
         raise CertificateError(
-            f"c[x1^{d}] = 0 at a sampled point at n={n}, d={d}, so its block "
-            f"does not rank 1 + its key matrix")
+            f"c[x1^{d}] = 0 at n={n}, d={d}, so the point's block does not "
+            f"rank 1 + its key matrix")
     key, ambient = rank(key_matrix(point)), comb(n + d, d)
-    return key, RankReport.of(ambient - d + 1 + key, ambient)
+    report = RankReport.of(ambient - d + 1 + key, ambient)
+    if report.rank > bound:
+        raise CertificateError(
+            f"rank {report.rank} at n={n}, d={d} exceeds the structural "
+            f"bound {bound}")
+    return key, report
 
 
 def differential_rank(point: FamilyPoint, mode: str = "exact",

@@ -31,8 +31,8 @@ from typing import Iterator, NamedTuple
 # runs family or linalg
 from . import binomials, family, linalg
 from .errors import CertificateError, DomainError, GenericityError
-from .poly import (MAX_AMBIENT, Exponent, HomogPoly, WeightVector,
-                   check_domain, initial_form, weight_vector)
+from .poly import (Exponent, HomogPoly, WeightVector, check_domain,
+                   check_grid, initial_form, weight_vector)
 
 
 def witness_weight(n: int, d: int) -> WeightVector:
@@ -44,9 +44,11 @@ def witness_weight(n: int, d: int) -> WeightVector:
     check_domain(n, d)
     w = weight_vector([d, d - 1] + [-k for k in range(n - 1)])
     if not all(a > b for a, b in zip(w, w[1:])):
-        raise CertificateError(f"witness weight {w} is not strictly decreasing")
+        raise CertificateError(
+            f"witness weight {w} at n={n}, d={d} is not strictly decreasing")
     if (d - 1) * w[0] + w[2] != d * w[1]:
-        raise CertificateError(f"witness weight {w} breaks (d-1)*w0 + w2 = d*w1")
+        raise CertificateError(
+            f"witness weight {w} at n={n}, d={d} breaks (d-1)*w0 + w2 = d*w1")
     return w
 
 
@@ -84,11 +86,12 @@ def existence_witness(n: int, d: int, rng: Random,
     point = family.sample_family(n, d, rng, bound)
     init = initial_form(point.to_poly(), omega)
     if set(init.support()) != set(_spike_exponents(n, d)):
-        raise CertificateError(
-            f"initial form on {init.support()} is not x1^d + x0^(d-1)*x2")
+        raise CertificateError(f"initial form on {init.support()} at n={n}, "
+                               f"d={d} is not x1^d + x0^(d-1)*x2")
     verdict = binomials.classify(binomials.pattern_from_poly(init))
     if not verdict.is_prime:
-        raise CertificateError(f"initial form {init} is {verdict.tag}")
+        raise CertificateError(
+            f"initial form {init} at n={n}, d={d} is {verdict.tag}")
     return WitnessBundle(n=n, d=d, point=point, omega=omega,
                          initial=init, verdict=verdict,
                          dominance=dominance_certificate(n, d))
@@ -99,20 +102,19 @@ def dominance_certificate(n: int, d: int) -> linalg.RankReport:
     is the generic rank, certified from both sides.
 
     The exact rank at the point bounds the generic rank from below, and
-    structural_rank_bound, certified from the block's exponent support,
-    bounds the rank at every family point from above; a report that reaches
-    the bound therefore gives the generic rank, and a surjective one
-    certifies that the image of the construction fills a dense open subset
-    of the degree-d coefficient space.  The support is certified first, as
-    family.key_rank rests on it.  Raises CertificateError unless the rank
-    meets the bound and the support certifies it, or at c[x1^d] = 0.
+    structural_rank_bound bounds the rank at every family point from above;
+    a report that reaches the bound therefore gives the generic rank, and a
+    surjective one certifies that the image of the construction fills a
+    dense open subset of the degree-d coefficient space.  family.key_rank
+    certifies the bound and refuses a rank past it, or c[x1^d] = 0; a rank
+    short of it raises CertificateError here.
     """
-    target = family.structural_rank_bound(n, d)
     _key, report = family.key_rank(family.dominance_point(n, d))
-    if report.rank != target:
+    target = family.structural_rank_bound(n, d)
+    if report.rank < target:
         raise CertificateError(
             f"rank {report.rank} at the dominance point of n={n}, d={d} "
-            f"misses the structural bound {target}")
+            f"falls short of the structural bound {target}")
     return report
 
 
@@ -289,9 +291,10 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     and reduces every (prime pattern, ordering) stratum into a permuted
     copy of the restricted family with the full strata survey, at every
     (n, d) the ambient limit admits.  The random source feeds the family
-    samples only; one with c[x1^d] = 0 raises CertificateError, and one
-    whose rank misses the structural bound is redrawn, GenericityError
-    being raised after 1 + _RESAMPLE_BUDGET such draws.
+    samples only.  family.key_rank raises CertificateError at a sample with
+    c[x1^d] = 0 or a rank past the bound; a sample short of the bound is
+    redrawn, GenericityError being raised after 1 + _RESAMPLE_BUDGET such
+    draws.
     """
     check_domain(n, d)
     if d <= 2 * n - 1:
@@ -313,7 +316,8 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     survey = strata_survey(n, d)
     if not survey.passed:
         raise CertificateError(
-            f"strata reduction failed first at {survey.failures[0]}")
+            f"strata reduction failed at n={n}, d={d}, first at "
+            f"{survey.failures[0]}")
     return NonexistenceReport(n=n, d=d, codim_bound=codim_bound,
                               sampled_codims=tuple(sampled),
                               redundancy_ok=True,
@@ -340,17 +344,10 @@ def threshold_sweep(n_max: int, d_max: int) -> list[SweepRow]:
 
     Each row is degenerable exactly when the dominance report is surjective,
     and a row contradicting the d <= 2n - 1 threshold raises
-    CertificateError.  Nothing is sampled.  Each row's support scan builds
-    (2d-1)(n+1) exponents of n+1 entries, under 2d(n+1)^2 in all, and a grid
-    over MAX_AMBIENT such entries raises DomainError before any row.
+    CertificateError.  Nothing is sampled, and poly.check_grid rejects an
+    oversized grid before any row.
     """
-    check_domain(n_max, d_max)
-    entries = (2 * sum((n + 1) ** 2 for n in range(2, n_max + 1))
-               * sum(range(2, d_max + 1)))
-    if entries > MAX_AMBIENT:
-        raise DomainError(
-            f"the sweep's blocks hold {entries} exponent entries, over the "
-            f"limit of {MAX_AMBIENT}")
+    check_grid(n_max, d_max)
     rows = []
     for n in range(2, n_max + 1):
         for d in range(2, d_max + 1):

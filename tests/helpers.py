@@ -886,20 +886,30 @@ def block_support_reference(n: int, d: int) -> dict[tuple[int, int, int], Expone
             if not _excluded(u := step_reference(w, i, j))}
 
 
+def family_caches() -> dict:
+    """Every lru_cache in family, by name."""
+    import toricdegen.family as family
+    return {name: obj for name, obj in vars(family).items()
+            if hasattr(obj, "cache_parameters")}
+
+
 @contextmanager
 def patched_support(change) -> Iterator[None]:
     """Within the block, family._block_support(n, d) returns
-    change(support) for the true support; face_exponents, the cache built
-    from it, is cleared on entry and on exit."""
+    change(support) for the true support; every family cache, each built
+    from it, is cleared on entry and on exit, so none answers with the
+    support of the other side."""
     import toricdegen.family as family
-    support = family._block_support
+    support, caches = family._block_support, family_caches().values()
     family._block_support = lambda n, d: change(support(n, d))
     try:
-        family.face_exponents.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         yield
     finally:
         family._block_support = support
-        family.face_exponents.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def forbid_pattern_generation(monkeypatch) -> None:

@@ -15,10 +15,12 @@ import pytest
 import toricdegen.cli as cli
 import toricdegen.errors
 from toricdegen import (CertificateError, UsageError, differential_rank,
-                        enumerate_patterns, key_matrix, parse_poly,
-                        pattern_from_poly, rank, sample_family, solve,
-                        strata_survey, stratum_system, threshold_sweep)
+                        dominance_point, enumerate_patterns, key_matrix,
+                        parse_poly, pattern_from_poly, rank, sample_family,
+                        solve, strata_survey, structural_rank_bound,
+                        stratum_system, threshold_sweep)
 from toricdegen.cli import build_parser, main
+from toricdegen.family import key_rank
 from helpers import (forbid_pattern_generation, listing_payload,
                      listing_table, patched_support, spikeless_sampler,
                      stuck_sampler)
@@ -671,16 +673,35 @@ class TestContradictedClaims:
         assert err.startswith(
             "certificate failure: threshold violated at n=2, d=2")
 
-    def test_verify_lemma_above_the_law_is_certificate_failure(
-            self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--n-max", "2", "--d-max", "2"),
+        ("witness", "--n", "2", "--d", "3"),
+        ("verify-lemma", "--n", "2", "--d", "4"),
+        ("nonexist", "--n", "2", "--d", "4"),
+    ], ids=lambda argv: argv[0])
+    def test_rank_past_the_bound_is_one_certificate_failure(
+            self, capsys, monkeypatch, argv):
+        # every command ranks only through key_rank's call of rank on the
+        # key matrix, so patching it changes the key rank alone; key_rank
+        # refuses the rank with one message, before any payload, and
+        # nonexist redraws no such sample
         import toricdegen.family
-        # verify-lemma ranks only through key_rank's call of rank on the
-        # key matrix, so patching it changes the key rank alone
+        sample, draws = toricdegen.family.sample_family, []
         monkeypatch.setattr(toricdegen.family, "rank", lambda rows: 10**6)
-        code, out, err = run(capsys, "verify-lemma", "--n", "2", "--d", "4")
+        monkeypatch.setattr(toricdegen.family, "sample_family",
+                            lambda *args: draws.append(args) or sample(*args))
+        n, d = int(argv[2]), int(argv[4])  # sweep fails at its first row
+        with pytest.raises(CertificateError) as refused:
+            key_rank(dominance_point(n, d))
+        assert str(refused.value) == (
+            f"rank {math.comb(n + d, d) - d + 1 + 10**6} at n={n}, d={d} "
+            f"exceeds the structural bound {structural_rank_bound(n, d)}")
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert json.loads(out)["key_matrix_rank"] == 10**6
-        assert err.startswith("certificate failure")
+        assert out == ""
+        assert err == f"certificate failure: {refused.value} (seed 1)\n"
+        if argv[0] == "nonexist":
+            assert len(draws) == 1
 
 
 _INPUT_ERRORS = [cls for cls in vars(toricdegen.errors).values()

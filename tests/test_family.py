@@ -43,6 +43,7 @@ from helpers import (
     check_record,
     differential_generators,
     excluded_block_reference,
+    family_caches,
     full_span_rank,
     monomial,
     patched_support,
@@ -234,6 +235,8 @@ class TestBlockSupport:
          "meets 4 key rows and 3 columns"),
     ], ids=["row-0-0", "row-1-1", "row-2-2", "no-column-3"])
     def test_a_stray_support_is_rejected(self, change, reason):
+        # the bound is cached, so patched_support clears it both ways
+        assert structural_rank_bound(3, 5) == comb(8, 5) - 5 + 1 + 4
         with patched_support(change):
             with pytest.raises(CertificateError, match=reason):
                 structural_rank_bound(3, 5)
@@ -304,11 +307,20 @@ class TestBlockSteps:
     def test_every_cache_holds_one_shape(self):
         # every caller works on one (n, d) at a time, so a cache holding more
         # shapes only grows with the sweep's grid
-        import toricdegen.family as family
         sizes = {name: obj.cache_parameters()["maxsize"]
-                 for name, obj in vars(family).items()
-                 if hasattr(obj, "cache_parameters")}
-        assert sizes == {"face_exponents": 1}
+                 for name, obj in family_caches().items()}
+        assert sizes == {"face_exponents": 1, "structural_rank_bound": 1}
+
+    def test_key_rank_scans_the_support_once_per_shape(self):
+        # key_rank certifies the support its identity rests on at every
+        # call, so 1,000 samples of one shape must pay for one scan
+        import toricdegen.family as family
+        rng = Random(43)
+        points = [sample_family(3, 6, rng) for _ in range(1000)]
+        family.structural_rank_bound.cache_clear()
+        for point in points:
+            key_rank(point)
+        assert family.structural_rank_bound.cache_info().misses == 1
 
     def test_a_block_reads_only_its_points_terms(self, monkeypatch):
         # each term is looked up once, and no exponent the point does not

@@ -122,8 +122,9 @@ class TestResampleBudget:
         assert len(draws) == 1 + toricdegen.theorem._RESAMPLE_BUDGET == 6
 
     def test_witness_draws_once(self, monkeypatch):
-        # the stuck point misses the structural bound, but the witness takes
-        # its dominance report from the dominance point, not from the draw
+        # the stuck point falls short of the structural bound, but the
+        # witness takes its dominance report from the dominance point, not
+        # from the draw
         draws = stuck_sampler(monkeypatch)
         bundle = existence_witness(3, 5, Random(1))
         assert draws == [(3, 5)]

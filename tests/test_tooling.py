@@ -619,6 +619,46 @@ def test_exits_seen_in_every_form():
     assert (9, "sys.exit") in _exits(tree)
 
 
+def _unnamed_exit_2(tree: ast.AST):
+    """(line, text) for each raise of CertificateError or GenericityError,
+    main's exit 2, whose message is not an f-string whose text holds n= and
+    d=."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and getattr(node.exc.func, "id", getattr(
+                    node.exc.func, "attr", None)) in ("CertificateError",
+                                                      "GenericityError"):
+            message = node.exc.args[0] if node.exc.args else None
+            text = "".join(part.value for part in message.values
+                           if isinstance(part, ast.Constant)) \
+                if isinstance(message, ast.JoinedStr) else ""
+            if "n=" not in text or "d=" not in text:
+                yield node.lineno, ast.unparse(node.exc)
+
+
+def test_every_exit_2_message_names_its_point():
+    # an exit-2 line must let the run be replayed, so every certificate and
+    # genericity message names its (n, d), main adding the seed; cones
+    # solves systems that have no (n, d)
+    found = []
+    for name in ("family", "theorem", "binomials", "cli"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        found += [f"{name}.py:{line} {text}"
+                  for line, text in _unnamed_exit_2(tree)]
+    assert not found, "exit-2 messages without n= and d=: " + ", ".join(found)
+
+
+def test_unnamed_exit_2_seen_in_every_form():
+    tree = ast.parse("def f(n, d, m):\n"
+                     "    raise CertificateError(f'bad at n={n}, d={d}')\n"
+                     "    raise GenericityError(f'bad at n={n}')\n"
+                     "    raise errors.CertificateError('bad at n=2, d=2')\n"
+                     "    raise CertificateError(m)\n"
+                     "    raise GenericityError()\n"
+                     "    raise DomainError(f'bad at {n}')\n")
+    assert sorted(line for line, _text in _unnamed_exit_2(tree)) == \
+        [3, 4, 5, 6]
+
 def test_handlers_return_nothing():
     # the exception type alone sets the exit code: a command handler only
     # formats output, and main returns 0 when it returns
