@@ -18,20 +18,21 @@ rows (i, 0) and (i, 1).
 Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i, so excluded_block
 walks the point's terms: c*x^u lands on w = u - e_i + e_j when x^u / x_i
 lies on {x0, x1} and w keeps x0.  As c is 0 on excluded u at a family point,
-the block's support (_block_support) follows from the exponents alone: the
-key rows (i, 0) and (i, 1) for i >= 2 on the first d - 1 columns, where they
-form the banded key matrix, and the last column x0*x1^(d-1), which also
-holds the spike of row (1, 0).  structural_rank_bound certifies from the
-support that the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every
-family point, and that rows (0, 0), (0, 1) and (1, 1) vanish off the last
-column, which is the redundancy claim.  So wherever the spike is nonzero,
-the block's rank is 1 + the key matrix's: every certificate ranks a point
-by key_rank, which judges it too; differential_rank is its oracle.
+the block's support (_block_support) is a set of positions, read off each
+w's x0 degree and its degree off {x0, x1} with no u built: the key rows
+(i, 0) and (i, 1) for i >= 2 on the first d - 1 columns, where they form
+the banded key matrix, and the last column x0*x1^(d-1), which also holds the
+spike of row (1, 0).  structural_rank_bound, the support's one reader,
+certifies from it that the rank is at most ambient - d + 1 + min(d-1, 2n-2)
+at every family point, and that rows (0, 0), (0, 1) and (1, 1) vanish off
+the last column, which is the redundancy claim.  So wherever the spike is
+nonzero, the block's rank is 1 + the key matrix's: every certificate ranks a
+point by key_rank, which judges it too; differential_rank is its oracle.
 
-The support reads only the face, the 1 + (n-1)*d non-excluded exponents one
-product step from the excluded ones (face_exponents): x1^d and
-x0^a*x1^(d-1-a)*x_i for i >= 2.  So a family point is sampled on the face
-alone, and the whole degree-d monomial basis is never built.
+The support's steps u are the face, the 1 + (n-1)*d non-excluded exponents
+one product step from the excluded ones; face_exponents gives its closed
+form, x1^d and x0^a*x1^(d-1-a)*x_i for i >= 2.  So a point is sampled on
+the face alone, and the degree-d monomial basis is never built.
 """
 
 from __future__ import annotations
@@ -64,23 +65,29 @@ def _excluded(u: Exponent) -> bool:
     return u[0] > 0 and not any(u[2:])
 
 
-def _block_support(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
-    """The block entries that can be nonzero at some family point, c being 0
-    on excluded u: (i, j, k) to u = w_k - e_j + e_i for every excluded w_k,
-    j with w_k[j] >= 1 (every j is scanned) and i, where u is not excluded."""
-    return {(i, j, k): u for k, w in enumerate(excluded_exponents(n, d))
-            for j in range(n + 1) if w[j]
-            for v in [w[:j] + (w[j] - 1,) + w[j + 1:]] for i in range(n + 1)
-            for u in [v[:i] + (v[i] + 1,) + v[i + 1:]] if not _excluded(u)}
+def _block_support(n: int, d: int) -> set[tuple[int, int, int]]:
+    """The block positions (i, j, k) that can be nonzero at some family
+    point, c being 0 on excluded u: for every excluded w_k, j with
+    w_k[j] >= 1 (every j is scanned) and i, those where u = w_k - e_j + e_i
+    is not excluded, which w_k[0] and w_k's degree off {x0, x1} decide."""
+    return {(i, j, k) for k, w in enumerate(excluded_exponents(n, d))
+            for rest in [sum(w[2:])] for j in range(n + 1) if w[j]
+            for i in range(n + 1)
+            if not w[0] - (j == 0) + (i == 0) or rest - (j > 1) + (i > 1)}
 
 
 @lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
 def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
-    """The exponents of the block's support, the non-excluded terms that
-    excluded_block can send onto an excluded exponent: x1^d and
-    x0^a*x1^(d-1-a)*x_i for 0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all,
-    descending graded-lex."""
-    return tuple(sorted(set(_block_support(n, d).values()), reverse=True))
+    """The non-excluded terms that excluded_block can send onto an excluded
+    exponent, in closed form: x1^d and x0^a*x1^(d-1-a)*x_i for
+    0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all, descending graded-lex.
+    The face only places samples, so a wrong one could cause a shortfall,
+    never a false pass: every rank is bounded by the certified support."""
+    check_domain(n, d)
+    z = (0,) * (n - 1)
+    spokes = [(a, d - 1 - a) + z[:i] + (1,) + z[i + 1:]
+              for a in range(d) for i in range(n - 1)]
+    return tuple(sorted([(0, d) + z] + spokes, reverse=True))
 
 
 class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
@@ -207,15 +214,15 @@ def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
 
 @lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
 def structural_rank_bound(n: int, d: int) -> int:
-    """ambient - d + 1 + min(d-1, 2n-2), certified from the block's support
-    as an upper bound for the differential rank at every family point; it is
-    exact at generic points.
+    """ambient - d + 1 + min(d-1, 2n-2), certified from the positions of the
+    block's support (_block_support) as an upper bound for the differential
+    rank at every family point; it is exact at generic points.
 
     Off the last column x0*x1^(d-1), the support must lie in the key rows
     and the first d - 1 columns, so the block's rank is at most 1 plus the
     smaller of the counts of rows and columns it meets there, which must
-    equal 1 + min(d-1, 2n-2).  Every support entry must also have j <= 1,
-    the rows excluded_block keeps.  Else CertificateError is raised.
+    equal 1 + min(d-1, 2n-2).  Every support position must also have
+    j <= 1, the rows excluded_block keeps.  Else CertificateError is raised.
     """
     support = _block_support(n, d)
     stray = sorted((i, j, k) for i, j, k in support

@@ -98,20 +98,6 @@ def check_domain(n: int, d: int) -> None:
     check_ambient(n, d)
 
 
-def check_grid(n_max: int, d_max: int) -> None:
-    """Run check_domain on (n_max, d_max), then reject a sweep grid
-    2 <= n <= n_max, 2 <= d <= d_max whose support scans build more than
-    MAX_AMBIENT exponent entries: each point's scan builds (2d-1)(n+1)
-    exponents of n+1 entries, under 2d(n+1)^2."""
-    check_domain(n_max, d_max)
-    entries = (2 * sum((n + 1) ** 2 for n in range(2, n_max + 1))
-               * sum(range(2, d_max + 1)))
-    if entries > MAX_AMBIENT:
-        raise DomainError(
-            f"the sweep's support scans build {entries} exponent entries, "
-            f"over the limit of {MAX_AMBIENT}")
-
-
 class HomogPoly:
     """Homogeneous polynomial of fixed degree with exact coefficients: a
     validated map from exponents to nonzero Fractions, in descending

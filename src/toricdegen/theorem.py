@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 from . import binomials, family, linalg
 from .errors import CertificateError, DomainError, GenericityError
 from .poly import (Exponent, HomogPoly, WeightVector, check_domain,
-                   check_grid, initial_form, weight_vector)
+                   initial_form, weight_vector)
 
 
 def witness_weight(n: int, d: int) -> WeightVector:
@@ -344,10 +344,10 @@ def threshold_sweep(n_max: int, d_max: int) -> list[SweepRow]:
 
     Each row is degenerable exactly when the dominance report is surjective,
     and a row contradicting the d <= 2n - 1 threshold raises
-    CertificateError.  Nothing is sampled, and poly.check_grid rejects an
-    oversized grid before any row.
+    CertificateError.  Nothing is sampled, and poly.check_domain rejects
+    (n_max, d_max) before any row.
     """
-    check_grid(n_max, d_max)
+    check_domain(n_max, d_max)
     rows = []
     for n in range(2, n_max + 1):
         for d in range(2, d_max + 1):

@@ -878,7 +878,8 @@ def excluded_block_reference(point: FamilyPoint) -> tuple[tuple[RatLike, ...], .
 
 
 def block_support_reference(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
-    """family._block_support by a scan of its own: (i, j, k) to
+    """family._block_support's positions, and family.face_exponents as its
+    values, by a scan that builds every step: (i, j, k) to
     u = w_k - e_j + e_i for every excluded w_k with w_k[j] >= 1 and every
     i, where u is not excluded."""
     return {(i, j, k): u for k, w in enumerate(excluded_exponents(n, d))
@@ -896,9 +897,9 @@ def family_caches() -> dict:
 @contextmanager
 def patched_support(change) -> Iterator[None]:
     """Within the block, family._block_support(n, d) returns
-    change(support) for the true support; every family cache, each built
-    from it, is cleared on entry and on exit, so none answers with the
-    support of the other side."""
+    change(positions) for the true set of support positions; every family
+    cache is cleared on entry and on exit, so structural_rank_bound, which
+    reads the support, answers with neither side's support on the other."""
     import toricdegen.family as family
     support, caches = family._block_support, family_caches().values()
     family._block_support = lambda n, d: change(support(n, d))

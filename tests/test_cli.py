@@ -234,10 +234,11 @@ class TestSweep:
         assert out == ""
         assert "ambient dimension" in err
 
-    @pytest.mark.parametrize("n_max,d_max", [("71", "2"), ("2", "236")])
+    @pytest.mark.parametrize("n_max,d_max", [("999", "2"), ("2", "999")])
     def test_grid_over_budget_rejected_before_any_row(self, capsys,
                                                       monkeypatch, n_max,
                                                       d_max):
+        # the ambient limit is the grid's one budget: C(1001, 2) = 500,500
         import toricdegen.theorem
         # None makes any call fail the test
         monkeypatch.setattr(toricdegen.theorem, "dominance_certificate", None)
@@ -245,7 +246,7 @@ class TestSweep:
                              "--d-max", d_max)
         assert code == 64
         assert out == ""
-        assert "exponent entries" in err
+        assert "ambient dimension" in err
 
     def test_grid_below_two_is_usage(self, capsys):
         code, out, err = run(capsys, "sweep", "--n-max", "1", "--d-max", "3")
@@ -754,7 +755,7 @@ class TestNonexist:
         assert payload["strata_full"] is True
 
     def test_stray_support_is_certificate_failure(self, capsys):
-        with patched_support(lambda s: {**s, (0, 0, 0): s[2, 0, 0]}):
+        with patched_support(lambda s: s | {(0, 0, 0)}):
             code, out, err = run(capsys, "nonexist", "--n", "2", "--d", "4",
                                  "--seed", "1")
         assert code == 2

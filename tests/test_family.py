@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -49,6 +50,7 @@ from helpers import (
     patched_support,
     rank_sparse_exact,
     sparse_rows,
+    step_reference,
 )
 
 
@@ -216,22 +218,23 @@ class TestBlockSupport:
                 block = excluded_block(sample_family(n, d, rng))
                 nonzero = {(i, j, k) for i in range(n + 1) for j in (0, 1)
                            for k in range(d) if block[2 * i + j][k]}
-                assert set(_block_support(n, d)) == nonzero, (n, d)
+                assert _block_support(n, d) == nonzero, (n, d)
 
     def test_support_maps_each_entry_to_its_step(self):
+        # each position's step back from its excluded exponent exists and
+        # is not excluded; the scan itself builds no step
         for n, d in [(2, 2), (3, 5), (5, 4)]:
             excl = excluded_exponents(n, d)
-            for (i, j, k), u in _block_support(n, d).items():
-                w = list(excl[k])
-                w[j] -= 1
-                w[i] += 1
-                assert u == tuple(w) and u not in excl, (n, d, i, j, k)
+            for i, j, k in _block_support(n, d):
+                assert excl[k][j] >= 1, (n, d, i, j, k)
+                u = step_reference(excl[k], i, j)
+                assert u not in excl, (n, d, i, j, k)
 
     @pytest.mark.parametrize("change, reason", [
-        (lambda s: {**s, (0, 0, 0): s[2, 0, 0]}, r"at \[\(0, 0, 0\)\]"),
-        (lambda s: {**s, (1, 1, 2): s[2, 0, 0]}, r"at \[\(1, 1, 2\)\]"),
-        (lambda s: {**s, (2, 2, 4): s[2, 0, 0]}, r"at \[\(2, 2, 4\)\]"),
-        (lambda s: {key: u for key, u in s.items() if key[2] != 3},
+        (lambda s: s | {(0, 0, 0)}, r"at \[\(0, 0, 0\)\]"),
+        (lambda s: s | {(1, 1, 2)}, r"at \[\(1, 1, 2\)\]"),
+        (lambda s: s | {(2, 2, 4)}, r"at \[\(2, 2, 4\)\]"),
+        (lambda s: {key for key in s if key[2] != 3},
          "meets 4 key rows and 3 columns"),
     ], ids=["row-0-0", "row-1-1", "row-2-2", "no-column-3"])
     def test_a_stray_support_is_rejected(self, change, reason):
@@ -241,6 +244,41 @@ class TestBlockSupport:
             with pytest.raises(CertificateError, match=reason):
                 structural_rank_bound(3, 5)
         assert structural_rank_bound(3, 5) == comb(8, 5) - 5 + 1 + 4
+
+    def test_face_and_sampling_scan_no_support(self, monkeypatch):
+        # the face is its closed form; only structural_rank_bound scans
+        import toricdegen.family as family
+
+        def refuse(n, d):
+            raise AssertionError(f"support scanned at n={n}, d={d}")
+
+        monkeypatch.setattr(family, "_block_support", refuse)
+        family.face_exponents.cache_clear()
+        rng = Random(44)
+        for n in range(2, 7):
+            for d in range(2, 15):
+                face = face_exponents(n, d)
+                steps = block_support_reference(n, d).values()
+                assert face == tuple(sorted(set(steps), reverse=True)), (n, d)
+                point = sample_family(n, d, rng)
+                assert tuple(point.poly.support()) == face, (n, d)
+
+    def test_scan_memory_stays_small_at_a_large_point(self, monkeypatch):
+        # the scan keeps positions, not an (n+1)-entry exponent per step,
+        # which peaked at 47 MB here
+        import toricdegen.family as family
+        import toricdegen.poly as poly
+        monkeypatch.setattr(poly, "MAX_AMBIENT", 10 ** 200)
+        family.structural_rank_bound.cache_clear()
+        tracemalloc.start()
+        try:
+            bound = structural_rank_bound(100, 240)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            family.structural_rank_bound.cache_clear()
+        assert bound == comb(340, 240) - 240 + 1 + 198
+        assert peak < 16_000_000
 
 
 def _typed(matrix):
@@ -267,7 +305,7 @@ class TestBlockSteps:
         rng = Random(41)
         for n, d in self.GRID:
             support = block_support_reference(n, d)
-            assert _block_support(n, d) == support, (n, d)
+            assert _block_support(n, d) == set(support), (n, d)
             assert face_exponents(n, d) == \
                 tuple(sorted(set(support.values()), reverse=True)), (n, d)
             for point in self._points(n, d, rng):

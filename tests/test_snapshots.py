@@ -32,7 +32,7 @@ COMMANDS = {
 }
 
 REJECTIONS = {
-    "sweep-over-budget": ("sweep", "--n-max", "71", "--d-max", "2"),
+    "sweep-over-budget": ("sweep", "--n-max", "999", "--d-max", "2"),
     "nonexist-below-threshold": ("nonexist", "--n", "2", "--d", "3"),
 }
 

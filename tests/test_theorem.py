@@ -383,7 +383,7 @@ class TestNonexistence:
 
     def test_stray_support_fails_before_sampling(self, monkeypatch):
         monkeypatch.setattr(toricdegen.family, "sample_family", None)
-        with patched_support(lambda s: {**s, (0, 1, 1): s[2, 0, 0]}):
+        with patched_support(lambda s: s | {(0, 1, 1)}):
             with pytest.raises(CertificateError, match="the key rows"):
                 nonexistence_certificate(2, 4, 3, Random(1))
             with pytest.raises(CertificateError, match="the key rows"):
@@ -412,9 +412,12 @@ class TestSweep:
         with pytest.raises(TypeError):
             threshold_sweep(2, 2, strict=False)
 
-    @pytest.mark.parametrize("n_max,d_max", [(70, 2), (2, 235)])
+    @pytest.mark.parametrize("n_max,d_max", [(70, 2), (2, 235), (71, 2),
+                                             (2, 236), (998, 2), (2, 998)])
     def test_largest_grids_in_the_budget(self, n_max, d_max):
-        # 2 * sum (n+1)^2 * sum d exponent entries, at most MAX_AMBIENT
+        # the grid's scans build no exponents, so it has no budget of its
+        # own: (71, 2) and (2, 236), past the old one, return their rows,
+        # and so do (998, 2) and (2, 998), the largest check_domain admits
         assert len(threshold_sweep(n_max, d_max)) == (n_max - 1) * (d_max - 1)
 
 

@@ -407,17 +407,17 @@ def test_library_reads_every_parameter():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
-def _rank_calls(tree: ast.Module):
-    """(line, name) for each call of rank, by that bare name or as
-    linalg.rank, with the name of the top-level definition making it."""
+def _calls(tree: ast.Module, name: str, module: str):
+    """(line, definition) for each call of name, bare or as module.name,
+    with the name of the top-level definition making it."""
     for node in tree.body:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call) and (
-                    isinstance(sub.func, ast.Name) and sub.func.id == "rank"
+                    isinstance(sub.func, ast.Name) and sub.func.id == name
                     or isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "rank"
+                    and sub.func.attr == name
                     and isinstance(sub.func.value, ast.Name)
-                    and sub.func.value.id == "linalg"):
+                    and sub.func.value.id == module):
                 yield sub.lineno, getattr(node, "name", "<module>")
 
 
@@ -428,7 +428,8 @@ def test_only_family_ranks_a_family_point():
     for path in sorted(SRC.rglob("*.py")):
         if path.name != "family.py":
             tree = ast.parse(path.read_text(), filename=str(path))
-            found += [f"{path.name} {name}" for _line, name in _rank_calls(tree)]
+            found += [f"{path.name} {name}"
+                      for _line, name in _calls(tree, "rank", "linalg")]
     assert not found, "rank called outside family: " + ", ".join(found)
 
 
@@ -440,7 +441,32 @@ def test_rank_calls_seen_in_both_forms():
                      "class C:\n"
                      "    def g(self, m):\n"
                      "        return self.rank(m), linalg.rank(m)\n")
-    assert list(_rank_calls(tree)) == [(4, "f"), (4, "f"), (7, "C")]
+    assert list(_calls(tree, "rank", "linalg")) == \
+        [(4, "f"), (4, "f"), (7, "C")]
+
+
+def test_only_the_bound_scans_the_support():
+    # the face is a closed form and every rank reads the certified bound,
+    # so structural_rank_bound is the one reader of the support scan
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {f"{path.name} {name}"
+                  for _line, name in _calls(tree, "_block_support", "family")}
+    assert found == {"family.py structural_rank_bound"}, sorted(found)
+
+
+def test_support_scans_seen_in_every_form():
+    tree = ast.parse("from . import family\n"
+                     "def f(n, d):\n"
+                     "    return _block_support(n, d), support(n, d)\n"
+                     "class C:\n"
+                     "    def g(self, n, d):\n"
+                     "        return family._block_support(n, d)\n"
+                     "S = sorted(_block_support(2, 3))\n"
+                     "T = self._block_support(2, 3), _block_support\n")
+    assert list(_calls(tree, "_block_support", "family")) == \
+        [(3, "f"), (6, "C"), (7, "<module>")]
 
 
 def _self_calls(tree: ast.AST):
