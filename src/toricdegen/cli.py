@@ -49,15 +49,14 @@ def _write(pieces: Iterable[str]) -> None:
     sys.stdout.write("".join(buf))
 
 
-def _kv_lines(payload: dict, prefix: str = "") -> Iterator[str]:
-    """'key = value' lines; a dict's keys are prefixed with its own key."""
+def _kv_lines(payload: dict) -> Iterator[str]:
+    """'key = value' lines; a dict value's keys get its key as a prefix."""
     for key, value in payload.items():
-        if isinstance(value, dict):
-            yield from _kv_lines(value, f"{prefix}{key}.")
-        elif isinstance(value, (list, tuple)):
-            yield f"{prefix}{key} = {json.dumps(value)}"
-        else:
-            yield f"{prefix}{key} = {value}"
+        pairs = ([(f"{key}.{sub}", v) for sub, v in value.items()]
+                 if isinstance(value, dict) else [(key, value)])
+        for name, item in pairs:
+            text = json.dumps(item) if isinstance(item, (list, tuple)) else item
+            yield f"{name} = {text}"
 
 
 def _emit(payload: dict, fmt: str, table_lines=_kv_lines) -> None:

@@ -16,18 +16,20 @@ contains x2..xn, so the block built by excluded_block holds the 2(n+1)
 rows (i, 0) and (i, 1).
 
 Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i, so excluded_block
-walks the point's terms: c*x^u lands on w = u - e_i + e_j when x^u / x_i
-lies on {x0, x1} and w keeps x0.  As c is 0 on excluded u at a family point,
-the block's support (_block_support) is a set of positions, read off each
-w's x0 degree and its degree off {x0, x1} with no u built: the key rows
-(i, 0) and (i, 1) for i >= 2 on the first d - 1 columns, where they form
-the banded key matrix, and the last column x0*x1^(d-1), which also holds the
-spike of row (1, 0).  structural_rank_bound, the support's one reader,
-certifies from it that the rank is at most ambient - d + 1 + min(d-1, 2n-2)
-at every family point, and that rows (0, 0), (0, 1) and (1, 1) vanish off
-the last column, which is the redundancy claim.  So wherever the spike is
-nonzero, the block's rank is 1 + the key matrix's: every certificate ranks a
-point by key_rank, which judges it too; differential_rank is its oracle.
+walks the point's (u, c) pairs and looks no coefficient up: c*x^u lands on
+w = u - e_i + e_j when x^u / x_i lies on {x0, x1} and w keeps x0, and an
+integral c enters as an int, so integer points give integer blocks.  As c
+is 0 on excluded u at a family point, the block's support (_block_support)
+is a set of positions, read off each w's x0 degree and its degree off
+{x0, x1} with no u built: the key rows (i, 0) and (i, 1) for i >= 2 on the
+first d - 1 columns, where they form the banded key matrix, and the last
+column x0*x1^(d-1), which also holds the spike of row (1, 0).
+structural_rank_bound, the support's one reader, certifies from it that the
+rank is at most ambient - d + 1 + min(d-1, 2n-2) at every family point, and
+that rows (0, 0), (0, 1) and (1, 1) vanish off the last column, which is
+the redundancy claim.  So wherever the spike is nonzero, the block's rank
+is 1 + the key matrix's: every certificate ranks a point by key_rank, which
+judges it too; differential_rank is its oracle.
 
 The support's steps u are the face, the 1 + (n-1)*d non-excluded exponents
 one product step from the excluded ones; face_exponents gives its closed
@@ -114,12 +116,6 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
         # _replace builds through _make, so it validates like the constructor
         return cls(*iterable)
 
-    def coeff(self, u: Exponent) -> RatLike:
-        """The coefficient of x^u: an int when it is integral, so that
-        integer points give integer blocks, and a Fraction otherwise."""
-        c = self.poly.coeff(u)
-        return c.numerator if c.denominator == 1 else c
-
     def to_poly(self) -> HomogPoly:
         return self.poly
 
@@ -127,7 +123,9 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
 # Most sampled family members a certificate draws; a larger count adds
 # nothing the maximum needs.  A verify-lemma sample at (5, 12) draws a
 # point and ranks its key matrix in 0.25-0.48 ms (2-vCPU Xeon, Python
-# 3.11.7: in process, ten medians, each of 7 runs of 200 samples).
+# 3.11.7: in process, ten medians, each of 7 runs of 200 samples).  At
+# (998, 2), the widest shape check_domain admits, one takes 87-97 ms on
+# that machine (medians of 5), so 1000 samples run for about 1.5 minutes.
 MAX_SAMPLES = 1000
 
 
@@ -183,16 +181,17 @@ def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     excluded_exponents order.  Products with j >= 2 have none.
 
     Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
-    and 0 otherwise.  So each term c*x^u is read once and sent to column w_1
-    for the i with x^u / x_i on {x0, x1} and the j with w_0 >= 1.  Excluded
-    terms are walked too: a point built past the constructor's check shows.
+    and 0 otherwise.  So each pair (u, c) of the point's terms is walked
+    once, c made an int when it is integral, and sent to column w_1 for the
+    i with x^u / x_i on {x0, x1} and the j with w_0 >= 1.  Excluded terms
+    are walked too: a point built past the constructor's check shows.
     """
     block = [[0] * point.d for _ in range(2 * point.n + 2)]
-    for u in point.poly.support():
+    for u, c in point.poly.terms():
         rest = point.d - u[0] - u[1]  # u's degree off {x0, x1}
         if rest > 1:
             continue
-        c = point.coeff(u)
+        c = c.numerator if c.denominator == 1 else c
         for i in (0, 1) if rest == 0 else (u.index(1, 2),):
             for j in (0, 1):
                 if u[i] and u[0] - (i == 0) + (j == 0):
@@ -252,10 +251,11 @@ def key_rank(point: FamilyPoint) -> tuple[int, RankReport]:
     vector, so rank(excluded_block(point)) = 1 + rank(key_matrix(point)).
     CertificateError is raised where c[x1^d] = 0, before any rank is taken,
     and at a rank past the bound; a shortfall is the caller's to judge.
+    c[x1^d] is read from point.poly by exponent, and only tested for zero.
     """
     n, d = point.n, point.d
     bound = structural_rank_bound(n, d)
-    if not point.coeff((0, d) + (0,) * (n - 1)):
+    if not point.poly.coeff((0, d) + (0,) * (n - 1)):
         raise CertificateError(
             f"c[x1^{d}] = 0 at n={n}, d={d}, so the point's block does not "
             f"rank 1 + its key matrix")

@@ -285,7 +285,7 @@ def initial_form(f: HomogPoly, w: Sequence[RatLike]) -> HomogPoly:
         raise ZeroPolynomialError("initial form of the zero polynomial is undefined")
     if len(w) != f.n + 1:
         raise DimensionMismatchError(f"weight length {len(w)}, expected {f.n + 1}")
-    weights = {u: weight_of(u, w) for u in f.support()}
-    top = max(weights.values())
+    weighed = [(weight_of(u, w), u, c) for u, c in f.terms()]
+    top = max(weight for weight, _u, _c in weighed)
     return HomogPoly(f.n, f.d,
-                     {u: c for u, c in f.terms() if weights[u] == top})
+                     {u: c for weight, u, c in weighed if weight == top})

@@ -871,8 +871,13 @@ def excluded_block_reference(point: FamilyPoint) -> tuple[tuple[RatLike, ...], .
     terms: u_i * c[u] at ((i, j), w) for u = w - e_j + e_i when w_j >= 1,
     and 0 otherwise."""
     excluded = excluded_exponents(point.n, point.d)
+
+    def coeff(u):  # an integral coefficient as an int, as the block has it
+        c = point.poly.coeff(u)
+        return c.numerator if c.denominator == 1 else c
+
     return tuple(
-        tuple((w[i] + (i != j)) * point.coeff(step_reference(w, i, j))
+        tuple((w[i] + (i != j)) * coeff(step_reference(w, i, j))
               if w[j] else 0 for w in excluded)
         for i in range(point.n + 1) for j in (0, 1))
 

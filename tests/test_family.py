@@ -128,9 +128,8 @@ class TestRecords:
         assert point != sample_family(3, 5, Random(8))
         third = FamilyPoint(3, 5, dict.fromkeys(point.poly.support(),
                                                 Fraction(1, 3)))
-        assert {third.coeff(u) for u in point.poly.support()} == {Fraction(1, 3)}
-        assert all(type(third.coeff(u)) is Fraction
-                   for u in point.poly.support())
+        assert {third.poly.coeff(u) for u in point.poly.support()} == \
+            {Fraction(1, 3)}
         for p in (point, third):
             for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
                 assert twin == p and hash(twin) == hash(p)
@@ -181,10 +180,16 @@ class TestIntegerPath:
             assert rank(key_matrix(third)) == rank(key_matrix(point)), (n, d)
 
     def test_coeff_types_and_list_exponents(self):
-        point = FamilyPoint(2, 3, {(0, 3, 0): 4, (2, 0, 1): Fraction(5, 2)})
-        assert point.coeff([0, 3, 0]) == 4 and type(point.coeff([0, 3, 0])) is int
-        assert point.coeff([2, 0, 1]) == Fraction(5, 2)
-        assert point.coeff((1, 1, 1)) == 0 and type(point.coeff((1, 1, 1))) is int
+        # the block makes an integral coefficient's entries ints and keeps
+        # the others Fractions; poly.coeff reads a list exponent too
+        half = Fraction(5, 2)
+        point = FamilyPoint(2, 3, {(0, 3, 0): 4, (2, 0, 1): half})
+        assert _typed(excluded_block(point)) == _typed(
+            ((0, 0, 0), (0, 0, 0), (0, 0, 12), (0, 0, 0), (half, 0, 0),
+             (0, half, 0)))
+        assert point.poly.coeff([0, 3, 0]) == 4
+        assert point.poly.coeff([2, 0, 1]) == half
+        assert point.poly.coeff([1, 1, 1]) == 0
 
 
 class TestFace:
@@ -361,30 +366,32 @@ class TestBlockSteps:
         assert family.structural_rank_bound.cache_info().misses == 1
 
     def test_a_block_reads_only_its_points_terms(self, monkeypatch):
-        # each term is looked up once, and no exponent the point does not
-        # hold is looked up at all
+        # a block walks its point's (u, c) pairs once and looks no
+        # coefficient up by exponent
         import toricdegen.family as family
-        coeff, block = FamilyPoint.coeff, family.excluded_block
-        reads, per_block = [], []
+        block, calls, per_block = family.excluded_block, [], []
 
-        def recorded_coeff(point, u):
-            reads.append((point, tuple(u)))
-            return coeff(point, u)
+        def recorded(name):
+            method = getattr(HomogPoly, name)
+
+            def call(poly, *args):
+                calls.append(name)
+                return method(poly, *args)
+            monkeypatch.setattr(HomogPoly, name, call)
 
         def recorded_block(point):
-            start = len(reads)
+            start = len(calls)
             result = block(point)
-            per_block.append(Counter(u for _p, u in reads[start:]))
+            per_block.append(Counter(calls[start:]))
             return result
 
-        monkeypatch.setattr(FamilyPoint, "coeff", recorded_coeff)
+        recorded("coeff")
+        recorded("terms")
         monkeypatch.setattr(family, "excluded_block", recorded_block)
         threshold_sweep(4, 10)
         key_rank(sample_family(5, 12, Random(1)))
         family.excluded_block(full_support_point(3, 6, Random(2)))
-        assert len(per_block) == 27 + 1 + 1
-        assert reads and all(u in point.poly.support() for point, u in reads)
-        assert all(max(counts.values()) == 1 for counts in per_block)
+        assert per_block == [Counter(terms=1)] * (27 + 1 + 1)
 
 
 class TestSampling:
@@ -393,7 +400,7 @@ class TestSampling:
             point = sample_family(n, d, Random(1))
             face = set(face_exponents(n, d))
             for u in iter_exponents(n, d):
-                assert (point.coeff(u) != 0) == (u in face), (n, d, u)
+                assert (point.poly.coeff(u) != 0) == (u in face), (n, d, u)
             assert set(point.to_poly().support()) == face
 
     def test_draws_one_value_per_face_exponent(self):
@@ -408,8 +415,8 @@ class TestSampling:
     def test_spike_coefficients_nonzero(self):
         rng = Random(2)
         point = sample_family(2, 3, rng)
-        assert point.coeff((0, 3, 0)) != 0
-        assert point.coeff((2, 0, 1)) != 0
+        assert point.poly.coeff((0, 3, 0)) != 0
+        assert point.poly.coeff((2, 0, 1)) != 0
 
     def test_seeds_differ(self):
         a = sample_family(2, 3, Random(1))
@@ -458,7 +465,7 @@ class TestGenerators:
             prod = gens[(1, 0)]
             members = excluded_exponents(n, d)
             x1d = tuple(d if i == 1 else 0 for i in range(n + 1))
-            assert prod.coeff(members[-1]) == d * point.coeff(x1d) != 0
+            assert prod.coeff(members[-1]) == d * point.poly.coeff(x1d) != 0
             assert all(prod.coeff(u) == 0 for u in members[:-1])
 
     def test_high_j_products_inside_monomial_span(self):
@@ -475,8 +482,8 @@ class TestKeyMatrix:
     def test_entries_at_2_3(self):
         point = sample_family(2, 3, Random(8))
         m = key_matrix(point)
-        c_21 = point.coeff((2, 0, 1))  # u(2, m=2)
-        c_11 = point.coeff((1, 1, 1))  # u(2, m=1)
+        c_21 = point.poly.coeff((2, 0, 1))  # u(2, m=2)
+        c_11 = point.poly.coeff((1, 1, 1))  # u(2, m=1)
         assert m == ((c_21, c_11), (Fraction(0), c_21))
 
     def test_shape(self):
@@ -748,7 +755,7 @@ class TestFaceRestriction:
         rng = Random(24)
         for n, d in self.GRID:
             full = full_support_point(n, d, rng)
-            face = FamilyPoint(n, d, {u: full.coeff(u)
+            face = FamilyPoint(n, d, {u: full.poly.coeff(u)
                                       for u in face_exponents(n, d)})
             assert len(face.to_poly().support()) < len(full.to_poly().support())
             assert excluded_block(face) == excluded_block(full), (n, d)

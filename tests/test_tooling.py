@@ -246,20 +246,16 @@ def test_record_members_read_from_namedtuple_bases():
     tree = ast.parse((SRC / "family.py").read_text())
     node = next(node for node in tree.body if isinstance(node, ast.ClassDef)
                 and node.name == "FamilyPoint")
-    assert _members(node) == {"n", "d", "poly", "coeff", "to_poly"}
+    assert _members(node) == {"n", "d", "poly", "to_poly"}
     assert {label for _sub, label in _definitions(tree, set())
-            if label.startswith("FamilyPoint.")} == {"FamilyPoint.coeff",
-                                                     "FamilyPoint.to_poly"}
+            if label.startswith("FamilyPoint.")} == {"FamilyPoint.to_poly"}
 
 
 # members that another library class also defines, so an attribute read
-# cannot tell whose member it uses.  Each was checked by hand: HomogPoly.coeff
-# is read by cones.stratum_system, FamilyPoint.coeff and acceptance
-# criterion 4, FamilyPoint.coeff by family.excluded_block, once per term of
-# the point, and by family.key_rank, for c[x1^d], and BinomialPattern.n, a
-# name that HomogPoly and FamilyPoint hold too, by cones.stratum_system.  A
-# new one fails the scan until it is checked too
-AMBIGUOUS_MEMBERS = {"coeff", "n"}
+# cannot tell whose member it uses.  Each was checked by hand:
+# BinomialPattern.n, a name that HomogPoly and FamilyPoint hold too, is read
+# by cones.stratum_system.  A new one fails the scan until it is checked too
+AMBIGUOUS_MEMBERS = {"n"}
 
 
 def test_every_library_definition_is_used():
@@ -481,9 +477,8 @@ def _self_calls(tree: ast.AST):
 def test_no_library_function_recurses_on_its_input():
     # recursion once per variable or degree passes the interpreter's
     # recursion limit on inputs the budgets admit, such as 1,000 variables
-    # at d = 0, so the library loops instead.  _kv_lines recurses once per
-    # dict in a handler's payload, at most one dict inside another
-    allowed = {"cli.py _kv_lines"}
+    # at d = 0, so the library loops instead
+    allowed = set()
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
