@@ -35,8 +35,8 @@ _EXPORTS = {
               "satisfies", "solve", "stratum_system", "verify_certificate"),
     "family": ("FamilyPoint", "RedundancyReport", "differential_rank",
                "dominance_point", "excluded_block", "excluded_exponents",
-               "face_exponents", "key_matrix", "redundancy_check",
-               "sample_family", "structural_rank_bound"),
+               "key_matrix", "redundancy_check", "sample_family",
+               "structural_rank_bound"),
     "theorem": ("NonexistenceReport", "StrataSurvey", "SweepRow",
                 "WitnessBundle", "dominance_certificate", "existence_witness",
                 "nonexistence_certificate", "strata_survey",

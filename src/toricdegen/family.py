@@ -15,37 +15,36 @@ Products with j >= 2 have no coefficient there, since no excluded exponent
 contains x2..xn, so the block built by excluded_block holds the 2(n+1)
 rows (i, 0) and (i, 1).
 
-Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i, so excluded_block
-walks the point's (u, c) pairs and looks no coefficient up: c*x^u lands on
-w = u - e_i + e_j when x^u / x_i lies on {x0, x1} and w keeps x0, and an
-integral c enters as an int, so integer points give integer blocks.  As c
-is 0 on excluded u at a family point, the block's support (_block_support)
-is a set of positions, read off each w's x0 degree and its degree off
-{x0, x1} with no u built: the key rows (i, 0) and (i, 1) for i >= 2 on the
-first d - 1 columns, where they form the banded key matrix, and the last
-column x0*x1^(d-1), which also holds the spike of row (1, 0).
-structural_rank_bound, the support's one reader, certifies from it that the
-rank is at most ambient - d + 1 + min(d-1, 2n-2) at every family point, and
-that rows (0, 0), (0, 1) and (1, 1) vanish off the last column, which is
-the redundancy claim.  So wherever the spike is nonzero, the block's rank
-is 1 + the key matrix's: every certificate ranks a point by key_rank, which
-judges it too; differential_rank is its oracle.
-
-The support's steps u are the face, the 1 + (n-1)*d non-excluded exponents
-one product step from the excluded ones; face_exponents gives its closed
-form, x1^d and x0^a*x1^(d-1-a)*x_i for i >= 2.  So a point is sampled on
-the face alone, and the degree-d monomial basis is never built.
+A point is held by its face, the 1 + (n-1)*d non-excluded exponents one
+product step from the excluded ones: the spike c[x1^d], and for each
+i = 2..n the run of c[x0^(d-1-k)*x1^k*x_i], 0 <= k <= d-1.  Entry
+((i, j), w) of the block is u_i * c[u] for u = w - e_j + e_i, and off the
+face every such u is excluded, where c is 0.  So excluded_block is slices
+of the face: rows (i, 0) for i >= 2 are the runs, rows (i, 1) the runs
+shifted right once, where they form the banded key matrix on the first
+d - 1 columns, and row (1, 0) is the spike d*c[x1^d] on the last column,
+x0*x1^(d-1).  An integral coefficient is stored as an int, so integer
+points give integer blocks.  The block's support (_block_support) is a set
+of positions, read off each w's x0 degree and its degree off {x0, x1} with
+no u built; structural_rank_bound, its one reader, certifies from it that
+the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every family point,
+and that rows (0, 0), (0, 1) and (1, 1) vanish off the last column, which
+is the redundancy claim.  So wherever the spike is nonzero, the block's
+rank is 1 + the key matrix's: every certificate ranks a point by key_rank,
+which judges it too; differential_rank is its oracle.  A point is sampled
+on the face alone, and the degree-d monomial basis is never built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from random import Random
-from typing import Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import CertificateError, DomainError
+from .errors import CertificateError, DimensionMismatchError, DomainError
 from .linalg import RankReport, rank
 from .poly import Exponent, HomogPoly, RatLike, check_domain
 
@@ -61,12 +60,6 @@ def excluded_exponents(n: int, d: int) -> tuple[Exponent, ...]:
     return tuple((d - k, k) + (0,) * (n - 1) for k in range(d))
 
 
-def _excluded(u: Exponent) -> bool:
-    """Whether a degree-d exponent is excluded: it holds x0 and lies on
-    {x0, x1}."""
-    return u[0] > 0 and not any(u[2:])
-
-
 def _block_support(n: int, d: int) -> set[tuple[int, int, int]]:
     """The block positions (i, j, k) that can be nonzero at some family
     point, c being 0 on excluded u: for every excluded w_k, j with
@@ -78,38 +71,30 @@ def _block_support(n: int, d: int) -> set[tuple[int, int, int]]:
             if not w[0] - (j == 0) + (i == 0) or rest - (j > 1) + (i > 1)}
 
 
-@lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
-def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
-    """The non-excluded terms that excluded_block can send onto an excluded
-    exponent, in closed form: x1^d and x0^a*x1^(d-1-a)*x_i for
-    0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all, descending graded-lex.
-    The face only places samples, so a wrong one could cause a shortfall,
-    never a false pass: every rank is bounded by the certified support."""
-    check_domain(n, d)
-    z = (0,) * (n - 1)
-    spokes = [(a, d - 1 - a) + z[:i] + (1,) + z[i + 1:]
-              for a in range(d) for i in range(n - 1)]
-    return tuple(sorted([(0, d) + z] + spokes, reverse=True))
+def _exact(c: RatLike) -> RatLike:
+    """c as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
-    """A family member, held by its nonzero coefficients as a HomogPoly; a
-    nonzero coefficient on an excluded exponent raises DomainError.  Like
-    every record, it compares and hashes by value, and none of its fields
-    can be reassigned."""
+class FamilyPoint(namedtuple("FamilyPoint", "n d spike runs")):
+    """A family member, held by its face: the spike c[x1^d], and for
+    i = 2..n the run runs[i-2], whose k-th entry is c[x0^(d-1-k)*x1^k*x_i].
+    An integral coefficient is stored as an int, any other as a Fraction.
+    Like every record, it compares and hashes by value, and none of its
+    fields can be reassigned."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, d: int,
-                coeffs: Mapping[Exponent, RatLike] | HomogPoly):
+    def __new__(cls, n: int, d: int, spike: RatLike,
+                runs: Iterable[Iterable[RatLike]]):
         check_domain(n, d)
-        if isinstance(coeffs, HomogPoly):  # copy and pickle pass poly back
-            coeffs = dict(coeffs.terms())
-        poly = HomogPoly(n, d, coeffs)
-        bad = [u for u in poly.support() if _excluded(u)]
-        if bad:
-            raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
-        return tuple.__new__(cls, (n, d, poly))
+        runs = tuple(tuple(map(_exact, run)) for run in runs)
+        if len(runs) != n - 1 or any(len(run) != d for run in runs):
+            raise DimensionMismatchError(
+                f"a point at n={n}, d={d} holds {n - 1} runs of {d} "
+                f"coefficients, got lengths {[len(run) for run in runs]}")
+        return tuple.__new__(cls, (n, d, _exact(spike), runs))
 
     @classmethod
     def _make(cls, iterable):
@@ -117,15 +102,29 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d poly")):
         return cls(*iterable)
 
     def to_poly(self) -> HomogPoly:
-        return self.poly
+        """The point as a polynomial, for output and initial forms.  Its
+        terms go in in descending graded-lex, the order HomogPoly keeps:
+        column k of every run for k = 0..d-2, then x1^d, then column d-1;
+        each exponent is copied once from one working list."""
+        n, d = self.n, self.d
+        u, terms = [0] * (n + 1), {}
+        for k, column in enumerate(zip(*self.runs)):
+            if k == d - 1:
+                terms[(0, d) + (0,) * (n - 1)] = self.spike
+            u[0], u[1] = d - 1 - k, k
+            for i, c in enumerate(column, 2):
+                u[i] = 1
+                terms[tuple(u)] = c
+                u[i] = 0
+        return HomogPoly(n, d, terms)
 
 
 # Most sampled family members a certificate draws; a larger count adds
 # nothing the maximum needs.  A verify-lemma sample at (5, 12) draws a
-# point and ranks its key matrix in 0.25-0.48 ms (2-vCPU Xeon, Python
+# point and ranks its key matrix in 0.15-0.24 ms (2-vCPU Xeon, Python
 # 3.11.7: in process, ten medians, each of 7 runs of 200 samples).  At
-# (998, 2), the widest shape check_domain admits, one takes 87-97 ms on
-# that machine (medians of 5), so 1000 samples run for about 1.5 minutes.
+# (998, 2), the widest shape check_domain admits, one takes 4.1-4.6 ms on
+# that machine (ten medians of 5), so 1000 samples run for about 5 s.
 MAX_SAMPLES = 1000
 
 
@@ -140,39 +139,38 @@ def check_samples(samples: int) -> None:
 def sample_family(n: int, d: int, rng: Random, bound: int = 1000) -> FamilyPoint:
     """Random family member, nonzero exactly on the face.
 
-    One coefficient is drawn per face exponent, in descending graded-lex
-    order, uniform on the nonzero integers in [-bound, bound].  Every
-    certificate reads only the face: excluded_block, and with it the
-    differential rank, the key matrix and the redundancy check, and the
-    staircase initial form, under which every non-excluded monomial off the
-    face weighs strictly less than x1^d.  A rank at any point bounds the generic rank
-    from below, so a face point certifies as much as a dense one.
+    One coefficient is drawn per face coefficient, uniform on the nonzero
+    integers in [-bound, bound], in descending graded-lex order of the face
+    exponents: column k of every run (i = 2..n inside) for k = 0..d-2, then
+    the spike, then column d-1.  Every certificate reads only the face:
+    excluded_block, and with it the differential rank, the key matrix and
+    the redundancy check, and the staircase initial form, under which every
+    non-excluded monomial off the face weighs strictly less than x1^d.  A
+    rank at any point bounds the generic rank from below, so a face point
+    certifies as much as a dense one.
     """
     check_domain(n, d)
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
-    coeffs = {}
-    for u in face_exponents(n, d):
-        k = rng.randrange(2 * bound)
-        coeffs[u] = k - bound if k < bound else k - bound + 1
-    return FamilyPoint(n, d, coeffs)
+    values = [k - bound if k < bound else k - bound + 1
+              for k in (rng.randrange(2 * bound)
+                        for _ in range((n - 1) * d + 1))]
+    spike = values.pop((n - 1) * (d - 1))
+    return FamilyPoint(n, d, spike, (values[i::n - 1] for i in range(n - 1)))
 
 
 def dominance_point(n: int, d: int) -> FamilyPoint:
     """The face point with c[x1^d] = 1, c[x0^(d-1-2k)*x1^(2k)*x_(k+2)] = 1
-    for 0 <= k <= min(n-2, (d-1)//2), and 0 elsewhere.
+    for 0 <= k <= min(n-2, (d-1)//2), and 0 elsewhere: run k holds a 1 at
+    column 2k where 2k < d.
 
     Key rows (k+2, 0) and (k+2, 1) are the unit vectors at columns 2k and
     2k+1, so the key rank is min(d-1, 2n-2), and row (1, 0) is the spike
     d on the last column: the point attains structural_rank_bound.
     """
     check_domain(n, d)
-    coeffs = {tuple(d if i == 1 else 0 for i in range(n + 1)): 1}
-    for k in range(min(n - 2, (d - 1) // 2) + 1):
-        u = [0] * (n + 1)
-        u[0], u[1], u[k + 2] = d - 1 - 2 * k, 2 * k, 1
-        coeffs[tuple(u)] = 1
-    return FamilyPoint(n, d, coeffs)
+    return FamilyPoint(n, d, 1, ([int(k == 2 * i) for k in range(d)]
+                                 for i in range(n - 1)))
 
 
 def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
@@ -181,22 +179,15 @@ def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
     excluded_exponents order.  Products with j >= 2 have none.
 
     Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
-    and 0 otherwise.  So each pair (u, c) of the point's terms is walked
-    once, c made an int when it is integral, and sent to column w_1 for the
-    i with x^u / x_i on {x0, x1} and the j with w_0 >= 1.  Excluded terms
-    are walked too: a point built past the constructor's check shows.
+    and 0 otherwise, which is a slice of the face: rows (i, 0) for i >= 2
+    are the runs, rows (i, 1) the runs shifted right once, row (1, 0) is
+    d*c[x1^d] on the last column, and every other entry's u is excluded,
+    where c is 0.
     """
-    block = [[0] * point.d for _ in range(2 * point.n + 2)]
-    for u, c in point.poly.terms():
-        rest = point.d - u[0] - u[1]  # u's degree off {x0, x1}
-        if rest > 1:
-            continue
-        c = c.numerator if c.denominator == 1 else c
-        for i in (0, 1) if rest == 0 else (u.index(1, 2),):
-            for j in (0, 1):
-                if u[i] and u[0] - (i == 0) + (j == 0):
-                    block[2 * i + j][u[1] - (i == 1) + (j == 1)] = u[i] * c
-    return tuple(map(tuple, block))
+    d = point.d
+    zero = (0,) * d
+    return (zero, zero, zero[1:] + (d * point.spike,), zero) + tuple(
+        row for run in point.runs for row in (run, (0,) + run[:-1]))
 
 
 def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
@@ -251,11 +242,10 @@ def key_rank(point: FamilyPoint) -> tuple[int, RankReport]:
     vector, so rank(excluded_block(point)) = 1 + rank(key_matrix(point)).
     CertificateError is raised where c[x1^d] = 0, before any rank is taken,
     and at a rank past the bound; a shortfall is the caller's to judge.
-    c[x1^d] is read from point.poly by exponent, and only tested for zero.
     """
     n, d = point.n, point.d
     bound = structural_rank_bound(n, d)
-    if not point.poly.coeff((0, d) + (0,) * (n - 1)):
+    if not point.spike:
         raise CertificateError(
             f"c[x1^{d}] = 0 at n={n}, d={d}, so the point's block does not "
             f"rank 1 + its key matrix")

@@ -42,7 +42,6 @@ from toricdegen import (
 from toricdegen.binomials import check_listing_budget, listed_pairs
 from toricdegen.poly import (Exponent, RatLike, _format_monomial, check_domain,
                              iter_exponents)
-from toricdegen.family import _excluded
 from toricdegen.theorem import _check_shape, _spike_exponents
 
 
@@ -754,16 +753,15 @@ class Generator(NamedTuple):
     poly: HomogPoly
 
 
-def differential_generators(point: FamilyPoint) -> list[Generator]:
+def differential_generators(f: HomogPoly) -> list[Generator]:
     """Monomial generators for every non-excluded exponent, then the
     (n+1)^2 products (df/dx_i) * x_j in row-major (i, j) order."""
-    n, d = point.n, point.d
+    n, d = f.n, f.d
     excluded = excluded_exponents(n, d)
     gens: list[Generator] = []
     for u in iter_exponents(n, d):
         if u not in excluded:
             gens.append(Generator("monomial", u, monomial(u)))
-    f = point.to_poly()
     partials = [partial_derivative(f, i) for i in range(n + 1)]
     for i in range(n + 1):
         for j in range(n + 1):
@@ -819,10 +817,10 @@ def sparse_rows(polys: Iterable[HomogPoly], n: int, d: int) -> list[SparseRow]:
     return [{index[u]: c for u, c in f.terms()} for f in polys]
 
 
-def full_span_rank(point: FamilyPoint) -> int:
+def full_span_rank(f: HomogPoly) -> int:
     """Rank of every differential generator over the full monomial basis."""
     return rank_sparse_exact(sparse_rows(
-        (gen.poly for gen in differential_generators(point)), point.n, point.d))
+        (gen.poly for gen in differential_generators(f)), f.n, f.d))
 
 
 def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
@@ -836,7 +834,7 @@ def stuck_sampler(monkeypatch) -> list[tuple[int, int]]:
     def sample(n, d, rng, bound=1000):
         draws.append((n, d))
         x1d, lead = toricdegen.theorem._spike_exponents(n, d)
-        return FamilyPoint(n, d, {x1d: 1, lead: 1})
+        return face_point(HomogPoly(n, d, {x1d: 1, lead: 1}))
 
     monkeypatch.setattr(toricdegen.family, "sample_family", sample)
     return draws
@@ -850,9 +848,7 @@ def spikeless_sampler(monkeypatch) -> None:
     sample = toricdegen.family.sample_family
 
     def spikeless(n, d, rng, bound=1000):
-        coeffs = dict(sample(n, d, rng, bound).poly.terms())
-        del coeffs[(0, d) + (0,) * (n - 1)]
-        return FamilyPoint(n, d, coeffs)
+        return sample(n, d, rng, bound)._replace(spike=0)
 
     monkeypatch.setattr(toricdegen.family, "sample_family", spikeless)
 
@@ -866,27 +862,68 @@ def step_reference(w: Exponent, i: int, j: int) -> Exponent:
     return tuple(u)
 
 
-def excluded_block_reference(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
-    """family.excluded_block entry by entry, not by a walk over the point's
-    terms: u_i * c[u] at ((i, j), w) for u = w - e_j + e_i when w_j >= 1,
-    and 0 otherwise."""
-    excluded = excluded_exponents(point.n, point.d)
+def _excluded(u: Exponent) -> bool:
+    """Whether a degree-d exponent is excluded: it holds x0 and lies on
+    {x0, x1}."""
+    return u[0] > 0 and not any(u[2:])
+
+
+def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
+    """The non-excluded exponents that a product step can send onto an
+    excluded one, in closed form: x1^d and x0^a*x1^(d-1-a)*x_i for
+    0 <= a <= d-1 and i >= 2, 1 + (n-1)*d in all, descending graded-lex."""
+    check_domain(n, d)
+    z = (0,) * (n - 1)
+    spokes = [(a, d - 1 - a) + z[:i] + (1,) + z[i + 1:]
+              for a in range(d) for i in range(n - 1)]
+    return tuple(sorted([(0, d) + z] + spokes, reverse=True))
+
+
+def face_point(f: HomogPoly) -> FamilyPoint:
+    """The family point holding f's face coefficients, f's terms off the
+    face dropped; DomainError if f is nonzero on an excluded exponent."""
+    bad = [u for u in f.support() if _excluded(u)]
+    if bad:
+        raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
+    n, d = f.n, f.d
+    z = (0,) * (n - 1)
+    return FamilyPoint(n, d, f.coeff((0, d) + z), (
+        [f.coeff((d - 1 - k, k) + z[:i] + (1,) + z[i + 1:]) for k in range(d)]
+        for i in range(n - 1)))
+
+
+def sample_family_reference(n: int, d: int, rng: Random,
+                            bound: int = 1000) -> HomogPoly:
+    """family.sample_family's point as a polynomial, drawn one value per
+    dense face exponent in descending graded-lex order."""
+    coeffs = {}
+    for u in face_exponents(n, d):
+        k = rng.randrange(2 * bound)
+        coeffs[u] = k - bound if k < bound else k - bound + 1
+    return HomogPoly(n, d, coeffs)
+
+
+def excluded_block_reference(f: HomogPoly) -> tuple[tuple[RatLike, ...], ...]:
+    """family.excluded_block entry by entry, from the definition on a dense
+    polynomial: u_i * c[u] at ((i, j), w) for u = w - e_j + e_i when
+    w_j >= 1, and 0 otherwise."""
+    excluded = excluded_exponents(f.n, f.d)
 
     def coeff(u):  # an integral coefficient as an int, as the block has it
-        c = point.poly.coeff(u)
+        c = f.coeff(u)
         return c.numerator if c.denominator == 1 else c
 
     return tuple(
         tuple((w[i] + (i != j)) * coeff(step_reference(w, i, j))
               if w[j] else 0 for w in excluded)
-        for i in range(point.n + 1) for j in (0, 1))
+        for i in range(f.n + 1) for j in (0, 1))
 
 
 def block_support_reference(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
-    """family._block_support's positions, and family.face_exponents as its
-    values, by a scan that builds every step: (i, j, k) to
-    u = w_k - e_j + e_i for every excluded w_k with w_k[j] >= 1 and every
-    i, where u is not excluded."""
+    """family._block_support's positions, and face_exponents as its values,
+    by a scan that builds every step: (i, j, k) to u = w_k - e_j + e_i for
+    every excluded w_k with w_k[j] >= 1 and every i, where u is not
+    excluded."""
     return {(i, j, k): u for k, w in enumerate(excluded_exponents(n, d))
             for j in range(n + 1) if w[j] for i in range(n + 1)
             if not _excluded(u := step_reference(w, i, j))}

@@ -246,7 +246,7 @@ def test_record_members_read_from_namedtuple_bases():
     tree = ast.parse((SRC / "family.py").read_text())
     node = next(node for node in tree.body if isinstance(node, ast.ClassDef)
                 and node.name == "FamilyPoint")
-    assert _members(node) == {"n", "d", "poly", "to_poly"}
+    assert _members(node) == {"n", "d", "spike", "runs", "to_poly"}
     assert {label for _sub, label in _definitions(tree, set())
             if label.startswith("FamilyPoint.")} == {"FamilyPoint.to_poly"}
 
@@ -463,6 +463,66 @@ def test_support_scans_seen_in_every_form():
                      "T = self._block_support(2, 3), _block_support\n")
     assert list(_calls(tree, "_block_support", "family")) == \
         [(3, "f"), (6, "C"), (7, "<module>")]
+
+
+def _call_sites(tree: ast.Module, name: str):
+    """(line, scope) for each call of name, bare or as any obj.name, where
+    scope is the dotted path of the defs and classes whose body holds the
+    call (a default or a decorator belongs to the enclosing scope), or
+    <module>."""
+    stack = [(tree, "<module>")]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node.lineno, scope
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+        inner = scope if not named else node.name if scope == "<module>" \
+            else f"{scope}.{node.name}"
+        for field, value in ast.iter_fields(node):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    stack.append((child, inner if field == "body" else scope))
+
+
+def test_a_point_is_read_by_its_face():
+    # a family point holds its face, so no library code but the stratum
+    # check in cones looks a coefficient up by exponent, and family builds
+    # a HomogPoly only to print a point or take its initial form
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "cones.py":
+            found += [f"{path.name}:{line} {scope} coeff"
+                      for line, scope in _call_sites(tree, "coeff")]
+        if path.name == "family.py":
+            found += [f"{path.name}:{line} {scope} HomogPoly"
+                      for line, scope in _call_sites(tree, "HomogPoly")
+                      if scope != "FamilyPoint.to_poly"]
+    assert not found, "coefficients looked up or polynomials built: " + \
+        ", ".join(found)
+    tree = ast.parse((SRC / "family.py").read_text())
+    assert {scope for _line, scope in _call_sites(tree, "HomogPoly")} == \
+        {"FamilyPoint.to_poly"}
+
+
+def test_call_sites_seen_in_every_form():
+    tree = ast.parse("from . import poly\n"
+                     "f = poly.HomogPoly(2, 2, {})\n"
+                     "def g(p):\n"
+                     "    return p.coeff(u), coeff(u), p.coeff\n"
+                     "class C(HomogPoly(2, 2, {}).__class__):\n"
+                     "    x = HomogPoly(2, 2, {})\n"
+                     "    @deco(HomogPoly)\n"
+                     "    def m(self, k=HomogPoly(2, 2, {})):\n"
+                     "        def inner():\n"
+                     "            return self.f.coeff(v)\n"
+                     "        return HomogPoly(2, 2, {}), lambda: x.coeff(w)\n")
+    assert sorted(_call_sites(tree, "coeff")) == \
+        [(4, "g"), (4, "g"), (10, "C.m.inner"), (11, "C.m")]
+    assert sorted(_call_sites(tree, "HomogPoly")) == \
+        [(2, "<module>"), (5, "<module>"), (6, "C"), (8, "C"), (11, "C.m")]
 
 
 def _self_calls(tree: ast.AST):
