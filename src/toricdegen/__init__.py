@@ -54,8 +54,9 @@ def _lazy(layer: str):
     return module
 
 
-poly, linalg, binomials, cones, family, theorem = map(
-    _lazy, ("poly", "linalg", "binomials", "cones", "family", "theorem"))
+domain, poly, linalg, binomials, cones, family, theorem = map(
+    _lazy, ("domain", "poly", "linalg", "binomials", "cones", "family",
+            "theorem"))
 
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items()
              for name in names}

@@ -23,9 +23,10 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Sequence
 
+from . import domain
 from .errors import (CertificateError, DegreeError, DimensionMismatchError,
                      DomainError)
-from .poly import Exponent, HomogPoly, RatLike, check_ambient, iter_exponents
+from .poly import Exponent, HomogPoly, RatLike, iter_exponents
 
 PRIME = "Prime"
 NOT_TWO_TERMS = "NotTwoTerms"
@@ -146,7 +147,7 @@ def count_prime_patterns(n: int, d: int) -> int:
     C(n+1, s) C(n+1-s, t), and each carries shape_pattern_count(d, s, t)
     patterns; summing over s and t counts every pattern twice.
     """
-    check_ambient(n, d)
+    domain.check_ambient(n, d)
     return sum(comb(n + 1, s) * comb(n + 1 - s, t) * shape_pattern_count(d, s, t)
                for s in range(1, min(n + 1, d) + 1)
                for t in range(1, min(n + 1 - s, d) + 1)) // 2

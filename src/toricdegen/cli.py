@@ -33,7 +33,7 @@ from typing import Sequence
 
 # each layer is read through its module, whose body runs on first use, so
 # a command runs only the layers it calls
-from . import binomials, cones, family, poly, theorem
+from . import binomials, cones, domain, family, poly, theorem
 from .errors import CertificateError, DomainError, GenericityError, UsageError
 
 
@@ -70,7 +70,7 @@ def _emit(payload: dict, fmt: str, table_lines=_kv_lines) -> None:
 
 def cmd_verify_lemma(args) -> None:
     n, d = args.n, args.d
-    poly.check_domain(n, d)
+    domain.check_domain(n, d)
     family.check_samples(args.samples)
     rng = Random(args.seed)
     bound = family.structural_rank_bound(n, d)
@@ -108,7 +108,7 @@ def cmd_witness(args) -> None:
         "n": n,
         "d": d,
         "seed": args.seed,
-        "poly": poly.format_poly(bundle.point.to_poly()),
+        "poly": poly.format_poly(bundle.point_poly),
         "omega": [*map(str, bundle.omega)],
         "initial": poly.format_poly(bundle.initial),
         "initial_support": [list(u) for u in bundle.initial.support()],

@@ -38,25 +38,26 @@ on the face alone, and the degree-d monomial basis is never built.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from random import Random
 from typing import Iterable, NamedTuple
 
+# read through their modules: only to_poly runs poly, so a command that
+# prints no polynomial never runs it
+from . import domain, poly
 from .errors import CertificateError, DimensionMismatchError, DomainError
 from .linalg import RankReport, rank
-from .poly import Exponent, HomogPoly, RatLike, check_domain
 
 # The key rows of the block are (i, 0) and (i, 1) for i >= _KEY_I, block
 # rows 2 * _KEY_I onward.
 _KEY_I = 2
 
 
-def excluded_exponents(n: int, d: int) -> tuple[Exponent, ...]:
+def excluded_exponents(n: int, d: int) -> tuple[poly.Exponent, ...]:
     """The d excluded exponents x0^(d-k)*x1^k, 0 <= k <= d-1, descending
     graded-lex (x0^d first)."""
-    check_domain(n, d)
+    domain.check_domain(n, d)
     return tuple((d - k, k) + (0,) * (n - 1) for k in range(d))
 
 
@@ -71,8 +72,12 @@ def _block_support(n: int, d: int) -> set[tuple[int, int, int]]:
             if not w[0] - (j == 0) + (i == 0) or rest - (j > 1) + (i > 1)}
 
 
-def _exact(c: RatLike) -> RatLike:
-    """c as an int when it is integral, else as a Fraction."""
+def _exact(c: poly.RatLike) -> poly.RatLike:
+    """c as an int when it is integral, else as a Fraction.  An int is
+    returned as it is, so an integer point never imports fractions."""
+    if type(c) is int:
+        return c
+    from fractions import Fraction
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -86,9 +91,9 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d spike runs")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, d: int, spike: RatLike,
-                runs: Iterable[Iterable[RatLike]]):
-        check_domain(n, d)
+    def __new__(cls, n: int, d: int, spike: poly.RatLike,
+                runs: Iterable[Iterable[poly.RatLike]]):
+        domain.check_domain(n, d)
         runs = tuple(tuple(map(_exact, run)) for run in runs)
         if len(runs) != n - 1 or any(len(run) != d for run in runs):
             raise DimensionMismatchError(
@@ -101,7 +106,7 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d spike runs")):
         # _replace builds through _make, so it validates like the constructor
         return cls(*iterable)
 
-    def to_poly(self) -> HomogPoly:
+    def to_poly(self) -> poly.HomogPoly:
         """The point as a polynomial, for output and initial forms.  Its
         terms go in in descending graded-lex, the order HomogPoly keeps:
         column k of every run for k = 0..d-2, then x1^d, then column d-1;
@@ -116,15 +121,16 @@ class FamilyPoint(namedtuple("FamilyPoint", "n d spike runs")):
                 u[i] = 1
                 terms[tuple(u)] = c
                 u[i] = 0
-        return HomogPoly(n, d, terms)
+        return poly.HomogPoly(n, d, terms)
 
 
 # Most sampled family members a certificate draws; a larger count adds
 # nothing the maximum needs.  A verify-lemma sample at (5, 12) draws a
 # point and ranks its key matrix in 0.15-0.24 ms (2-vCPU Xeon, Python
 # 3.11.7: in process, ten medians, each of 7 runs of 200 samples).  At
-# (998, 2), the widest shape check_domain admits, one takes 4.1-4.6 ms on
-# that machine (ten medians of 5), so 1000 samples run for about 5 s.
+# (998, 2), the widest shape domain.check_domain admits, one takes
+# 4.1-4.6 ms on that machine (ten medians of 5), so 1000 samples run for
+# about 5 s.
 MAX_SAMPLES = 1000
 
 
@@ -149,7 +155,7 @@ def sample_family(n: int, d: int, rng: Random, bound: int = 1000) -> FamilyPoint
     rank at any point bounds the generic rank from below, so a face point
     certifies as much as a dense one.
     """
-    check_domain(n, d)
+    domain.check_domain(n, d)
     if bound < 2:
         raise DomainError(f"bound must be at least 2, got {bound}")
     values = [k - bound if k < bound else k - bound + 1
@@ -168,12 +174,13 @@ def dominance_point(n: int, d: int) -> FamilyPoint:
     2k+1, so the key rank is min(d-1, 2n-2), and row (1, 0) is the spike
     d on the last column: the point attains structural_rank_bound.
     """
-    check_domain(n, d)
+    domain.check_domain(n, d)
     return FamilyPoint(n, d, 1, ([int(k == 2 * i) for k in range(d)]
                                  for i in range(n - 1)))
 
 
-def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
+def excluded_block(
+        point: FamilyPoint) -> tuple[tuple[poly.RatLike, ...], ...]:
     """The 2(n+1) x d coefficients of the products (df/dx_i) * x_j with
     j <= 1 on the excluded exponents; row (i, j) is row 2*i + j, columns in
     excluded_exponents order.  Products with j >= 2 have none.
@@ -190,7 +197,7 @@ def excluded_block(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
         row for run in point.runs for row in (run, (0,) + run[:-1]))
 
 
-def key_matrix(point: FamilyPoint) -> tuple[tuple[RatLike, ...], ...]:
+def key_matrix(point: FamilyPoint) -> tuple[tuple[poly.RatLike, ...], ...]:
     """The (2n-2) x (d-1) block of product-generator coefficients on the
     excluded exponents other than x0*x1^(d-1): the key rows of the block
     without their last column.

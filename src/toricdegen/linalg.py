@@ -3,16 +3,15 @@
 Entries are int or Fraction.  Rank runs fraction-free (Bareiss) elimination
 on integer rows: a row of ints reaches it unscaled, and only a row holding a
 Fraction is multiplied by the lcm of its denominators, so intermediate
-entries stay integral.
+entries stay integral, and integer rows never import fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .poly import RatLike
+from . import poly  # for its types only; never run here
 
 
 class RankReport(NamedTuple):
@@ -33,13 +32,15 @@ class RankReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # dense rank
 
-def _integer_rows(rows: Iterable[Iterable[RatLike]]) -> list[Sequence[int]]:
+def _integer_rows(
+        rows: Iterable[Iterable[poly.RatLike]]) -> list[Sequence[int]]:
     """Each row as integers: a row of ints unchanged, any other row scaled
     by the lcm of its entries' denominators."""
     out = []
     for row in rows:
         row = tuple(row)
         if not all(type(e) is int for e in row):
+            from fractions import Fraction
             row = [Fraction(e) for e in row]
             scale = lcm(*(c.denominator for c in row))
             row = [c.numerator * (scale // c.denominator) for c in row]
@@ -78,6 +79,6 @@ def _rank_bareiss(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-def rank(rows: Iterable[Iterable[RatLike]]) -> int:
+def rank(rows: Iterable[Iterable[poly.RatLike]]) -> int:
     """Exact rank over the rationals of the matrix with these rows."""
     return _rank_bareiss(_integer_rows(rows))

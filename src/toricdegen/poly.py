@@ -27,9 +27,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import domain
 from .errors import (
     DegreeError,
     DimensionMismatchError,
@@ -64,40 +65,6 @@ def iter_exponents(n: int, d: int) -> Iterator[Exponent]:
         u[i + 1] = last + 1
 
 
-# Largest ambient dimension C(n+d, d) admitted, which fixes the (n, d)
-# domain of every command.  Sampling and the rank certificates read only
-# the face, 1 + (n-1)*d coefficients, so their cost does not depend on it.
-MAX_AMBIENT = 500_000
-
-
-def check_ambient(n: int, d: int) -> None:
-    """Reject a negative n or d, and (n, d) with more than MAX_AMBIENT
-    degree-d exponents, or more than MAX_AMBIENT variables (which C(n+d, d)
-    misses at d = 0).
-
-    For m = min(n, d), C(n+d, d) >= C(2m, m) >= 2^m, so 2^m past the limit
-    rejects at once; otherwise m <= 18, and comb multiplies at most 18
-    factors.
-    """
-    if n < 0 or d < 0:
-        raise DomainError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
-    if n + 1 > MAX_AMBIENT:
-        raise DomainError(
-            f"{n + 1} variables at n={n} exceed the limit of {MAX_AMBIENT}")
-    if 2 ** min(n, d) > MAX_AMBIENT or comb(n + d, d) > MAX_AMBIENT:
-        raise DomainError(
-            f"ambient dimension C({n + d}, {d}) at n={n}, d={d} exceeds the "
-            f"limit of {MAX_AMBIENT}")
-
-
-def check_domain(n: int, d: int) -> None:
-    """Reject n < 2 or d < 2, the certificates' domain, then run
-    check_ambient."""
-    if n < 2 or d < 2:
-        raise DomainError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    check_ambient(n, d)
-
-
 class HomogPoly:
     """Homogeneous polynomial of fixed degree with exact coefficients: a
     validated map from exponents to nonzero Fractions, in descending
@@ -114,7 +81,7 @@ class HomogPoly:
     def __new__(cls, n: int, d: int, terms: Mapping[Exponent, RatLike]):
         if n < 0 or d < 0:
             raise DimensionMismatchError(f"invalid shape n={n}, d={d}")
-        clean: dict[Exponent, Fraction] = {}
+        kept: list[tuple[Exponent, Fraction]] = []
         for u, c in terms.items():
             u = tuple(u)
             if len(u) != n + 1:
@@ -126,13 +93,14 @@ class HomogPoly:
                 raise DegreeError(f"term {u} has degree {sum(u)}, expected {d}")
             c = Fraction(c)
             if c:
-                clean[u] = c
+                kept.append((u, c))
+        # descending graded-lex; dicts preserve insertion order, and the
+        # sort is stable, so a repeated exponent keeps its last value
+        kept.sort(key=itemgetter(0), reverse=True)
         self = super().__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
-        # descending graded-lex; dicts preserve insertion order
-        object.__setattr__(self, "_terms",
-                           {u: clean[u] for u in sorted(clean, reverse=True)})
+        object.__setattr__(self, "_terms", dict(kept))
         return self
 
     def __setattr__(self, name, value):
@@ -194,16 +162,17 @@ def parse_poly(text: str, n: int, d: int) -> HomogPoly:
     text raises PolySyntaxError before any index or degree error.
     Coefficients of repeated monomials are collected exactly; if everything
     cancels, the result would be zero and ZeroPolynomialError is raised.
-    Before any of that, (n, d) must pass check_ambient, and the text's
-    terms, at most 1 + its count of '+' and '-', times the n + 1 exponent
-    entries each must not exceed MAX_AMBIENT; DomainError otherwise.
+    Before any of that, (n, d) must pass domain.check_ambient, and the
+    text's terms, at most 1 + its count of '+' and '-', times the n + 1
+    exponent entries each must not exceed domain.MAX_AMBIENT; DomainError
+    otherwise.
     """
-    check_ambient(n, d)
+    domain.check_ambient(n, d)
     terms = 1 + text.count("+") + text.count("-")
-    if (n + 1) * terms > MAX_AMBIENT:
+    if (n + 1) * terms > domain.MAX_AMBIENT:
         raise DomainError(
             f"up to {terms} terms over {n + 1} variables exceed the "
-            f"limit of {MAX_AMBIENT} exponent entries")
+            f"limit of {domain.MAX_AMBIENT} exponent entries")
     if re.search(r"\d\s+\d", text):
         raise PolySyntaxError("whitespace splits a number")
     text = "".join(text.split())

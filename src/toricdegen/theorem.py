@@ -27,22 +27,20 @@ from random import Random
 from typing import Iterator, NamedTuple
 
 # read through their modules, which run on first use: the sweep never
-# classifies, so never runs binomials, and the survey never ranks, so never
-# runs family or linalg
-from . import binomials, family, linalg
+# classifies, so never runs binomials, and builds no polynomial, so never
+# runs poly, and the survey never ranks, so never runs family or linalg
+from . import binomials, domain, family, linalg, poly
 from .errors import CertificateError, DomainError, GenericityError
-from .poly import (Exponent, HomogPoly, WeightVector, check_domain,
-                   initial_form, weight_vector)
 
 
-def witness_weight(n: int, d: int) -> WeightVector:
+def witness_weight(n: int, d: int) -> poly.WeightVector:
     """Strictly decreasing weights with (d-1)*w0 + w2 = d*w1.
 
     The fixed solution is (d, d-1, 0, -1, ..., -(n-2)); both properties are
     re-checked before returning.
     """
-    check_domain(n, d)
-    w = weight_vector([d, d - 1] + [-k for k in range(n - 1)])
+    domain.check_domain(n, d)
+    w = poly.weight_vector([d, d - 1] + [-k for k in range(n - 1)])
     if not all(a > b for a, b in zip(w, w[1:])):
         raise CertificateError(
             f"witness weight {w} at n={n}, d={d} is not strictly decreasing")
@@ -56,13 +54,15 @@ class WitnessBundle(NamedTuple):
     n: int
     d: int
     point: family.FamilyPoint
-    omega: WeightVector
-    initial: HomogPoly
+    omega: poly.WeightVector
+    initial: poly.HomogPoly
     verdict: binomials.PrimeVerdict
     dominance: linalg.RankReport
+    point_poly: poly.HomogPoly  # point.to_poly(), built once
 
 
-def _spike_exponents(n: int, d: int) -> tuple[Exponent, Exponent]:
+def _spike_exponents(n: int,
+                     d: int) -> tuple[poly.Exponent, poly.Exponent]:
     """The expected initial support: x1^d and x0^(d-1)*x2."""
     x1d = tuple(d if i == 1 else 0 for i in range(n + 1))
     lead = tuple(d - 1 if i == 0 else (1 if i == 2 else 0) for i in range(n + 1))
@@ -84,7 +84,8 @@ def existence_witness(n: int, d: int, rng: Random,
     """
     omega = witness_weight(n, d)
     point = family.sample_family(n, d, rng, bound)
-    init = initial_form(point.to_poly(), omega)
+    point_poly = point.to_poly()
+    init = poly.initial_form(point_poly, omega)
     if set(init.support()) != set(_spike_exponents(n, d)):
         raise CertificateError(f"initial form on {init.support()} at n={n}, "
                                f"d={d} is not x1^d + x0^(d-1)*x2")
@@ -94,7 +95,8 @@ def existence_witness(n: int, d: int, rng: Random,
             f"initial form {init} at n={n}, d={d} is {verdict.tag}")
     return WitnessBundle(n=n, d=d, point=point, omega=omega,
                          initial=init, verdict=verdict,
-                         dominance=dominance_certificate(n, d))
+                         dominance=dominance_certificate(n, d),
+                         point_poly=point_poly)
 
 
 def dominance_certificate(n: int, d: int) -> linalg.RankReport:
@@ -176,7 +178,7 @@ def _check_shape(lead: tuple[int, ...],
 
 
 def _representative(n: int, d: int,
-                    *shape: tuple[int, ...]) -> tuple[Exponent, ...]:
+                    *shape: tuple[int, ...]) -> tuple[poly.Exponent, ...]:
     """One prime pattern of the shape: on each support, 1 at every index but
     the first, which takes the rest of d.  One support has two or more
     indices, so the entry 1 makes the pair coprime."""
@@ -212,7 +214,8 @@ class StrataSurvey(NamedTuple):
     checked: int
     full: bool
     passed: bool
-    failures: tuple[tuple[Exponent, Exponent, tuple[int, ...], str], ...]
+    failures: tuple[tuple[poly.Exponent, poly.Exponent, tuple[int, ...],
+                          str], ...]
 
 
 def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
@@ -242,7 +245,7 @@ def strata_survey(n: int, d: int, full: bool = True) -> StrataSurvey:
     is kept for callers that pass True, and any other value raises
     DomainError.
     """
-    check_domain(n, d)
+    domain.check_domain(n, d)
     if full is not True:
         raise DomainError("the strata survey is always full")
     identity = tuple(range(n + 1))
@@ -296,7 +299,7 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     redrawn, GenericityError being raised after 1 + _RESAMPLE_BUDGET such
     draws.
     """
-    check_domain(n, d)
+    domain.check_domain(n, d)
     if d <= 2 * n - 1:
         raise DomainError(f"need d > 2n-1, got n={n}, d={d}")
     family.check_samples(samples)
@@ -344,10 +347,10 @@ def threshold_sweep(n_max: int, d_max: int) -> list[SweepRow]:
 
     Each row is degenerable exactly when the dominance report is surjective,
     and a row contradicting the d <= 2n - 1 threshold raises
-    CertificateError.  Nothing is sampled, and poly.check_domain rejects
+    CertificateError.  Nothing is sampled, and domain.check_domain rejects
     (n_max, d_max) before any row.
     """
-    check_domain(n_max, d_max)
+    domain.check_domain(n_max, d_max)
     rows = []
     for n in range(2, n_max + 1):
         for d in range(2, d_max + 1):

@@ -40,8 +40,8 @@ from toricdegen import (
     verify_certificate,
 )
 from toricdegen.binomials import check_listing_budget, listed_pairs
-from toricdegen.poly import (Exponent, RatLike, _format_monomial, check_domain,
-                             iter_exponents)
+from toricdegen.domain import check_domain
+from toricdegen.poly import Exponent, RatLike, _format_monomial, iter_exponents
 from toricdegen.theorem import _check_shape, _spike_exponents
 
 

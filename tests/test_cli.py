@@ -14,11 +14,11 @@ import pytest
 
 import toricdegen.cli as cli
 import toricdegen.errors
-from toricdegen import (CertificateError, UsageError, differential_rank,
-                        dominance_point, enumerate_patterns, key_matrix,
-                        parse_poly, pattern_from_poly, rank, sample_family,
-                        solve, strata_survey, structural_rank_bound,
-                        stratum_system, threshold_sweep)
+from toricdegen import (CertificateError, FamilyPoint, UsageError,
+                        differential_rank, dominance_point, enumerate_patterns,
+                        format_poly, key_matrix, parse_poly, pattern_from_poly,
+                        rank, sample_family, solve, strata_survey,
+                        structural_rank_bound, stratum_system, threshold_sweep)
 from toricdegen.cli import build_parser, main
 from toricdegen.family import key_rank
 from helpers import (forbid_pattern_generation, listing_payload,
@@ -202,6 +202,20 @@ class TestWitness:
         payload = json.loads(out)
         assert code == 0
         assert payload["dominance"]["surjective"] is True
+
+    def test_builds_the_polynomial_once(self, capsys, monkeypatch):
+        # the bundle keeps the polynomial its initial form was taken from,
+        # and the command prints that one
+        built = []
+        to_poly = FamilyPoint.to_poly
+        monkeypatch.setattr(FamilyPoint, "to_poly",
+                            lambda point: built.append(to_poly(point))
+                            or built[-1])
+        code, out, _ = run(capsys, "witness", "--n", "3", "--d", "5",
+                           "--seed", "4")
+        assert code == 0
+        assert len(built) == 1
+        assert json.loads(out)["poly"] == format_poly(built[0])
 
     def test_past_threshold_witness_still_exists(self, capsys):
         code, out, _ = run(capsys, "witness", "--n", "2", "--d", "12",

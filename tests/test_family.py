@@ -34,8 +34,8 @@ from toricdegen import (
     weight_of,
     witness_weight,
 )
+from toricdegen.domain import MAX_AMBIENT
 from toricdegen.family import _block_support, key_rank
-from toricdegen.poly import MAX_AMBIENT
 from helpers import (
     _excluded,
     apply_linear_change,
@@ -307,8 +307,8 @@ class TestBlockSupport:
         # the scan keeps positions, not an (n+1)-entry exponent per step,
         # which peaked at 47 MB here
         import toricdegen.family as family
-        import toricdegen.poly as poly
-        monkeypatch.setattr(poly, "MAX_AMBIENT", 10 ** 200)
+        import toricdegen.domain as domain
+        monkeypatch.setattr(domain, "MAX_AMBIENT", 10 ** 200)
         family.structural_rank_bound.cache_clear()
         tracemalloc.start()
         try:

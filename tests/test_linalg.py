@@ -4,10 +4,10 @@ from random import Random
 
 import pytest
 
-import toricdegen.poly
+import toricdegen.domain
 from toricdegen import DomainError, iter_exponents, rank
+from toricdegen.domain import MAX_AMBIENT, check_ambient
 from toricdegen.linalg import _integer_rows
-from toricdegen.poly import MAX_AMBIENT, check_ambient
 from helpers import rank_sparse_exact, transpose
 
 
@@ -41,7 +41,7 @@ class TestBasis:
         # 2^min(n, d) already passes the limit, so C(n+d, d) is never built
         def fail(*args):
             raise AssertionError("comb called")
-        monkeypatch.setattr(toricdegen.poly, "comb", fail)
+        monkeypatch.setattr(toricdegen.domain, "comb", fail)
         with pytest.raises(DomainError, match="ambient dimension"):
             check_ambient(n, d)
 

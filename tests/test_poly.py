@@ -38,6 +38,16 @@ class TestConstruct:
         with pytest.raises(DimensionMismatchError):
             HomogPoly(2, 3, {(4, -1): 1})
 
+    def test_term_rules_checked_in_order(self):
+        # length, then sign, then degree: a term breaking all three is
+        # refused for its length, one breaking the last two for its sign
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^exponent \(5, -1\) has length 2, "
+                                 r"expected 3$"):
+            HomogPoly(2, 3, {(5, -1): 1})
+        with pytest.raises(DegreeError, match=r"^negative exponent in "):
+            HomogPoly(2, 3, {(5, -1, 0): 1})
+
     def test_slots_refuse_assignment(self):
         # a polynomial hashes by its terms, so a reassigned slot would move
         # it in every set and dict that holds it

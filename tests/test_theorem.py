@@ -427,7 +427,8 @@ class TestRecords:
         fields = {name: getattr(bundle, name) for name in WitnessBundle._fields}
         assert check_record(WitnessBundle, fields) == bundle
         assert list(fields) == ["n", "d", "point", "omega", "initial",
-                                "verdict", "dominance"]
+                                "verdict", "dominance", "point_poly"]
+        assert bundle.point_poly == bundle.point.to_poly()
 
     def test_witness_bundle_prints_the_same_in_every_run(self):
         # every field prints by value, so one seed gives one text in two

@@ -403,68 +403,6 @@ def test_library_reads_every_parameter():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
-def _calls(tree: ast.Module, name: str, module: str):
-    """(line, definition) for each call of name, bare or as module.name,
-    with the name of the top-level definition making it."""
-    for node in tree.body:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and (
-                    isinstance(sub.func, ast.Name) and sub.func.id == name
-                    or isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == name
-                    and isinstance(sub.func.value, ast.Name)
-                    and sub.func.value.id == module):
-                yield sub.lineno, getattr(node, "name", "<module>")
-
-
-def test_only_family_ranks_a_family_point():
-    # a point's block ranks 1 + its key matrix only where family.key_rank
-    # has checked c[x1^d], so no other module ranks a matrix itself
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name != "family.py":
-            tree = ast.parse(path.read_text(), filename=str(path))
-            found += [f"{path.name} {name}"
-                      for _line, name in _calls(tree, "rank", "linalg")]
-    assert not found, "rank called outside family: " + ", ".join(found)
-
-
-def test_rank_calls_seen_in_both_forms():
-    tree = ast.parse("from . import linalg\n"
-                     "from .linalg import rank\n"
-                     "def f(m):\n"
-                     "    return rank(m), linalg.rank(m), report.rank\n"
-                     "class C:\n"
-                     "    def g(self, m):\n"
-                     "        return self.rank(m), linalg.rank(m)\n")
-    assert list(_calls(tree, "rank", "linalg")) == \
-        [(4, "f"), (4, "f"), (7, "C")]
-
-
-def test_only_the_bound_scans_the_support():
-    # the face is a closed form and every rank reads the certified bound,
-    # so structural_rank_bound is the one reader of the support scan
-    found = set()
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found |= {f"{path.name} {name}"
-                  for _line, name in _calls(tree, "_block_support", "family")}
-    assert found == {"family.py structural_rank_bound"}, sorted(found)
-
-
-def test_support_scans_seen_in_every_form():
-    tree = ast.parse("from . import family\n"
-                     "def f(n, d):\n"
-                     "    return _block_support(n, d), support(n, d)\n"
-                     "class C:\n"
-                     "    def g(self, n, d):\n"
-                     "        return family._block_support(n, d)\n"
-                     "S = sorted(_block_support(2, 3))\n"
-                     "T = self._block_support(2, 3), _block_support\n")
-    assert list(_calls(tree, "_block_support", "family")) == \
-        [(3, "f"), (6, "C"), (7, "<module>")]
-
-
 def _call_sites(tree: ast.Module, name: str):
     """(line, scope) for each call of name, bare or as any obj.name, where
     scope is the dotted path of the defs and classes whose body holds the
@@ -484,6 +422,29 @@ def _call_sites(tree: ast.Module, name: str):
             for child in value if isinstance(value, list) else [value]:
                 if isinstance(child, ast.AST):
                     stack.append((child, inner if field == "body" else scope))
+
+
+def test_only_family_ranks_a_family_point():
+    # a point's block ranks 1 + its key matrix only where family.key_rank
+    # has checked c[x1^d], so no other module ranks a matrix itself
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "family.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line} {scope}"
+                      for line, scope in _call_sites(tree, "rank")]
+    assert not found, "rank called outside family: " + ", ".join(found)
+
+
+def test_only_the_bound_scans_the_support():
+    # the face is a closed form and every rank reads the certified bound,
+    # so structural_rank_bound is the one reader of the support scan
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {f"{path.name} {scope}"
+                  for _line, scope in _call_sites(tree, "_block_support")}
+    assert found == {"family.py structural_rank_bound"}, sorted(found)
 
 
 def test_a_point_is_read_by_its_face():
@@ -523,6 +484,25 @@ def test_call_sites_seen_in_every_form():
         [(4, "g"), (4, "g"), (10, "C.m.inner"), (11, "C.m")]
     assert sorted(_call_sites(tree, "HomogPoly")) == \
         [(2, "<module>"), (5, "<module>"), (6, "C"), (8, "C"), (11, "C.m")]
+    tree = ast.parse("from . import linalg\n"
+                     "from .linalg import rank\n"
+                     "def f(m):\n"
+                     "    return rank(m), linalg.rank(m), report.rank\n"
+                     "class C:\n"
+                     "    def g(self, m):\n"
+                     "        return self.rank(m), linalg.rank(m)\n")
+    assert sorted(_call_sites(tree, "rank")) == \
+        [(4, "f"), (4, "f"), (7, "C.g"), (7, "C.g")]
+    tree = ast.parse("from . import family\n"
+                     "def f(n, d):\n"
+                     "    return _block_support(n, d), support(n, d)\n"
+                     "class C:\n"
+                     "    def g(self, n, d):\n"
+                     "        return family._block_support(n, d)\n"
+                     "S = sorted(_block_support(2, 3))\n"
+                     "T = self._block_support(2, 3), _block_support\n")
+    assert sorted(_call_sites(tree, "_block_support")) == \
+        [(3, "f"), (6, "C.g"), (7, "<module>"), (8, "<module>")]
 
 
 def _self_calls(tree: ast.AST):
@@ -620,6 +600,26 @@ def test_no_pattern_compiled_at_import():
                   and isinstance(node.func.value, ast.Name)
                   and node.func.value.id == "re"]
     assert not found, "patterns compiled at import: " + ", ".join(found)
+
+
+def test_only_the_rational_layers_import_fractions_at_load():
+    # the rank certificates take integer matrices, so sweep and
+    # verify-lemma never need rationals; a layer they run imports fractions
+    # inside the function that meets a non-integer, and only the layers
+    # that hold rationals themselves import it when they load
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+                  for node in _run_at_import(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module == "fractions"
+                  or isinstance(node, ast.Import)
+                  and any(alias.name == "fractions" for alias in node.names)]
+    allowed = {f"toricdegen/{name}.py" for name in ("poly", "binomials",
+                                                     "cones")}
+    stray = [site for site in found if site.partition(":")[0] not in allowed]
+    assert not stray, "fractions imported at load: " + ", ".join(stray)
 
 
 def test_cli_runs_optimized_in_dev_mode():
