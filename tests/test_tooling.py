@@ -484,6 +484,9 @@ def test_call_sites_seen_in_every_form():
         [(4, "g"), (4, "g"), (10, "C.m.inner"), (11, "C.m")]
     assert sorted(_call_sites(tree, "HomogPoly")) == \
         [(2, "<module>"), (5, "<module>"), (6, "C"), (8, "C"), (11, "C.m")]
+
+
+def test_rank_calls_seen_in_both_forms():
     tree = ast.parse("from . import linalg\n"
                      "from .linalg import rank\n"
                      "def f(m):\n"
@@ -493,6 +496,9 @@ def test_call_sites_seen_in_every_form():
                      "        return self.rank(m), linalg.rank(m)\n")
     assert sorted(_call_sites(tree, "rank")) == \
         [(4, "f"), (4, "f"), (7, "C.g"), (7, "C.g")]
+
+
+def test_support_scans_seen_in_every_form():
     tree = ast.parse("from . import family\n"
                      "def f(n, d):\n"
                      "    return _block_support(n, d), support(n, d)\n"
