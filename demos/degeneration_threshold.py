@@ -16,7 +16,6 @@ from toricdegen import (
     format_poly,
     key_matrix,
     nonexistence_certificate,
-    rank,
     sample_family,
     threshold_sweep,
 )
@@ -25,7 +24,7 @@ rng = Random(1)
 
 point = sample_family(2, 3, rng)
 print("sampled family member:", format_poly(point.to_poly()))
-print("key matrix:", [[int(e) for e in row] for row in key_matrix(point)])
+print("key matrix:", [list(row) for row in key_matrix(point)])
 report = differential_rank(point)
 print("differential rank:", report.rank, "of", report.ambient,
       "->", "surjective" if report.surjective else f"codim {report.codim}")

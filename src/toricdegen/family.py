@@ -23,16 +23,18 @@ face every such u is excluded, where c is 0.  So excluded_block is slices
 of the face: rows (i, 0) for i >= 2 are the runs, rows (i, 1) the runs
 shifted right once, where they form the banded key matrix on the first
 d - 1 columns, and row (1, 0) is the spike d*c[x1^d] on the last column,
-x0*x1^(d-1).  An integral coefficient is stored as an int, so integer
-points give integer blocks.  The block's support (_block_support) is a set
-of positions, read off each w's x0 degree and its degree off {x0, x1} with
-no u built; structural_rank_bound, its one reader, certifies from it that
-the rank is at most ambient - d + 1 + min(d-1, 2n-2) at every family point,
-and that rows (0, 0), (0, 1) and (1, 1) vanish off the last column, which
-is the redundancy claim.  So wherever the spike is nonzero, the block's
-rank is 1 + the key matrix's: every certificate ranks a point by key_rank,
-which judges it too; differential_rank is its oracle.  A point is sampled
-on the face alone, and the degree-d monomial basis is never built.
+x0*x1^(d-1).  Every coefficient is an int, so every block is the integer
+matrix linalg.rank takes; scaling a point by a nonzero rational leaves
+every rank unchanged, so integer points lose nothing.  The block's support
+(_block_support) is a set of positions, read off each w's x0 degree and
+its degree off {x0, x1} with no u built; structural_rank_bound, its one
+reader, certifies from it that the rank is at most
+ambient - d + 1 + min(d-1, 2n-2) at every family point, and that rows
+(0, 0), (0, 1) and (1, 1) vanish off the last column, which is the
+redundancy claim.  So wherever the spike is nonzero, the block's rank is
+1 + the key matrix's: every certificate ranks a point by key_rank, which
+judges it too; differential_rank is its oracle.  A point is sampled on the
+face alone, and the degree-d monomial basis is never built.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
+from operator import index
 from random import Random
 from typing import Iterable, NamedTuple
 
@@ -72,34 +75,25 @@ def _block_support(n: int, d: int) -> set[tuple[int, int, int]]:
             if not w[0] - (j == 0) + (i == 0) or rest - (j > 1) + (i > 1)}
 
 
-def _exact(c: poly.RatLike) -> poly.RatLike:
-    """c as an int when it is integral, else as a Fraction.  An int is
-    returned as it is, so an integer point never imports fractions."""
-    if type(c) is int:
-        return c
-    from fractions import Fraction
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class FamilyPoint(namedtuple("FamilyPoint", "n d spike runs")):
     """A family member, held by its face: the spike c[x1^d], and for
     i = 2..n the run runs[i-2], whose k-th entry is c[x0^(d-1-k)*x1^k*x_i].
-    An integral coefficient is stored as an int, any other as a Fraction.
-    Like every record, it compares and hashes by value, and none of its
+    Every coefficient is stored as operator.index gives it, an int: a
+    rational, even an integral one, or a float raises TypeError.  Like
+    every record, it compares and hashes by value, and none of its
     fields can be reassigned."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, d: int, spike: poly.RatLike,
-                runs: Iterable[Iterable[poly.RatLike]]):
+    def __new__(cls, n: int, d: int, spike: int,
+                runs: Iterable[Iterable[int]]):
         domain.check_domain(n, d)
-        runs = tuple(tuple(map(_exact, run)) for run in runs)
+        runs = tuple(tuple(map(index, run)) for run in runs)
         if len(runs) != n - 1 or any(len(run) != d for run in runs):
             raise DimensionMismatchError(
                 f"a point at n={n}, d={d} holds {n - 1} runs of {d} "
                 f"coefficients, got lengths {[len(run) for run in runs]}")
-        return tuple.__new__(cls, (n, d, _exact(spike), runs))
+        return tuple.__new__(cls, (n, d, index(spike), runs))
 
     @classmethod
     def _make(cls, iterable):
@@ -179,8 +173,7 @@ def dominance_point(n: int, d: int) -> FamilyPoint:
                                  for i in range(n - 1)))
 
 
-def excluded_block(
-        point: FamilyPoint) -> tuple[tuple[poly.RatLike, ...], ...]:
+def excluded_block(point: FamilyPoint) -> tuple[tuple[int, ...], ...]:
     """The 2(n+1) x d coefficients of the products (df/dx_i) * x_j with
     j <= 1 on the excluded exponents; row (i, j) is row 2*i + j, columns in
     excluded_exponents order.  Products with j >= 2 have none.
@@ -197,7 +190,7 @@ def excluded_block(
         row for run in point.runs for row in (run, (0,) + run[:-1]))
 
 
-def key_matrix(point: FamilyPoint) -> tuple[tuple[poly.RatLike, ...], ...]:
+def key_matrix(point: FamilyPoint) -> tuple[tuple[int, ...], ...]:
     """The (2n-2) x (d-1) block of product-generator coefficients on the
     excluded exponents other than x0*x1^(d-1): the key rows of the block
     without their last column.

@@ -881,14 +881,23 @@ def face_exponents(n: int, d: int) -> tuple[Exponent, ...]:
 
 def face_point(f: HomogPoly) -> FamilyPoint:
     """The family point holding f's face coefficients, f's terms off the
-    face dropped; DomainError if f is nonzero on an excluded exponent."""
+    face dropped; DomainError if f is nonzero on an excluded exponent.  A
+    point holds ints, so each face coefficient must be integral, and is
+    converted with int(c)."""
     bad = [u for u in f.support() if _excluded(u)]
     if bad:
         raise DomainError(f"nonzero coefficients on excluded exponents {bad}")
     n, d = f.n, f.d
     z = (0,) * (n - 1)
-    return FamilyPoint(n, d, f.coeff((0, d) + z), (
-        [f.coeff((d - 1 - k, k) + z[:i] + (1,) + z[i + 1:]) for k in range(d)]
+
+    def coeff(u):
+        c = f.coeff(u)
+        if c.denominator != 1:
+            raise ValueError(f"coefficient {c} at {u} is not integral")
+        return int(c)
+
+    return FamilyPoint(n, d, coeff((0, d) + z), (
+        [coeff((d - 1 - k, k) + z[:i] + (1,) + z[i + 1:]) for k in range(d)]
         for i in range(n - 1)))
 
 

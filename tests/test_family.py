@@ -64,11 +64,10 @@ def full_support_point(n, d, rng):
                             for u in iter_exponents(n, d) if u not in excl})
 
 
-def third(point):
-    """The point with every coefficient divided by 3."""
-    return point._replace(spike=Fraction(point.spike, 3),
-                          runs=[[Fraction(c, 3) for c in run]
-                                for run in point.runs])
+def scaled(point, k):
+    """The point with every coefficient multiplied by k."""
+    return point._replace(spike=k * point.spike,
+                          runs=[[k * c for c in run] for run in point.runs])
 
 
 def in_span(poly, rows, n, d):
@@ -138,9 +137,9 @@ class TestRecords:
         again = sample_family(3, 5, Random(7))
         assert again == point and hash(again) == hash(point)
         assert point != sample_family(3, 5, Random(8))
-        thirds = FamilyPoint(3, 5, Fraction(1, 3), [[Fraction(1, 3)] * 5] * 2)
-        assert {c for _u, c in thirds.to_poly().terms()} == {Fraction(1, 3)}
-        for p in (point, thirds):
+        threes = FamilyPoint(3, 5, 3, [[3] * 5] * 2)
+        assert {c for _u, c in threes.to_poly().terms()} == {3}
+        for p in (point, threes):
             for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
                 assert twin == p and hash(twin) == hash(p)
                 assert type(twin) is FamilyPoint
@@ -191,38 +190,35 @@ class TestIntegerPath:
             for m in (excluded_block(point), key_matrix(point)):
                 assert all(type(e) is int for row in m for e in row), (n, d)
 
-    def test_rational_point_ranks_like_the_integral_one(self):
-        rng = Random(32)
-        for n, d in self.GRID:
-            point = sample_family(n, d, rng)
-            scaled = third(point)
-            entries = [e for row in excluded_block(scaled) for e in row]
-            assert any(type(e) is Fraction for e in entries)
-            assert differential_rank(scaled) == differential_rank(point), (n, d)
-            assert rank(key_matrix(scaled)) == rank(key_matrix(point)), (n, d)
-
     def test_coeff_types_and_list_exponents(self):
-        # the block makes an integral coefficient's entries ints and keeps
-        # the others Fractions; poly.coeff reads a list exponent too
-        half = Fraction(5, 2)
-        point = FamilyPoint(2, 3, 4, [[half, 0, 0]])
+        # every block entry is an int, the spike's d-fold included;
+        # poly.coeff reads a list exponent too
+        point = FamilyPoint(2, 3, 4, [[-5, 0, 0]])
         assert _typed(excluded_block(point)) == _typed(
-            ((0, 0, 0), (0, 0, 0), (0, 0, 12), (0, 0, 0), (half, 0, 0),
-             (0, half, 0)))
+            ((0, 0, 0), (0, 0, 0), (0, 0, 12), (0, 0, 0), (-5, 0, 0),
+             (0, -5, 0)))
         f = point.to_poly()
         assert f.coeff([0, 3, 0]) == 4
-        assert f.coeff([2, 0, 1]) == half
+        assert f.coeff([2, 0, 1]) == -5
         assert f.coeff([1, 1, 1]) == 0
 
-    def test_integral_fractions_are_stored_as_ints(self):
-        # so blocks at integral points stay all-int whatever built them
-        point = FamilyPoint(2, 3, Fraction(6, 2), [[Fraction(6, 2), Fraction(3, 2), 0]])
-        assert _typed([[point.spike], point.runs[0]]) == \
-            _typed([[3], [3, Fraction(3, 2), 0]])
-        assert type(point._replace(spike=Fraction(-8, 4)).spike) is int
-        assert all(type(e) is int for row in excluded_block(
-            point._replace(runs=[[Fraction(4, 2), 5, Fraction(0)]]))
-            for e in row)
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(6, 2), 1.0],
+                             ids=["third", "integral-fraction", "float"])
+    def test_coefficients_must_be_ints(self, c):
+        # a point holds ints by type, through the constructor and through
+        # _replace alike, in the spike and in a run; an integral Fraction
+        # is refused too, so no block ever holds one
+        point = sample_family(3, 5, Random(1))
+        runs = [list(run) for run in point.runs]
+        runs[1][2] = c
+        with pytest.raises(TypeError):
+            FamilyPoint(3, 5, c, point.runs)
+        with pytest.raises(TypeError):
+            FamilyPoint(3, 5, point.spike, runs)
+        with pytest.raises(TypeError):
+            point._replace(spike=c)
+        with pytest.raises(TypeError):
+            point._replace(runs=runs)
 
 
 class TestFace:
@@ -330,14 +326,14 @@ class TestBlockSteps:
 
     @staticmethod
     def _points(n, d, rng):
-        """(point, f) pairs whose blocks agree: a sampled point, its third
+        """(point, f) pairs whose blocks agree: a sampled point, its -3 fold
         and the dominance point, each with its own polynomial, and the face
         point of a member nonzero on every non-excluded exponent, face or
         not, with that dense member."""
         point = sample_family(n, d, rng)
         full = full_support_point(n, d, rng)
         return [(p, p.to_poly()) for p in
-                (point, third(point), dominance_point(n, d))] + \
+                (point, scaled(point, -3), dominance_point(n, d))] + \
             [(face_point(full), full)]
 
     def test_matches_the_dense_references(self):
@@ -691,12 +687,12 @@ class TestDifferentialRank:
 
     def test_key_rank_against_the_whole_block(self):
         # differential_rank ranks the whole block, the general definition,
-        # at a sampled point, its rational multiple and the dominance point
+        # at a sampled point, an integer multiple and the dominance point
         rng = Random(41)
         for n in range(2, 7):
             for d in range(2, 15):
                 point = sample_family(n, d, rng)
-                for p in (point, third(point), dominance_point(n, d)):
+                for p in (point, scaled(point, -3), dominance_point(n, d)):
                     assert key_rank(p) == (rank(key_matrix(p)),
                                            differential_rank(p)), (n, d)
 

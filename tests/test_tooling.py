@@ -60,10 +60,11 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_library_uses_every_name_it_imports():
-    # a top-level import the module never reads is dead weight; __init__.py
-    # re-exports its imports, and `from __future__` binds nothing
+    # a top-level import the module never reads is dead weight, in the
+    # library and in the demos alike; __init__.py re-exports its imports,
+    # and `from __future__` binds nothing
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*SRC.rglob("*.py"), *(ROOT / "demos").glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -75,9 +76,9 @@ def test_library_uses_every_name_it_imports():
                 bound = [a.asname or a.name for a in node.names]
             else:
                 continue
-            found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                       for name in bound if name not in used]
-    assert not found, "unused imports in the library: " + ", ".join(found)
+    assert not found, "unused imports: " + ", ".join(found)
 
 
 def _relative_imports(tree: ast.AST):
@@ -609,15 +610,15 @@ def test_no_pattern_compiled_at_import():
 
 
 def test_only_the_rational_layers_import_fractions_at_load():
-    # the rank certificates take integer matrices, so sweep and
-    # verify-lemma never need rationals; a layer they run imports fractions
-    # inside the function that meets a non-integer, and only the layers
-    # that hold rationals themselves import it when they load
+    # a family point and a rank take ints by type, so no certificate needs
+    # a rational and sweep and verify-lemma never load fractions; only the
+    # layers that hold rationals themselves, poly, binomials and cones,
+    # import it, and no other module does, at load or inside a function
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.relative_to(SRC.parent)}:{node.lineno}"
-                  for node in _run_at_import(tree)
+                  for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)
                   and node.module == "fractions"
                   or isinstance(node, ast.Import)
@@ -625,7 +626,7 @@ def test_only_the_rational_layers_import_fractions_at_load():
     allowed = {f"toricdegen/{name}.py" for name in ("poly", "binomials",
                                                      "cones")}
     stray = [site for site in found if site.partition(":")[0] not in allowed]
-    assert not stray, "fractions imported at load: " + ", ".join(stray)
+    assert not stray, "fractions imported: " + ", ".join(stray)
 
 
 def test_cli_runs_optimized_in_dev_mode():
