@@ -2,7 +2,7 @@
 
 A degree-d form in x0..xn lies in the restricted family when every monomial
 involving only x0 and x1 has zero coefficient, except x1^d which is free.
-The d excluded exponents are x0^d, x0^(d-1)*x1, ..., x0*x1^(d-1).
+The d excluded exponents are w_k = x0^(d-k)*x1^k, 0 <= k <= d-1.
 
 For a point c of the family, the tangent space to the orbit of f_c under
 linear changes of coordinates, taken together with the family directions, is
@@ -26,9 +26,9 @@ d - 1 columns, and row (1, 0) is the spike d*c[x1^d] on the last column,
 x0*x1^(d-1).  Every coefficient is an int, so every block is the integer
 matrix linalg.rank takes; scaling a point by a nonzero rational leaves
 every rank unchanged, so integer points lose nothing.  The block's support
-(_block_support) is a set of positions, read off each w's x0 degree and
-its degree off {x0, x1} with no u built; structural_rank_bound, its one
-reader, certifies from it that the rank is at most
+(_block_support) streams its positions, each w_k read as the pair (d-k, k),
+so no exponent is built; structural_rank_bound, its one reader, checks
+each position as it arrives and certifies that the rank is at most
 ambient - d + 1 + min(d-1, 2n-2) at every family point, and that rows
 (0, 0), (0, 1) and (1, 1) vanish off the last column, which is the
 redundancy claim.  So wherever the spike is nonzero, the block's rank is
@@ -44,7 +44,7 @@ from functools import lru_cache
 from math import comb
 from operator import index
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # read through their modules: only to_poly runs poly, so a command that
 # prints no polynomial never runs it
@@ -57,22 +57,15 @@ from .linalg import RankReport, rank
 _KEY_I = 2
 
 
-def excluded_exponents(n: int, d: int) -> tuple[poly.Exponent, ...]:
-    """The d excluded exponents x0^(d-k)*x1^k, 0 <= k <= d-1, descending
-    graded-lex (x0^d first)."""
-    domain.check_domain(n, d)
-    return tuple((d - k, k) + (0,) * (n - 1) for k in range(d))
-
-
-def _block_support(n: int, d: int) -> set[tuple[int, int, int]]:
+def _block_support(n: int, d: int) -> Iterator[tuple[int, int, int]]:
     """The block positions (i, j, k) that can be nonzero at some family
-    point, c being 0 on excluded u: for every excluded w_k, j with
-    w_k[j] >= 1 (every j is scanned) and i, those where u = w_k - e_j + e_i
-    is not excluded, which w_k[0] and w_k's degree off {x0, x1} decide."""
-    return {(i, j, k) for k, w in enumerate(excluded_exponents(n, d))
-            for rest in [sum(w[2:])] for j in range(n + 1) if w[j]
-            for i in range(n + 1)
-            if not w[0] - (j == 0) + (i == 0) or rest - (j > 1) + (i > 1)}
+    point, c being 0 on excluded u, one at a time: for every excluded
+    w_k = x0^(d-k)*x1^k, read as the pair (d-k, k), each j with
+    w_k[j] >= 1 and each i, those where u = w_k - e_j + e_i leaves
+    {x0, x1} or holds no x0, so is not excluded."""
+    return ((i, j, k) for k in range(d) for j, wj in enumerate((d - k, k))
+            if wj for i in range(n + 1)
+            if i > 1 or not d - k - (j == 0) + (i == 0))
 
 
 class FamilyPoint(namedtuple("FamilyPoint", "n d spike runs")):
@@ -168,15 +161,14 @@ def dominance_point(n: int, d: int) -> FamilyPoint:
     2k+1, so the key rank is min(d-1, 2n-2), and row (1, 0) is the spike
     d on the last column: the point attains structural_rank_bound.
     """
-    domain.check_domain(n, d)
     return FamilyPoint(n, d, 1, ([int(k == 2 * i) for k in range(d)]
                                  for i in range(n - 1)))
 
 
 def excluded_block(point: FamilyPoint) -> tuple[tuple[int, ...], ...]:
     """The 2(n+1) x d coefficients of the products (df/dx_i) * x_j with
-    j <= 1 on the excluded exponents; row (i, j) is row 2*i + j, columns in
-    excluded_exponents order.  Products with j >= 2 have none.
+    j <= 1 on the excluded exponents; row (i, j) is row 2*i + j, column k
+    is w_k = x0^(d-k)*x1^k.  Products with j >= 2 have none.
 
     Entry ((i, j), w) is u_i * c[u] for u = w - e_j + e_i when w_j >= 1,
     and 0 otherwise, which is a slice of the face: rows (i, 0) for i >= 2
@@ -204,31 +196,35 @@ def key_matrix(point: FamilyPoint) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=1)  # every caller works on one (n, d) at a time
 def structural_rank_bound(n: int, d: int) -> int:
-    """ambient - d + 1 + min(d-1, 2n-2), certified from the positions of the
-    block's support (_block_support) as an upper bound for the differential
-    rank at every family point; it is exact at generic points.
+    """ambient - d + 1 + min(d-1, 2n-2), certified position by position, as
+    _block_support yields the block's support, as an upper bound for the
+    differential rank at every family point; it is exact at generic points.
 
     Off the last column x0*x1^(d-1), the support must lie in the key rows
     and the first d - 1 columns, so the block's rank is at most 1 plus the
     smaller of the counts of rows and columns it meets there, which must
     equal 1 + min(d-1, 2n-2).  Every support position must also have
-    j <= 1, the rows excluded_block keeps.  Else CertificateError is raised.
+    j <= 1, the rows excluded_block keeps.  Else CertificateError is raised;
+    DomainError is raised outside the domain, before any scan.
     """
-    support = _block_support(n, d)
-    stray = sorted((i, j, k) for i, j, k in support
-                   if j > 1 or (k < d - 1 and i < _KEY_I))
+    domain.check_domain(n, d)
+    stray, rows, cols = [], set(), set()
+    for i, j, k in _block_support(n, d):
+        if j > 1 or (k < d - 1 and i < _KEY_I):
+            stray.append((i, j, k))
+        elif k < d - 1:
+            rows.add((i, j))
+            cols.add(k)
     if stray:
         raise CertificateError(
             f"block support at n={n}, d={d} leaves the rows j <= 1, or off "
-            f"the last column the key rows, at {stray}")
-    body = [(i, j, k) for i, j, k in support if k < d - 1]
-    rows = len({(i, j) for i, j, _k in body})
-    cols = len({k for _i, _j, k in body})
-    if min(rows, cols) != min(d - 1, 2 * n - 2):
+            f"the last column the key rows, at {sorted(stray)}")
+    cap = min(d - 1, 2 * n - 2)
+    if min(len(rows), len(cols)) != cap:
         raise CertificateError(
-            f"block support at n={n}, d={d} meets {rows} key rows and {cols} "
-            f"columns, not min(d-1, 2n-2) = {min(d - 1, 2 * n - 2)}")
-    return comb(n + d, d) - d + 1 + min(d - 1, 2 * n - 2)
+            f"block support at n={n}, d={d} meets {len(rows)} key rows and "
+            f"{len(cols)} columns, not min(d-1, 2n-2) = {cap}")
+    return comb(n + d, d) - d + 1 + cap
 
 
 def key_rank(point: FamilyPoint) -> tuple[int, RankReport]:

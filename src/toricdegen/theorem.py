@@ -289,15 +289,15 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     Records the positive codimension bound d - 2n + 1, certifies from the
     block's exponent support, before any sample is drawn, the rank upper
     bound and generator redundancy at every family point
-    (structural_rank_bound), keeps only samples that meet that rank bound,
-    whose codimension past the threshold is the codimension bound exactly,
-    and reduces every (prime pattern, ordering) stratum into a permuted
-    copy of the restricted family with the full strata survey, at every
-    (n, d) the ambient limit admits.  The random source feeds the family
-    samples only.  family.key_rank raises CertificateError at a sample with
-    c[x1^d] = 0 or a rank past the bound; a sample short of the bound is
-    redrawn, GenericityError being raised after 1 + _RESAMPLE_BUDGET such
-    draws.
+    (structural_rank_bound), checks that the ambient dimension exceeds that
+    bound by the codimension bound exactly, keeps only samples that meet
+    the bound, and reduces every (prime pattern, ordering) stratum into a
+    permuted copy of the restricted family with the full strata survey, at
+    every (n, d) the ambient limit admits.  The random source feeds the
+    family samples only.  family.key_rank raises CertificateError at a
+    sample with c[x1^d] = 0 or a rank past the bound; a sample short of the
+    bound is redrawn, GenericityError being raised after
+    1 + _RESAMPLE_BUDGET such draws.
     """
     domain.check_domain(n, d)
     if d <= 2 * n - 1:
@@ -305,6 +305,10 @@ def nonexistence_certificate(n: int, d: int, samples: int, rng: Random,
     family.check_samples(samples)
     target = family.structural_rank_bound(n, d)
     codim_bound = d - 2 * n + 1
+    if comb(n + d, d) - target != codim_bound:
+        raise CertificateError(
+            f"certified codimension {comb(n + d, d) - target} at n={n}, "
+            f"d={d} is not d - 2n + 1 = {codim_bound}")
     sampled = []
     for _ in range(samples):
         for _ in range(1 + _RESAMPLE_BUDGET):

@@ -30,7 +30,6 @@ from toricdegen import (
     ZeroPolynomialError,
     classify,
     difference_functional,
-    excluded_exponents,
     format_poly,
     initial_form,
     parse_poly,
@@ -928,6 +927,14 @@ def excluded_block_reference(f: HomogPoly) -> tuple[tuple[RatLike, ...], ...]:
         for i in range(f.n + 1) for j in (0, 1))
 
 
+def excluded_exponents(n: int, d: int) -> tuple[Exponent, ...]:
+    """The d excluded exponents x0^(d-k)*x1^k, 0 <= k <= d-1, as dense
+    (n+1)-entry tuples in descending graded-lex (x0^d first): the block's
+    columns, which family reads as the pairs (d-k, k)."""
+    check_domain(n, d)
+    return tuple((d - k, k) + (0,) * (n - 1) for k in range(d))
+
+
 def block_support_reference(n: int, d: int) -> dict[tuple[int, int, int], Exponent]:
     """family._block_support's positions, and face_exponents as its values,
     by a scan that builds every step: (i, j, k) to u = w_k - e_j + e_i for
@@ -948,12 +955,12 @@ def family_caches() -> dict:
 @contextmanager
 def patched_support(change) -> Iterator[None]:
     """Within the block, family._block_support(n, d) returns
-    change(positions) for the true set of support positions; every family
+    change(set(positions)) for the true support positions; every family
     cache is cleared on entry and on exit, so structural_rank_bound, which
     reads the support, answers with neither side's support on the other."""
     import toricdegen.family as family
     support, caches = family._block_support, family_caches().values()
-    family._block_support = lambda n, d: change(support(n, d))
+    family._block_support = lambda n, d: change(set(support(n, d)))
     try:
         for cache in caches:
             cache.cache_clear()

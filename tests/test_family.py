@@ -20,7 +20,6 @@ from toricdegen import (
     differential_rank,
     dominance_point,
     excluded_block,
-    excluded_exponents,
     initial_form,
     iter_exponents,
     key_matrix,
@@ -43,6 +42,7 @@ from helpers import (
     check_record,
     differential_generators,
     excluded_block_reference,
+    excluded_exponents,
     face_exponents,
     face_point,
     family_caches,
@@ -255,7 +255,7 @@ class TestBlockSupport:
                 block = excluded_block(sample_family(n, d, rng))
                 nonzero = {(i, j, k) for i in range(n + 1) for j in (0, 1)
                            for k in range(d) if block[2 * i + j][k]}
-                assert _block_support(n, d) == nonzero, (n, d)
+                assert set(_block_support(n, d)) == nonzero, (n, d)
 
     def test_support_maps_each_entry_to_its_step(self):
         # each position's step back from its excluded exponent exists and
@@ -266,6 +266,15 @@ class TestBlockSupport:
                 assert excl[k][j] >= 1, (n, d, i, j, k)
                 u = step_reference(excl[k], i, j)
                 assert u not in excl, (n, d, i, j, k)
+
+    def test_scan_streams_distinct_positions(self):
+        # the scan is an iterator, read once by structural_rank_bound, and
+        # yields each position once
+        for n, d in [(2, 2), (3, 5), (30, 2), (2, 60)]:
+            scan = _block_support(n, d)
+            assert iter(scan) is scan and not isinstance(scan, set)
+            positions = list(scan)
+            assert len(positions) == len(set(positions)), (n, d)
 
     @pytest.mark.parametrize("change, reason", [
         (lambda s: s | {(0, 0, 0)}, r"at \[\(0, 0, 0\)\]"),
@@ -300,21 +309,24 @@ class TestBlockSupport:
                 assert tuple(point.to_poly().support()) == face, (n, d)
 
     def test_scan_memory_stays_small_at_a_large_point(self, monkeypatch):
-        # the scan keeps positions, not an (n+1)-entry exponent per step,
-        # which peaked at 47 MB here
+        # the scan streams positions read off the pairs (d-k, k) and the
+        # bound checks each as it arrives; building an (n+1)-entry exponent
+        # per step peaked at 47 MB at (100, 240), and holding every
+        # position in a set at 35 MB at (200, 480)
         import toricdegen.family as family
         import toricdegen.domain as domain
         monkeypatch.setattr(domain, "MAX_AMBIENT", 10 ** 200)
-        family.structural_rank_bound.cache_clear()
-        tracemalloc.start()
-        try:
-            bound = structural_rank_bound(100, 240)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        for n, d, limit in [(100, 240, 16_000_000), (200, 480, 10_000_000)]:
             family.structural_rank_bound.cache_clear()
-        assert bound == comb(340, 240) - 240 + 1 + 198
-        assert peak < 16_000_000
+            tracemalloc.start()
+            try:
+                bound = structural_rank_bound(n, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                family.structural_rank_bound.cache_clear()
+            assert bound == comb(n + d, d) - d + 1 + 2 * n - 2, (n, d)
+            assert peak < limit, (n, d, peak)
 
 
 def _typed(matrix):
@@ -337,10 +349,11 @@ class TestBlockSteps:
             [(face_point(full), full)]
 
     def test_matches_the_dense_references(self):
+        # the grid, and the widest and the deepest shapes a few steps out
         rng = Random(41)
-        for n, d in self.GRID:
+        for n, d in self.GRID + [(30, 2), (2, 60)]:
             support = block_support_reference(n, d)
-            assert _block_support(n, d) == set(support), (n, d)
+            assert set(_block_support(n, d)) == set(support), (n, d)
             assert face_exponents(n, d) == \
                 tuple(sorted(set(support.values()), reverse=True)), (n, d)
             for point, f in self._points(n, d, rng):
@@ -541,6 +554,15 @@ class TestDominancePoint:
     def test_redundancy(self):
         for n, d in self.GRID:
             assert redundancy_check(dominance_point(n, d)).ok, (n, d)
+
+    def test_domain_error_names_the_shape(self):
+        # FamilyPoint's constructor checks the shape before it reads the
+        # lazy runs, so dominance_point needs no check of its own
+        with pytest.raises(DomainError) as info:
+            dominance_point(1, 5)
+        assert str(info.value) == "need n >= 2 and d >= 2, got n=1, d=5"
+        with pytest.raises(DomainError, match=r"C\(25, 17\)"):
+            dominance_point(8, 17)
 
     def test_initial_form_is_the_prime_staircase_top(self):
         for n, d in self.GRID:

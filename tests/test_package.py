@@ -27,9 +27,8 @@ PUBLIC = {
     "cones": {"FeasibilityResult", "LinearSystem", "difference_functional",
               "satisfies", "solve", "stratum_system", "verify_certificate"},
     "family": {"FamilyPoint", "RedundancyReport", "differential_rank",
-               "dominance_point", "excluded_block", "excluded_exponents",
-               "key_matrix", "redundancy_check", "sample_family",
-               "structural_rank_bound"},
+               "dominance_point", "excluded_block", "key_matrix",
+               "redundancy_check", "sample_family", "structural_rank_bound"},
     "theorem": {"NonexistenceReport", "StrataSurvey", "SweepRow",
                 "WitnessBundle", "dominance_certificate", "existence_witness",
                 "nonexistence_certificate", "strata_survey",
@@ -39,7 +38,7 @@ PUBLIC = {
 
 class TestPublicNames:
     def test_all_lists_the_public_names(self):
-        assert len(toricdegen.__all__) == len(set(toricdegen.__all__)) == 57
+        assert len(toricdegen.__all__) == len(set(toricdegen.__all__)) == 56
         assert set(toricdegen.__all__) == set().union(*PUBLIC.values())
         assert set(toricdegen.__all__) <= set(dir(toricdegen))
 

@@ -389,6 +389,19 @@ class TestNonexistence:
             with pytest.raises(CertificateError, match="the key rows"):
                 dominance_certificate(3, 5)
 
+    def test_codim_bound_is_checked_against_the_certified_rank(
+            self, monkeypatch):
+        # the closed form d - 2n + 1 must be what the certified rank bound
+        # leaves of the ambient dimension, checked before any sample
+        monkeypatch.setattr(toricdegen.family, "sample_family", None)
+        bound = toricdegen.family.structural_rank_bound
+        monkeypatch.setattr(toricdegen.family, "structural_rank_bound",
+                            lambda n, d: bound(n, d) - 1)
+        with pytest.raises(CertificateError,
+                           match=r"codimension 2 at n=2, d=4 is not "
+                                 r"d - 2n \+ 1 = 1"):
+            nonexistence_certificate(2, 4, 3, Random(1))
+
     def test_requires_past_threshold(self):
         with pytest.raises(DomainError):
             nonexistence_certificate(2, 3, 1, Random(13))

@@ -404,17 +404,14 @@ def test_library_reads_every_parameter():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
-def _call_sites(tree: ast.Module, name: str):
-    """(line, scope) for each call of name, bare or as any obj.name, where
-    scope is the dotted path of the defs and classes whose body holds the
-    call (a default or a decorator belongs to the enclosing scope), or
-    <module>."""
+def _scoped(tree: ast.Module):
+    """(node, scope) for each node, where scope is the dotted path of the
+    defs and classes whose body holds the node (a default or a decorator
+    belongs to the enclosing scope), or <module>."""
     stack = [(tree, "<module>")]
     while stack:
         node, scope = stack.pop()
-        if isinstance(node, ast.Call) and name in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            yield node.lineno, scope
+        yield node, scope
         named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))
         inner = scope if not named else node.name if scope == "<module>" \
@@ -423,6 +420,32 @@ def _call_sites(tree: ast.Module, name: str):
             for child in value if isinstance(value, list) else [value]:
                 if isinstance(child, ast.AST):
                     stack.append((child, inner if field == "body" else scope))
+
+
+def _call_sites(tree: ast.Module, name: str):
+    """(line, scope) for each call of name, bare or as any obj.name, scope
+    as _scoped gives it."""
+    for node, scope in _scoped(tree):
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node.lineno, scope
+
+
+def _names_n(node: ast.AST) -> bool:
+    return any("n" in (getattr(sub, "id", None), getattr(sub, "attr", None))
+               for sub in ast.walk(node))
+
+
+def _dense_exponents(tree: ast.Module):
+    """(line, scope) for each tuple literal repeated by an expression that
+    names n, bare or as any obj.n, such as (0,) * (n - 1): the padding of a
+    dense (n+1)-entry exponent."""
+    for node, scope in _scoped(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and \
+                any(isinstance(seq, ast.Tuple) and _names_n(count)
+                    for seq, count in ((node.left, node.right),
+                                       (node.right, node.left))):
+            yield node.lineno, scope
 
 
 def test_only_family_ranks_a_family_point():
@@ -446,6 +469,16 @@ def test_only_the_bound_scans_the_support():
         found |= {f"{path.name} {scope}"
                   for _line, scope in _call_sites(tree, "_block_support")}
     assert found == {"family.py structural_rank_bound"}, sorted(found)
+
+
+def test_only_to_poly_builds_a_dense_exponent():
+    # family reads each excluded exponent as the pair (d-k, k) and a point
+    # by its face, so only printing a point pads an exponent to n + 1
+    tree = ast.parse((SRC / "family.py").read_text())
+    found = [f"family.py:{line} {scope}"
+             for line, scope in _dense_exponents(tree)
+             if scope != "FamilyPoint.to_poly"]
+    assert not found, "dense exponents built: " + ", ".join(found)
 
 
 def test_a_point_is_read_by_its_face():
@@ -510,6 +543,17 @@ def test_support_scans_seen_in_every_form():
                      "T = self._block_support(2, 3), _block_support\n")
     assert sorted(_call_sites(tree, "_block_support")) == \
         [(3, "f"), (6, "C.g"), (7, "<module>"), (8, "<module>")]
+
+
+def test_dense_exponents_seen_in_every_form():
+    tree = ast.parse("def f(n, d):\n"
+                     "    return (0,) * (n - 1), (d,) + (0,) * n\n"
+                     "class C:\n"
+                     "    def g(self, p):\n"
+                     "        return max(p.n, 2) * (1, 0), (0,) * 3, [0] * n\n"
+                     "U = (0, 1) * (len(w) - n)\n")
+    assert sorted(_dense_exponents(tree)) == \
+        [(2, "f"), (2, "f"), (5, "C.g"), (6, "<module>")]
 
 
 def _self_calls(tree: ast.AST):
